@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
 from .errors import InputError, NumericalError
@@ -39,6 +40,10 @@ class Hyperparams:
     ``strictly_pd_shortcut`` selects the reduced coefficient system
     ``[(1/sigma) I + K] c = diag(y) xi`` that is valid when the kernel
     matrix is nonsingular; ``None`` resolves it from the kernel family.
+    The shortcut solver holds ``[(1/sigma) I + K]^-1``, which is well
+    conditioned (``cond <= 1 + sigma * lambda_max(K)``), so each iteration
+    costs two matrix-vector products, both in numpy's BLAS; see
+    ``_CoefficientSolver``.
     """
 
     C: float
@@ -132,15 +137,53 @@ def update_u(eta, C, sigma) -> tuple[np.ndarray, np.ndarray]:
     return u, gamma_k
 
 
+def _shortcut_inverse(K: np.ndarray, diag: float) -> Optional[np.ndarray]:
+    """``(K + diag I)^-1`` as a C-contiguous array, or ``None`` when its
+    Cholesky factorization breaks down.
+
+    ``A = K + diag I`` is built in one copy of ``K``.  ``A`` is symmetric,
+    so its transpose view is the F-ordered array LAPACK expects, and the
+    factorization and the inversion both overwrite that one buffer.
+    """
+    m = K.shape[0]
+    A = np.array(K, dtype=float, order="C")
+    A.flat[::m + 1] += diag
+    L, info = dpotrf(A.T, lower=True, clean=False, overwrite_a=True)
+    if info != 0:
+        return None
+    packed, info = dpotri(L, lower=True, overwrite_c=True)
+    if info != 0:
+        return None
+    A_inv = packed.T  # the buffer of A, C-ordered; its upper triangle holds A^-1
+    for i in range(1, m):  # mirror row by row: no m-by-m temporary
+        A_inv[i, :i] = A_inv[:i, i]
+    return A_inv
+
+
 class _CoefficientSolver:
     """Pre-factored solver for the coefficient update, reused across
-    iterations.
+    iterations.  :meth:`solve` returns ``c`` together with ``K c``, which
+    the caller carries into the next iteration's ``eta``.
 
-    Shortcut mode solves ``[(1/sigma) I + K] c = diag(y) xi`` via a
-    Cholesky factorization.  Full mode solves ``[K + sigma K K] c =
-    sigma K diag(y) xi``; when the factorization reports rank deficiency
-    (Cholesky breakdown or a failed residual check) a ridge of
-    ``1e-10 * trace(K)/m`` is added and the solve retried.
+    Shortcut mode solves ``A c = diag(y) xi`` with ``A = (1/sigma) I + K``
+    by holding ``A^-1`` explicitly, so a solve is one matrix-vector
+    product.  Forming the inverse is safe: ``K`` is positive semidefinite,
+    so ``cond(A) <= 1 + sigma * lambda_max(K)``.  The inverse comes from
+    LAPACK's Cholesky routines once per solver; every iteration's O(m^2)
+    work (``A^-1 @ rhs`` and ``K @ c``) then runs through numpy's ``@``.
+    numpy and scipy may each bundle their own BLAS with its own thread
+    pool, and switching between the two on every iteration costs more than
+    the products themselves.
+
+    Full mode solves ``[K + sigma K K] c = sigma K diag(y) xi`` from a
+    Cholesky factorization.
+
+    Every solve is checked against the unridged system: in shortcut mode
+    ``||K c + c/sigma - diag(y) xi|| <= 1e-8 (1 + ||xi||)`` with ``K c``
+    computed, not derived.  A failed check, or a Cholesky breakdown at
+    set-up, is treated as rank deficiency: ``A`` is rebuilt with a ridge
+    of ``1e-10 * trace(K)/m`` (pivoted LU when Cholesky still fails) and
+    the solve retried once; a second failure raises ``NumericalError``.
     """
 
     def __init__(self, K: np.ndarray, sigma: float, shortcut: bool):
@@ -149,13 +192,15 @@ class _CoefficientSolver:
         self.shortcut = shortcut
         m = K.shape[0]
         self.ridge = _RIDGE_SCALE * float(np.trace(K)) / m
+        self._ridged = False
         if shortcut:
-            self.A = K + (1.0 / sigma) * np.eye(m)
+            self.A_inv = _shortcut_inverse(K, 1.0 / sigma)
+            ok = self.A_inv is not None
         else:
             self.A = K + sigma * (K @ K)
-        self._factor = self._try_factor(self.A)
-        self._ridged = False
-        if self._factor is None:
+            self._factor = self._try_factor(self.A)
+            ok = self._factor is not None
+        if not ok:
             self._apply_ridge()
 
     def _try_factor(self, A):
@@ -164,52 +209,74 @@ class _CoefficientSolver:
         except np.linalg.LinAlgError:
             return None
 
+    def _cond(self) -> float:
+        """Condition number of the unridged system; shortcut mode rebuilds it."""
+        if self.shortcut:
+            A = self.K + np.eye(len(self.K)) / self.sigma
+            return float(np.linalg.cond(A))
+        return float(np.linalg.cond(self.A))
+
     def _apply_ridge(self):
         if self._ridged:
             raise NumericalError(
                 "coefficient system factorization failed after ridge fallback",
-                cond=float(np.linalg.cond(self.A)),
+                cond=self._cond(),
             )
         self._ridged = True
-        m = self.A.shape[0]
-        A = self.A + self.ridge * np.eye(m)
-        f = self._try_factor(A)
-        if f is None:
-            # Last resort for indefinite perturbations: pivoted LU.
-            try:
-                f = ("lu", lu_factor(A, check_finite=False))
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    "coefficient system factorization failed after ridge fallback",
-                    cond=float(np.linalg.cond(A)),
-                ) from None
-        self._factor = f
+        m = self.K.shape[0]
+        if self.shortcut:
+            self.A_inv = _shortcut_inverse(self.K, 1.0 / self.sigma + self.ridge)
+            if self.A_inv is not None:
+                return
+            A = self.K + (1.0 / self.sigma + self.ridge) * np.eye(m)
+        else:
+            A = self.A + self.ridge * np.eye(m)
+            self._factor = self._try_factor(A)
+            if self._factor is not None:
+                return
+        # Last resort for indefinite perturbations: pivoted LU.
+        try:
+            lu = lu_factor(A, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "coefficient system factorization failed after ridge fallback",
+                cond=float(np.linalg.cond(A)),
+            ) from None
+        if self.shortcut:
+            self.A_inv = np.ascontiguousarray(
+                lu_solve(lu, np.eye(m), check_finite=False))
+        else:
+            self._factor = ("lu", lu)
 
-    def _backsolve(self, rhs):
+    def _attempt(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """One solve with the current operator: ``(c, K c, residual)``."""
+        if self.shortcut:
+            c = self.A_inv @ rhs
+            Kc = self.K @ c
+            return c, Kc, float(np.linalg.norm(Kc + c / self.sigma - rhs))
         kind, f = self._factor
         if kind == "cho":
-            return cho_solve(f, rhs, check_finite=False)
-        return lu_solve(f, rhs, check_finite=False)
-
-    def solve(self, xi: np.ndarray, y: np.ndarray) -> np.ndarray:
-        dyxi = y * xi
-        if self.shortcut:
-            rhs = dyxi
+            c = cho_solve(f, rhs, check_finite=False)
         else:
-            rhs = self.sigma * (self.K @ dyxi)
-        c = self._backsolve(rhs)
+            c = lu_solve(f, rhs, check_finite=False)
+        resid = float(np.linalg.norm(self.A @ c - rhs))
+        return c, self.K @ c, resid
+
+    def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dyxi = y * xi
+        rhs = dyxi if self.shortcut else self.sigma * (self.K @ dyxi)
         bound = _SOLVE_RTOL * (1.0 + float(np.linalg.norm(xi)))
-        if float(np.linalg.norm(self.A @ c - rhs)) > bound:
+        c, Kc, resid = self._attempt(rhs)
+        if not resid <= bound:
             # Treat a failed residual check as a rank-deficiency report.
             self._apply_ridge()
-            c = self._backsolve(rhs)
-            resid = float(np.linalg.norm(self.A @ c - rhs))
-            if resid > bound:
+            c, Kc, resid = self._attempt(rhs)
+            if not resid <= bound:
                 raise NumericalError(
                     f"coefficient solve residual {resid:.3e} exceeds {bound:.3e}",
-                    cond=float(np.linalg.cond(self.A)),
+                    cond=self._cond(),
                 )
-        return c
+        return c, Kc
 
 
 def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut) -> np.ndarray:
@@ -222,7 +289,7 @@ def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut) -> np.ndarray:
     """
     K = np.asarray(K, dtype=float)
     xi = 1.0 - u_next - b * y - lam / sigma
-    return _CoefficientSolver(K, sigma, strictly_pd_shortcut).solve(xi, y)
+    return _CoefficientSolver(K, sigma, strictly_pd_shortcut).solve(xi, y)[0]
 
 
 def update_b(y, u_next, K, c_next, lam, sigma) -> float:
@@ -288,6 +355,7 @@ def _run_admm(
     c, b, u, lam = state.c.copy(), float(state.b), state.u.copy(), state.lam.copy()
     sigma, iota, C = hp.sigma, hp.iota, hp.C
     solver = _CoefficientSolver(K, sigma, hp.strictly_pd_shortcut)
+    Kc = K @ c  # carried: each iteration's K @ c feeds the next eta
     trace = SolveTrace(records=[], termination="max_iter")
     sqrt_m = math.sqrt(m)
     gamma_k = state.gamma_k
@@ -297,11 +365,10 @@ def _run_admm(
     omega = state.omega
 
     for k in range(hp.max_iter):
-        eta = 1.0 - y * (K @ c) - b * y - lam / sigma
+        eta = 1.0 - y * Kc - b * y - lam / sigma
         u, gamma_k = update_slack(eta)
         xi = 1.0 - u - b * y - lam / sigma
-        c = solver.solve(xi, y)
-        Kc = K @ c
+        c, Kc = solver.solve(xi, y)
         r = 1.0 - u - y * Kc - lam / sigma
         b = float(y @ r) / m
         omega = u + y * Kc + b * y - 1.0

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_kkt_fixture, toy_dataset
-from zeroone import (Dataset, Hyperparams, InputError, KernelSpec, accuracy,
-                     betas, compute_eta, from_solution, gaussian_spec,
-                     gen_double_circles, gram_matrix, predict, solve, split,
-                     standardize, update_b, update_c, update_lambda, update_u)
+from zeroone import (Dataset, Hyperparams, InputError, KernelSpec,
+                     NumericalError, accuracy, betas, compute_eta,
+                     from_solution, gaussian_spec, gen_double_circles,
+                     gram_matrix, predict, solve, split, standardize,
+                     update_b, update_c, update_lambda, update_u)
+from zeroone.admm import _CoefficientSolver
 
 
 class TestComputeEta:
@@ -101,6 +103,66 @@ class TestUpdateC:
         A = K + K @ K
         rhs = K @ (y * xi)
         assert np.linalg.norm(A @ c - rhs) <= 1e-8 * (1 + np.linalg.norm(xi))
+
+
+def _shortcut_residual(K, sigma, c, y, xi):
+    return np.linalg.norm(K @ c + c / sigma - y * xi)
+
+
+class TestCoefficientSolver:
+    def _system(self, m=40, seed=4):
+        ds = gen_double_circles(m, noise_std=0.1, seed=seed)
+        K = gram_matrix(gaussian_spec(0.5), ds.X).entries
+        xi = np.random.default_rng(seed).normal(size=m)
+        return K, ds.y, xi
+
+    def test_solver_iterates_solve_shortcut_system(self):
+        ds = gen_double_circles(120, noise_std=0.15, seed=6)
+        hp = Hyperparams(C=8.0, sigma=2.0, max_iter=200, kernel=gaussian_spec(0.5))
+        assert hp.strictly_pd_shortcut
+        K = gram_matrix(hp.kernel, ds.X).entries
+        worst = []
+
+        def check(st):
+            bound = 1e-8 * (1.0 + np.linalg.norm(st.xi))
+            worst.append(_shortcut_residual(K, hp.sigma, st.c, ds.y, st.xi) / bound)
+
+        _, trace = solve(ds, hp, on_iteration=check)
+        assert len(worst) == trace.iterations > 1
+        assert max(worst) <= 1.0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: a * 1.5,
+        lambda a: np.full_like(a, np.nan),
+    ], ids=["scaled", "nan"])
+    def test_corrupted_inverse_never_returns_unchecked_c(self, corrupt):
+        K, y, xi = self._system()
+        sigma = 1.0
+        solver = _CoefficientSolver(K, sigma, True)
+        solver.A_inv = corrupt(solver.A_inv)
+        try:
+            c, Kc = solver.solve(xi, y)
+        except NumericalError:
+            return
+        assert _shortcut_residual(K, sigma, c, y, xi) <= 1e-8 * (1 + np.linalg.norm(xi))
+        np.testing.assert_array_equal(Kc, K @ c)
+
+    def test_second_guard_failure_raises(self):
+        K, y, xi = self._system()
+        solver = _CoefficientSolver(K, 1.0, True)
+        solver.A_inv = solver.A_inv * 1.5
+        solver.solve(xi, y)  # recovered through the ridge
+        solver.A_inv = solver.A_inv * 1.5
+        with pytest.raises(NumericalError):
+            solver.solve(xi, y)
+
+    def test_inverse_is_c_contiguous_and_symmetric(self):
+        K, _, _ = self._system()
+        solver = _CoefficientSolver(K, 2.0, True)
+        assert solver.A_inv.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(solver.A_inv, solver.A_inv.T)
+        np.testing.assert_allclose(solver.A_inv @ (K + np.eye(len(K)) / 2.0),
+                                   np.eye(len(K)), atol=1e-9)
 
 
 class TestUpdateB:
