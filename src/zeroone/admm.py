@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
@@ -42,8 +43,8 @@ class Hyperparams:
     matrix is nonsingular; ``None`` resolves it from the kernel family.
     The shortcut solver holds ``[(1/sigma) I + K]^-1``, which is well
     conditioned (``cond <= 1 + sigma * lambda_max(K)``), so each iteration
-    costs two matrix-vector products, both in numpy's BLAS; see
-    ``_CoefficientSolver``.
+    costs two symmetric matrix-vector products that read one triangle
+    each, both in scipy's BLAS; see ``_CoefficientSolver``.
     """
 
     C: float
@@ -138,26 +139,21 @@ def update_u(eta, C, sigma) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shortcut_inverse(K: np.ndarray, diag: float) -> Optional[np.ndarray]:
-    """``(K + diag I)^-1`` as a C-contiguous array, or ``None`` when its
-    Cholesky factorization breaks down.
+    """``(K + diag I)^-1`` in the lower triangle of an F-ordered array, or
+    ``None`` when its Cholesky factorization breaks down.
 
-    ``A = K + diag I`` is built in one copy of ``K``.  ``A`` is symmetric,
-    so its transpose view is the F-ordered array LAPACK expects, and the
-    factorization and the inversion both overwrite that one buffer.
+    ``A = K + diag I`` is built in one F-ordered copy of ``K``; the
+    factorization and the inversion both overwrite that buffer and leave
+    its upper triangle stale, which ``dsymv(..., lower=1)`` never reads.
     """
     m = K.shape[0]
-    A = np.array(K, dtype=float, order="C")
+    A = np.array(K, dtype=float, order="F")
     A.flat[::m + 1] += diag
-    L, info = dpotrf(A.T, lower=True, clean=False, overwrite_a=True)
+    L, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
     if info != 0:
         return None
-    packed, info = dpotri(L, lower=True, overwrite_c=True)
-    if info != 0:
-        return None
-    A_inv = packed.T  # the buffer of A, C-ordered; its upper triangle holds A^-1
-    for i in range(1, m):  # mirror row by row: no m-by-m temporary
-        A_inv[i, :i] = A_inv[:i, i]
-    return A_inv
+    A_inv, info = dpotri(L, lower=True, overwrite_c=True)
+    return A_inv if info == 0 else None
 
 
 class _CoefficientSolver:
@@ -169,14 +165,17 @@ class _CoefficientSolver:
     by holding ``A^-1`` explicitly, so a solve is one matrix-vector
     product.  Forming the inverse is safe: ``K`` is positive semidefinite,
     so ``cond(A) <= 1 + sigma * lambda_max(K)``.  The inverse comes from
-    LAPACK's Cholesky routines once per solver; every iteration's O(m^2)
-    work (``A^-1 @ rhs`` and ``K @ c``) then runs through numpy's ``@``.
-    numpy and scipy may each bundle their own BLAS with its own thread
-    pool, and switching between the two on every iteration costs more than
-    the products themselves.
+    LAPACK's Cholesky routines once per solver.
 
     Full mode solves ``[K + sigma K K] c = sigma K diag(y) xi`` from a
-    Cholesky factorization.
+    Cholesky factorization.  ``K K`` is not symmetric to the bit, so the
+    factorization and the residual read the same (lower) triangle.
+
+    Every O(m^2) product is a scipy ``dsymv`` on the lower triangle of an
+    F-ordered operand: it reads half the matrix, and nothing is copied.
+    numpy's and scipy's BLAS may be separate libraries whose thread pools
+    make switching between them cost more than the products.  ``K`` is
+    symmetric to the bit, so its free F-ordered transpose view stands in.
 
     Every solve is checked against the unridged system: in shortcut mode
     ``||K c + c/sigma - diag(y) xi|| <= 1e-8 (1 + ||xi||)`` with ``K c``
@@ -187,7 +186,7 @@ class _CoefficientSolver:
     """
 
     def __init__(self, K: np.ndarray, sigma: float, shortcut: bool):
-        self.K = K
+        self.K = K = np.asfortranarray(K.T)
         self.sigma = sigma
         self.shortcut = shortcut
         m = K.shape[0]
@@ -197,7 +196,7 @@ class _CoefficientSolver:
             self.A_inv = _shortcut_inverse(K, 1.0 / sigma)
             ok = self.A_inv is not None
         else:
-            self.A = K + sigma * (K @ K)
+            self.A = K + sigma * (K @ K).T  # F-ordered; (K K)^T = K K for symmetric K
             self._factor = self._try_factor(self.A)
             ok = self._factor is not None
         if not ok:
@@ -228,9 +227,9 @@ class _CoefficientSolver:
             self.A_inv = _shortcut_inverse(self.K, 1.0 / self.sigma + self.ridge)
             if self.A_inv is not None:
                 return
-            A = self.K + (1.0 / self.sigma + self.ridge) * np.eye(m)
+            A = self.K + (1.0 / self.sigma + self.ridge) * np.eye(m, order="F")
         else:
-            A = self.A + self.ridge * np.eye(m)
+            A = self.A + self.ridge * np.eye(m, order="F")
             self._factor = self._try_factor(A)
             if self._factor is not None:
                 return
@@ -243,28 +242,25 @@ class _CoefficientSolver:
                 cond=float(np.linalg.cond(A)),
             ) from None
         if self.shortcut:
-            self.A_inv = np.ascontiguousarray(
-                lu_solve(lu, np.eye(m), check_finite=False))
+            self.A_inv = np.asfortranarray(lu_solve(lu, np.eye(m), check_finite=False))
         else:
             self._factor = ("lu", lu)
 
     def _attempt(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """One solve with the current operator: ``(c, K c, residual)``."""
         if self.shortcut:
-            c = self.A_inv @ rhs
-            Kc = self.K @ c
-            return c, Kc, float(np.linalg.norm(Kc + c / self.sigma - rhs))
-        kind, f = self._factor
-        if kind == "cho":
-            c = cho_solve(f, rhs, check_finite=False)
+            c = dsymv(1.0, self.A_inv, rhs, lower=1)
+        elif self._factor[0] == "cho":
+            c = cho_solve(self._factor[1], rhs, check_finite=False)
         else:
-            c = lu_solve(f, rhs, check_finite=False)
-        resid = float(np.linalg.norm(self.A @ c - rhs))
-        return c, self.K @ c, resid
+            c = lu_solve(self._factor[1], rhs, check_finite=False)
+        Kc = dsymv(1.0, self.K, c, lower=1)
+        Ac = Kc + c / self.sigma if self.shortcut else dsymv(1.0, self.A, c, lower=1)
+        return c, Kc, float(np.linalg.norm(Ac - rhs))
 
     def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dyxi = y * xi
-        rhs = dyxi if self.shortcut else self.sigma * (self.K @ dyxi)
+        rhs = dyxi if self.shortcut else dsymv(self.sigma, self.K, dyxi, lower=1)
         bound = _SOLVE_RTOL * (1.0 + float(np.linalg.norm(xi)))
         c, Kc, resid = self._attempt(rhs)
         if not resid <= bound:
@@ -355,7 +351,7 @@ def _run_admm(
     c, b, u, lam = state.c.copy(), float(state.b), state.u.copy(), state.lam.copy()
     sigma, iota, C = hp.sigma, hp.iota, hp.C
     solver = _CoefficientSolver(K, sigma, hp.strictly_pd_shortcut)
-    Kc = K @ c  # carried: each iteration's K @ c feeds the next eta
+    Kc = dsymv(1.0, solver.K, c, lower=1)  # carried: feeds each next eta
     trace = SolveTrace(records=[], termination="max_iter")
     sqrt_m = math.sqrt(m)
     gamma_k = state.gamma_k

@@ -164,8 +164,10 @@ def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def _l1_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     # One feature at a time keeps memory at O(m^2) instead of O(m^2 d).
     d1 = np.zeros((X.shape[0], Z.shape[0]))
+    diff = np.empty_like(d1)
     for k in range(X.shape[1]):
-        d1 += np.abs(X[:, k][:, None] - Z[:, k][None, :])
+        np.subtract.outer(X[:, k], Z[:, k], out=diff)
+        d1 += np.abs(diff, out=diff)
     return d1
 
 
@@ -198,8 +200,8 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
 
     Only the upper triangle is taken from the pairwise evaluation and
     mirrored onto the lower one, so the result is symmetric to the bit;
-    downstream Cholesky factorizations rely on that.  For the gaussian,
-    laplacian and exponential families the diagonal is exactly 1.
+    the solver's factorizations and ``dsymv`` rely on that.  For the
+    gaussian, laplacian and exponential families the diagonal is exactly 1.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m = X.shape[0]
@@ -208,5 +210,6 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
     K = cross_matrix(spec, X, X)
     if spec.family in ("gaussian", "laplacian", "exponential"):
         np.fill_diagonal(K, 1.0)
-    K = np.triu(K) + np.triu(K, 1).T
+    for i in range(1, m):  # mirror row by row: no m-by-m temporary
+        K[i, :i] = K[:i, i]
     return GramMatrix(entries=K, spec=spec, fingerprint=data_fingerprint(X))

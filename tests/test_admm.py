@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv
 
 from conftest import make_kkt_fixture, toy_dataset
 from zeroone import (Dataset, Hyperparams, InputError, KernelSpec,
@@ -9,6 +10,7 @@ from zeroone import (Dataset, Hyperparams, InputError, KernelSpec,
                      from_solution, gaussian_spec, gen_double_circles,
                      gram_matrix, predict, solve, split, standardize,
                      update_b, update_c, update_lambda, update_u)
+from zeroone import admm
 from zeroone.admm import _CoefficientSolver
 
 
@@ -145,7 +147,7 @@ class TestCoefficientSolver:
         except NumericalError:
             return
         assert _shortcut_residual(K, sigma, c, y, xi) <= 1e-8 * (1 + np.linalg.norm(xi))
-        np.testing.assert_array_equal(Kc, K @ c)
+        np.testing.assert_array_equal(Kc, dsymv(1.0, K, c, lower=1))
 
     def test_second_guard_failure_raises(self):
         K, y, xi = self._system()
@@ -156,13 +158,49 @@ class TestCoefficientSolver:
         with pytest.raises(NumericalError):
             solver.solve(xi, y)
 
-    def test_inverse_is_c_contiguous_and_symmetric(self):
+    def test_stored_lower_triangle_inverts_system(self):
         K, _, _ = self._system()
         solver = _CoefficientSolver(K, 2.0, True)
-        assert solver.A_inv.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(solver.A_inv, solver.A_inv.T)
-        np.testing.assert_allclose(solver.A_inv @ (K + np.eye(len(K)) / 2.0),
+        L = np.tril(solver.A_inv)
+        A_inv = L + np.tril(L, -1).T
+        np.testing.assert_allclose(A_inv @ (K + np.eye(len(K)) / 2.0),
                                    np.eye(len(K)), atol=1e-9)
+
+    def test_every_dsymv_operand_is_f_contiguous(self, monkeypatch):
+        # f2py copies a C-ordered matrix on every call; F-ordered goes through
+        seen = []
+
+        def recording_dsymv(alpha, a, x, **kw):
+            seen.append(a.flags["F_CONTIGUOUS"])
+            return dsymv(alpha, a, x, **kw)
+
+        monkeypatch.setattr(admm, "dsymv", recording_dsymv)
+        ds = gen_double_circles(60, noise_std=0.1, seed=3)
+        for kernel in (gaussian_spec(0.5), KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
+            solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
+        K, y, xi = self._system()
+        solver = _CoefficientSolver(K, 1.0, True)
+        solver.A_inv = solver.A_inv * 1.5
+        solver.solve(xi, y)  # recovered through the ridge
+        assert len(seen) > 20 and all(seen)
+
+    def test_full_mode_iterates_solve_full_system(self):
+        ds = gen_double_circles(120, noise_std=0.15, seed=6)
+        kernel = KernelSpec("polynomial", {"degree": 2, "offset": 1.0})
+        hp = Hyperparams(C=8.0, sigma=2.0, max_iter=200, kernel=kernel)
+        assert not hp.strictly_pd_shortcut
+        K = gram_matrix(kernel, ds.X).entries
+        A = K + hp.sigma * (K @ K)
+        worst = []
+
+        def check(st):
+            bound = 1e-8 * (1.0 + np.linalg.norm(st.xi))
+            rhs = hp.sigma * (K @ (ds.y * st.xi))
+            worst.append(np.linalg.norm(A @ st.c - rhs) / bound)
+
+        _, trace = solve(ds, hp, on_iteration=check)
+        assert len(worst) == trace.iterations > 1
+        assert max(worst) <= 1.0
 
 
 class TestUpdateB:

@@ -17,6 +17,22 @@ ALL_SPECS = [
 STRICT_SPECS = [s for s in ALL_SPECS if s.strictly_pd()]
 
 
+def _reference_cross(spec, X, Z):
+    """Out-of-place assembly: each formula over whole-matrix temporaries."""
+    p = spec.params
+    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * (X @ Z.T)
+    sq = np.maximum(sq, 0.0)
+    l1 = sum(np.abs(X[:, k][:, None] - Z[:, k][None, :]) for k in range(X.shape[1]))
+    return {
+        "gaussian": lambda: np.exp(-p["rho"] * sq),
+        "exponential": lambda: np.exp(-p["rho"] * np.sqrt(sq)),
+        "laplacian": lambda: np.exp(-p["rho"] * l1),
+        "linear": lambda: X @ Z.T,
+        "polynomial": lambda: (X @ Z.T + p["offset"]) ** p["degree"],
+        "inverse_multiquadric": lambda: (p["c"] ** 2 + sq) ** (-p["beta"]),
+    }[spec.family]()
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         KernelSpec("sigmoid", {})
@@ -121,6 +137,17 @@ class TestGramMatrix:
         X = rng.normal(size=(50, 3))
         w = np.linalg.eigvalsh(gram_matrix(spec, X).entries)
         assert w[0] >= -1e-8 * max(w[-1], 1.0)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_in_place_assembly_matches_reference_bitwise(self, spec):
+        rng = np.random.default_rng(8)
+        X, Z = rng.normal(size=(40, 3)), rng.normal(size=(9, 3))
+        K = _reference_cross(spec, X, X)
+        if spec.family in ("gaussian", "laplacian", "exponential"):
+            np.fill_diagonal(K, 1.0)
+        K = np.triu(K) + np.triu(K, 1).T
+        assert gram_matrix(spec, X).entries.tobytes() == K.tobytes()
+        assert cross_matrix(spec, Z, X).tobytes() == _reference_cross(spec, Z, X).tobytes()
 
     def test_entries_immutable(self):
         gm = gram_matrix(gaussian_spec(1.0), np.zeros((3, 2)))
