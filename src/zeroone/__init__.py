@@ -9,9 +9,8 @@ squared-hinge baselines on the same solver (:mod:`zeroone.baselines`), and
 the ``zeroone`` command line (:mod:`zeroone.cli`).
 """
 
-from .admm import (AdmmState, Hyperparams, SolveTrace, TraceRecord, betas,
-                   compute_eta, solve, update_b, update_c, update_lambda,
-                   update_u, zeros_state)
+from .admm import (AdmmState, Hyperparams, SolveTrace, TraceRecord, solve,
+                   update_c, update_u, zeros_state)
 from .baselines import LossKind, objective, solve_baseline
 from .data import (Dataset, StandardizeStats, flip_labels, format_csv,
                    format_libsvm, gen_double_circles, gen_double_moons,
@@ -32,9 +31,8 @@ from .stationarity import (StationarityReport, check_kkt,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmState", "Hyperparams", "SolveTrace", "TraceRecord", "betas",
-    "compute_eta", "solve", "update_b", "update_c", "update_lambda",
-    "update_u", "zeros_state",
+    "AdmmState", "Hyperparams", "SolveTrace", "TraceRecord", "solve",
+    "update_c", "update_u", "zeros_state",
     "LossKind", "objective", "solve_baseline",
     "Dataset", "StandardizeStats", "flip_labels", "format_csv",
     "format_libsvm", "gen_double_circles", "gen_double_moons",

@@ -11,17 +11,17 @@ nonzero multiplier.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import admm
 from .admm import AdmmState, Hyperparams, SolveTrace, _run_admm
 from .data import Dataset, StandardizeStats
-from .errors import InputError
-from .kernels import GramMatrix, gram_matrix
+from .kernels import GramMatrix
 from .model import TrainedModel, from_solution
-from .prox import ProxParams, prox_hinge, prox_l01, prox_sqhinge
+from .prox import (ProxParams, loss_hinge, loss_l01, loss_sqhinge, prox_hinge,
+                   prox_l01, prox_sqhinge)
 
 # Multipliers below this magnitude count as zero for baseline support sets.
 BASELINE_SV_TOL = 1e-6
@@ -38,6 +38,11 @@ _PROX = {
     LossKind.HINGE: prox_hinge,
     LossKind.SQHINGE: prox_sqhinge,
 }
+_LOSS = {
+    LossKind.L01: loss_l01,
+    LossKind.HINGE: loss_hinge,
+    LossKind.SQHINGE: loss_sqhinge,
+}
 
 
 def objective(kind: LossKind, K, c, u, C) -> float:
@@ -47,21 +52,7 @@ def objective(kind: LossKind, K, c, u, C) -> float:
     kind = LossKind(kind)
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
-    quad = 0.5 * float(c @ (K @ c))
-    pos = np.maximum(u, 0.0)
-    if kind is LossKind.L01:
-        loss = float(np.count_nonzero(u > 0.0))
-    elif kind is LossKind.HINGE:
-        loss = float(np.sum(pos))
-    else:
-        loss = float(np.sum(pos * pos))
-    return quad + C * loss
-
-
-def _loss_term(kind: LossKind) -> Callable[[np.ndarray], float]:
-    if kind is LossKind.HINGE:
-        return lambda u: float(np.sum(np.maximum(u, 0.0)))
-    return lambda u: float(np.sum(np.maximum(u, 0.0) ** 2))
+    return 0.5 * float(c @ (K @ c)) + C * _LOSS[kind](u)
 
 
 def solve_baseline(
@@ -86,13 +77,7 @@ def solve_baseline(
                                   on_iteration=on_iteration)
         return state, trace, from_solution(state, dataset, hp, scaling=scaling)
 
-    y = dataset.y
-    admm._check_trainable(y)
-    if gram is None:
-        gram = gram_matrix(hp.kernel, dataset.X)
-    elif gram.fingerprint != dataset.fingerprint():
-        raise InputError("Gram matrix fingerprint does not match the dataset")
-
+    K = admm._training_gram(dataset, hp, gram)
     p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
     prox = _PROX[kind]
 
@@ -101,11 +86,11 @@ def solve_baseline(
         return u, np.flatnonzero(u == 0.0)
 
     state, trace = _run_admm(
-        gram.entries, y, hp,
+        K, dataset.y, hp,
         update_slack=update_slack,
         fixed_point_prox=lambda v: prox(v, p),
         mask_dual=False,
-        loss_term=_loss_term(kind),
+        loss_term=_LOSS[kind],
         init=init,
         on_iteration=on_iteration,
     )

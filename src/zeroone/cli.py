@@ -36,7 +36,7 @@ DEFAULT_GRID_C = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_GRID_SIGMA = (1.0, 2.0)
 
 BENCH_COLUMNS = ("dataset", "r", "loss", "C", "sigma", "train_acc",
-                 "test_acc", "nsv", "cpu_s", "iters", "termination",
+                 "test_acc", "nsv", "wall_s", "iters", "termination",
                  "selection", "error")
 
 
@@ -141,12 +141,12 @@ def run_single(train, test, hp, kind, gram=None, scaling=None) -> tuple[dict, "m
     t0 = time.perf_counter()
     state, trace, mdl = baselines.solve_baseline(train, hp, kind, gram=gram,
                                                  scaling=scaling)
-    cpu_s = time.perf_counter() - t0
+    wall_s = time.perf_counter() - t0
     train_acc = model_mod.accuracy(model_mod.predict(mdl, train.X), train.y)
     test_acc = model_mod.accuracy(model_mod.predict(mdl, test.X), test.y)
     row = {
         "train_acc": train_acc, "test_acc": test_acc, "nsv": mdl.nsv,
-        "cpu_s": cpu_s, "iters": trace.iterations,
+        "wall_s": wall_s, "iters": trace.iterations,
         "termination": trace.termination,
     }
     return row, mdl, trace
@@ -238,7 +238,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model_mod.save_model(mdl, model_path)
     write_trace_csv(trace, trace_path)
     print(f"train_acc={row['train_acc']:.6f} test_acc={row['test_acc']:.6f} "
-          f"nsv={row['nsv']} cpu_seconds={row['cpu_s']:.3f} iters={row['iters']}")
+          f"nsv={row['nsv']} wall_seconds={row['wall_s']:.3f} iters={row['iters']}")
     print(f"model: {model_path}")
     print(f"trace: {trace_path}")
     return 0
@@ -375,7 +375,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     if cfg.selection == "cv":
         columns.insert(columns.index("selection"), "cv_acc")
     for row in rows:
-        for key in ("train_acc", "test_acc", "cv_acc", "cpu_s"):
+        for key in ("train_acc", "test_acc", "cv_acc", "wall_s"):
             if isinstance(row.get(key), float):
                 row[key] = round(row[key], 6)
     _emit(_format_rows(rows, columns, cfg.fmt), cfg.out)

@@ -25,11 +25,6 @@ FAMILIES = (
     "inverse_multiquadric",
 )
 
-# Families whose Gram matrix is nonsingular on any set of distinct points.
-_STRICTLY_PD = frozenset(
-    {"gaussian", "laplacian", "exponential", "inverse_multiquadric"}
-)
-
 _REQUIRED_PARAMS = {
     "gaussian": ("rho",),
     "laplacian": ("rho",),
@@ -88,10 +83,6 @@ class KernelSpec:
         elif self.family == "inverse_multiquadric":
             if not (p["c"] > 0 and p["beta"] > 0):
                 raise ConfigError("c and beta must be > 0")
-
-    def strictly_pd(self) -> bool:
-        """True for families whose Gram matrix is nonsingular on distinct points."""
-        return self.family in _STRICTLY_PD
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}

@@ -1,4 +1,5 @@
-"""Closed-form proximal operators for the three loss kinds.
+"""Closed-form proximal operators for the three loss kinds, each next to
+its unweighted loss.
 
 Each operator maps ``eta`` to the coordinatewise minimizer of
 ``C * loss(v) + (v - eta)^2 / (2 * gamma)``.  Comparisons against the
@@ -34,6 +35,11 @@ class ProxParams:
         return math.sqrt(2.0 * self.gamma * self.C)
 
 
+def loss_l01(u: np.ndarray) -> float:
+    """Zero-one hinge loss ``count(u_i > 0)``."""
+    return float(np.count_nonzero(u > 0.0))
+
+
 def prox_l01(eta, p: ProxParams) -> np.ndarray:
     """Prox of the zero-one hinge loss ``C * count(v_i > 0)``.
 
@@ -45,6 +51,11 @@ def prox_l01(eta, p: ProxParams) -> np.ndarray:
     return np.where((eta > 0.0) & (eta <= p.tau), 0.0, eta)
 
 
+def loss_hinge(u: np.ndarray) -> float:
+    """Hinge loss ``sum(max(u_i, 0))``."""
+    return float(np.sum(np.maximum(u, 0.0)))
+
+
 def prox_hinge(eta, p: ProxParams) -> np.ndarray:
     """Prox of the hinge loss ``C * sum(max(v_i, 0))``: one-sided soft shrink.
 
@@ -54,6 +65,12 @@ def prox_hinge(eta, p: ProxParams) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     gc = p.gamma * p.C
     return np.where(eta > gc, eta - gc, np.where(eta < 0.0, eta, 0.0))
+
+
+def loss_sqhinge(u: np.ndarray) -> float:
+    """Squared hinge loss ``sum(max(u_i, 0)^2)``."""
+    pos = np.maximum(u, 0.0)
+    return float(np.sum(pos * pos))
 
 
 def prox_sqhinge(eta, p: ProxParams) -> np.ndarray:

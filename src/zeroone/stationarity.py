@@ -11,11 +11,11 @@ A KKT point admits a step size making it prox-stationary and vice versa;
 :func:`construct_gamma` builds that step constructively and
 :func:`equivalence_roundtrip` exercises the equivalence in both directions.
 
-Residual scaling: each condition is reported in the same normalization the
-solver's stopping rule uses (see :func:`zeroone.admm.betas`):
-``||c + diag(y) lam|| / (1 + ||c|| + ||lam||)`` for stationarity,
-``|<y, lam>| / m``, ``||u + diag(y) K c + b y - 1|| / sqrt(m)`` and
-``||u - prox(u - gamma*lam)|| / (1 + ||u||)``.  The stationarity residual
+Residual scaling: :func:`scaled_residuals` is the one home of the four
+scaled residuals, used both by the certificates and by the solver's
+stopping rule: ``||c + diag(y) lam|| / (1 + ||c|| + ||lam||)`` for
+stationarity, ``<y, lam> / m``, ``||u + diag(y) K c + b y - 1|| / sqrt(m)``
+and ``||u - prox(u - gamma*lam)|| / (1 + ||u||)``.  The stationarity residual
 uses the kernel-free strong form; it vanishing implies the kernel-weighted
 form does too, so certification is conservative.
 """
@@ -92,14 +92,31 @@ def subdiff_l01_contains(u, v, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(v[~zero]) <= tol))
 
 
-def _scaled_residuals(c, b, u, lam, K, y) -> tuple[float, float, float]:
+def feasibility(u, Kc, b, y) -> np.ndarray:
+    """Feasibility vector ``omega = u + diag(y) K c + b y - 1``, from a
+    precomputed ``K c``."""
+    return u + y * Kc + b * y - 1.0
+
+
+def scaled_residuals(c, u, lam, omega, y, u_prox=None
+                     ) -> tuple[float, float, float, Optional[float]]:
+    """The four scaled residuals ``(beta1, beta2, beta3, beta4)``.
+
+    ``omega`` is the :func:`feasibility` vector and ``u_prox`` the prox
+    image ``prox(u - gamma*lam)``; ``beta4`` is ``None`` without it.
+    ``beta2`` is returned signed; the stopping rule and the certificates
+    take its absolute value.
+    """
     m = len(y)
-    r_stat = float(np.linalg.norm(c + y * lam)) / (
+    beta1 = float(np.linalg.norm(c + y * lam)) / (
         1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(lam))
     )
-    r_dual = abs(float(y @ lam)) / m
-    r_feas = float(np.linalg.norm(u + y * (K @ c) + b * y - 1.0)) / math.sqrt(m)
-    return r_stat, r_dual, r_feas
+    beta2 = float(y @ lam) / m
+    beta3 = float(np.linalg.norm(omega)) / math.sqrt(m)
+    beta4 = None if u_prox is None else float(np.linalg.norm(u - u_prox)) / (
+        1.0 + float(np.linalg.norm(u))
+    )
+    return beta1, beta2, beta3, beta4
 
 
 def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
@@ -113,7 +130,9 @@ def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    r_stat, r_dual, r_feas = _scaled_residuals(c, b, u, lam, K, y)
+    r_stat, r_dual, r_feas, _ = scaled_residuals(
+        c, u, lam, feasibility(u, K @ c, b, y), y)
+    r_dual = abs(r_dual)
     zero = np.abs(u) <= tol
     subdiff_ok = bool(np.all(lam[zero] <= tol) and np.all(np.abs(lam[~zero]) <= tol))
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and subdiff_ok
@@ -177,11 +196,10 @@ def check_prox_stationary(c, b, u, lam, K, y, C, gamma,
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    r_stat, r_dual, r_feas = _scaled_residuals(c, b, u, lam, K, y)
     p = ProxParams(gamma=float(gamma), C=float(C))
-    r_prox = float(np.linalg.norm(u - prox_l01(u - gamma * lam, p))) / (
-        1.0 + float(np.linalg.norm(u))
-    )
+    r_stat, r_dual, r_feas, r_prox = scaled_residuals(
+        c, u, lam, feasibility(u, K @ c, b, y), y, prox_l01(u - gamma * lam, p))
+    r_dual = abs(r_dual)
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and r_prox <= tol
     return StationarityReport(
         is_kkt=None, is_prox_stationary=ok, gamma_used=float(gamma),

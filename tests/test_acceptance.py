@@ -264,7 +264,7 @@ def test_c9_determinism():
     rows_b = bench_rows(RunConfig(**cfg))
     diffs = []
     for a, b in zip(rows_a, rows_b):
-        keys = (set(a) | set(b)) - {"cpu_s"}
+        keys = (set(a) | set(b)) - {"wall_s"}
         for k in sorted(keys):
             if a.get(k) != b.get(k):
                 diffs.append((a["loss"], a["C"], a["sigma"], k))

@@ -5,33 +5,66 @@ import pytest
 from scipy.linalg.blas import dsymv
 
 from conftest import make_kkt_fixture, toy_dataset
-from zeroone import (Dataset, Hyperparams, InputError, KernelSpec,
-                     NumericalError, accuracy, betas, compute_eta,
-                     from_solution, gaussian_spec, gen_double_circles,
-                     gram_matrix, predict, solve, split, standardize,
-                     update_b, update_c, update_lambda, update_u)
+from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
+                     NumericalError, accuracy, check_kkt,
+                     check_prox_stationary, construct_gamma, from_solution,
+                     gaussian_spec, gen_double_circles, gram_matrix, predict,
+                     prox_l01, ProxParams, solve, split, standardize,
+                     update_c, update_u, zeros_state)
 from zeroone import admm
 from zeroone.admm import _CoefficientSolver
+from zeroone.stationarity import feasibility, scaled_residuals
+
+LINEAR = KernelSpec("linear", {})
+
+
+def _snapshots(ds, hp, **kw):
+    """Every ``on_iteration`` snapshot of one solve, and its trace."""
+    snaps = []
+    _, trace = solve(ds, hp, on_iteration=snaps.append, **kw)
+    return snaps, trace
+
+
+def _warm(m, b=0.0, **vectors):
+    """The all-zeros iterate with ``b`` and the named vectors replaced."""
+    state = zeros_state(m)
+    state.b = b
+    for name, value in vectors.items():
+        setattr(state, name, np.array(value, dtype=float))
+    return state
+
+
+def _gaussian_run(iota=1.0, max_iter=60):
+    ds = gen_double_circles(80, noise_std=0.15, seed=5)
+    hp = Hyperparams(C=4.0, sigma=1.5, iota=iota, max_iter=max_iter,
+                     kernel=gaussian_spec(0.5))
+    K = gram_matrix(hp.kernel, ds.X).entries
+    snaps, trace = _snapshots(ds, hp)
+    return ds, hp, K, snaps, trace
 
 
 class TestComputeEta:
+    """eta = 1 - diag(y) K c - b y - lam / sigma, from the previous iterate."""
+
     def test_cold_start_is_ones(self):
-        K = np.eye(3)
-        y = np.array([1.0, -1.0, 1.0])
-        eta = compute_eta(np.zeros(3), 0.0, np.zeros(3), K, y, 1.0)
-        np.testing.assert_array_equal(eta, np.ones(3))
+        ds, hp, K, snaps, _ = _gaussian_run()
+        np.testing.assert_array_equal(snaps[0].eta, np.ones(80))
+        for prev, st in zip(snaps, snaps[1:]):
+            want = 1.0 - ds.y * (K @ prev.c) - prev.b * ds.y - prev.lam / hp.sigma
+            np.testing.assert_allclose(st.eta, want, rtol=0, atol=1e-12)
 
     def test_hand_worked(self):
-        K = np.eye(2)
-        y = np.array([1.0, -1.0])
-        eta = compute_eta(np.array([1.0, 1.0]), 0.0, np.zeros(2), K, y, 1.0)
-        np.testing.assert_array_equal(eta, [0.0, 2.0])
+        # linear kernel on identity rows: K = I
+        ds = Dataset(X=np.eye(2), y=np.array([1.0, -1.0]))
+        hp = Hyperparams(C=1.0, sigma=1.0, max_iter=1, kernel=LINEAR)
+        snaps, _ = _snapshots(ds, hp, init=_warm(2, c=[1.0, 1.0]))
+        np.testing.assert_array_equal(snaps[0].eta, [0.0, 2.0])
 
     def test_bias_only(self):
-        K = np.eye(4)
-        y = np.ones(4)
-        eta = compute_eta(np.zeros(4), 1.0, np.zeros(4), K, y, 2.0)
-        np.testing.assert_array_equal(eta, np.zeros(4))
+        ds = Dataset(X=np.eye(4), y=np.array([1.0, 1.0, -1.0, -1.0]))
+        hp = Hyperparams(C=1.0, sigma=2.0, max_iter=1, kernel=LINEAR)
+        snaps, _ = _snapshots(ds, hp, init=_warm(4, b=1.0))
+        np.testing.assert_array_equal(snaps[0].eta, [0.0, 0.0, 2.0, 2.0])
 
 
 class TestUpdateU:
@@ -54,6 +87,16 @@ class TestUpdateU:
         assert u[0] == 0.0 and list(gk) == [0]
 
 
+def _shortcut_residual(K, sigma, c, y, xi):
+    return np.linalg.norm(K @ c + c / sigma - y * xi)
+
+
+def _full_residual(K, sigma, c, y, xi):
+    """Residual of the coefficient step's normal equations
+    ``[K + sigma K K] c = sigma K diag(y) xi``."""
+    return np.linalg.norm((K + sigma * (K @ K)) @ c - sigma * (K @ (y * xi)))
+
+
 class TestUpdateC:
     def test_identity_gram_full_system(self):
         # K=I, sigma=1: [I + I]c = diag(y) xi -> c = diag(y) xi / 2
@@ -65,18 +108,22 @@ class TestUpdateC:
         np.testing.assert_allclose(c, y * xi / 2.0, rtol=1e-12)
 
     def test_shortcut_agrees_on_invertible_gram(self):
+        # on a nonsingular K the normal equations have one solution
         rng = np.random.default_rng(0)
         X = rng.normal(size=(6, 2))
         K = gram_matrix(gaussian_spec(0.8), X).entries
         y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         u_next = rng.normal(size=6)
         lam = rng.normal(size=6)
-        a = update_c(K, y, u_next, 0.3, lam, 2.0, False)
-        b = update_c(K, y, u_next, 0.3, lam, 2.0, True)
-        np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-9)
+        sigma = 2.0
+        xi = 1.0 - u_next - 0.3 * y - lam / sigma
+        want = np.linalg.solve(K + sigma * (K @ K), sigma * (K @ (y * xi)))
+        c = update_c(K, y, u_next, 0.3, lam, sigma)
+        np.testing.assert_allclose(c, want, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("shortcut", [False, True])
     def test_residual_bound(self, shortcut):
+        # the last argument is ignored: one system solves both forms
         rng = np.random.default_rng(1)
         X = rng.normal(size=(10, 3))
         K = gram_matrix(gaussian_spec(0.5), X).entries
@@ -85,30 +132,37 @@ class TestUpdateC:
         lam = rng.normal(size=10)
         sigma = 1.5
         c = update_c(K, y, u_next, -0.2, lam, sigma, shortcut)
+        np.testing.assert_array_equal(c, update_c(K, y, u_next, -0.2, lam, sigma,
+                                                  not shortcut))
         xi = 1.0 - u_next + 0.2 * y - lam / sigma
-        A = K + sigma * (K @ K)
-        rhs = sigma * (K @ (y * xi))
-        if shortcut:
-            A2 = K + np.eye(10) / sigma
-            assert np.linalg.norm(A2 @ c - y * xi) <= 1e-8 * (1 + np.linalg.norm(xi))
-        else:
-            assert np.linalg.norm(A @ c - rhs) <= 1e-8 * (1 + np.linalg.norm(xi))
+        bound = 1e-8 * (1 + np.linalg.norm(xi))
+        assert _shortcut_residual(K, sigma, c, y, xi) <= bound
+        assert _full_residual(K, sigma, c, y, xi) <= bound
 
-    def test_rank_deficient_ridge_fallback(self):
-        # duplicated points under the linear kernel make the system singular
+    def test_singular_gram_solves_without_error(self):
+        # duplicated points under the linear kernel make K singular
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        K = gram_matrix(KernelSpec("linear", {}), X).entries
+        K = gram_matrix(LINEAR, X).entries
         y = np.array([1.0, 1.0, -1.0])
         u_next = np.array([0.0, 0.0, 0.5])
-        c = update_c(K, y, u_next, 0.0, np.zeros(3), 1.0, False)
+        c = update_c(K, y, u_next, 0.0, np.zeros(3), 1.0)
         xi = 1.0 - u_next
-        A = K + K @ K
-        rhs = K @ (y * xi)
-        assert np.linalg.norm(A @ c - rhs) <= 1e-8 * (1 + np.linalg.norm(xi))
-
-
-def _shortcut_residual(K, sigma, c, y, xi):
-    return np.linalg.norm(K @ c + c / sigma - y * xi)
+        bound = 1e-8 * (1 + np.linalg.norm(xi))
+        assert _shortcut_residual(K, 1.0, c, y, xi) <= bound
+        assert _full_residual(K, 1.0, c, y, xi) <= bound
+        # a whole solve on duplicated rows: no NumericalError, and the same
+        # max_iter, uncertified outcome the two-mode solver gave
+        base = gen_double_circles(40, noise_std=0.1, seed=3)
+        ds = Dataset(X=np.vstack([base.X, base.X]), y=np.concatenate([base.y, base.y]))
+        hp = Hyperparams(C=4.0, sigma=1.0, max_iter=300, kernel=LINEAR)
+        gram = gram_matrix(LINEAR, ds.X)
+        assert np.linalg.matrix_rank(gram.entries) == 2
+        state, trace = solve(ds, hp, gram=gram)
+        assert trace.termination == "max_iter"
+        args = (state.c, state.b, state.u, state.lam, gram.entries, ds.y, hp.C)
+        assert not check_prox_stationary(*args, gamma=1.0 / hp.sigma,
+                                         tol=10 * hp.eps).is_prox_stationary
+        assert not check_kkt(*args, tol=10 * hp.eps).is_kkt
 
 
 class TestCoefficientSolver:
@@ -121,7 +175,6 @@ class TestCoefficientSolver:
     def test_solver_iterates_solve_shortcut_system(self):
         ds = gen_double_circles(120, noise_std=0.15, seed=6)
         hp = Hyperparams(C=8.0, sigma=2.0, max_iter=200, kernel=gaussian_spec(0.5))
-        assert hp.strictly_pd_shortcut
         K = gram_matrix(hp.kernel, ds.X).entries
         worst = []
 
@@ -133,34 +186,78 @@ class TestCoefficientSolver:
         assert len(worst) == trace.iterations > 1
         assert max(worst) <= 1.0
 
+    def test_non_gaussian_iterates_solve_both_systems(self):
+        ds = gen_double_circles(120, noise_std=0.15, seed=6)
+        for kernel in (LINEAR, KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
+            hp = Hyperparams(C=8.0, sigma=2.0, max_iter=200, kernel=kernel)
+            K = gram_matrix(kernel, ds.X).entries
+            worst = []
+
+            def check(st):
+                bound = 1e-8 * (1.0 + np.linalg.norm(st.xi))
+                worst.append(max(_shortcut_residual(K, hp.sigma, st.c, ds.y, st.xi),
+                                 _full_residual(K, hp.sigma, st.c, ds.y, st.xi)) / bound)
+
+            _, trace = solve(ds, hp, on_iteration=check)
+            assert len(worst) == trace.iterations > 1
+            assert max(worst) <= 1.0, kernel.family
+
     @pytest.mark.parametrize("corrupt", [
         lambda a: a * 1.5,
         lambda a: np.full_like(a, np.nan),
     ], ids=["scaled", "nan"])
     def test_corrupted_inverse_never_returns_unchecked_c(self, corrupt):
         K, y, xi = self._system()
-        sigma = 1.0
-        solver = _CoefficientSolver(K, sigma, True)
+        solver = _CoefficientSolver(K, 1.0)
         solver.A_inv = corrupt(solver.A_inv)
-        try:
-            c, Kc = solver.solve(xi, y)
-        except NumericalError:
-            return
-        assert _shortcut_residual(K, sigma, c, y, xi) <= 1e-8 * (1 + np.linalg.norm(xi))
-        np.testing.assert_array_equal(Kc, dsymv(1.0, K, c, lower=1))
-
-    def test_second_guard_failure_raises(self):
-        K, y, xi = self._system()
-        solver = _CoefficientSolver(K, 1.0, True)
-        solver.A_inv = solver.A_inv * 1.5
-        solver.solve(xi, y)  # recovered through the ridge
-        solver.A_inv = solver.A_inv * 1.5
         with pytest.raises(NumericalError):
             solver.solve(xi, y)
 
+    def test_second_guard_failure_raises(self):
+        # nothing is rebuilt behind the caller's back: every failing solve
+        # raises, with the condition number of K + I/sigma attached
+        K, y, xi = self._system()
+        solver = _CoefficientSolver(K, 1.0)
+        solver.A_inv = solver.A_inv * 1.5
+        for _ in range(2):
+            with pytest.raises(NumericalError) as info:
+                solver.solve(xi, y)
+            assert info.value.cond == pytest.approx(np.linalg.cond(K + np.eye(len(K))))
+
+    def test_cholesky_failure_raises(self):
+        # an indefinite symmetric K with lambda_min < -1/sigma: K + I/sigma
+        # has no Cholesky factor
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        K = (Q * np.array([-3.0, 0.5, 1.0, 1.5, 2.0, 2.5])) @ Q.T
+        K = 0.5 * (K + K.T)
+        sigma = 1.0
+        with pytest.raises(NumericalError) as info:
+            _CoefficientSolver(K, sigma)
+        assert info.value.cond > 1.0
+        ds = Dataset(X=rng.normal(size=(6, 2)), y=np.array([1.0, -1.0] * 3))
+        gram = GramMatrix(entries=K, spec=LINEAR, fingerprint=ds.fingerprint())
+        with pytest.raises(NumericalError):
+            solve(ds, Hyperparams(C=1.0, sigma=sigma, kernel=LINEAR), gram=gram)
+
+    def test_non_finite_gram_raises_numerical_error(self):
+        # finite samples whose cubic kernel overflows to inf, and a NaN entry
+        ds = Dataset(X=np.array([[1e110, 0.0], [0.0, 1e110], [1.0, 1.0]]),
+                     y=np.array([1.0, -1.0, 1.0]))
+        kernel = KernelSpec("polynomial", {"degree": 3, "offset": 1.0})
+        with np.errstate(over="ignore"):
+            overflowed = gram_matrix(kernel, ds.X)
+        assert np.isinf(overflowed.entries).any()
+        K = np.eye(3)
+        K[0, 1] = K[1, 0] = np.nan
+        with_nan = GramMatrix(entries=K, spec=kernel, fingerprint=ds.fingerprint())
+        for gram in (overflowed, with_nan):
+            with pytest.raises(NumericalError):
+                solve(ds, Hyperparams(C=1.0, sigma=1.0, kernel=kernel), gram=gram)
+
     def test_stored_lower_triangle_inverts_system(self):
         K, _, _ = self._system()
-        solver = _CoefficientSolver(K, 2.0, True)
+        solver = _CoefficientSolver(K, 2.0)
         L = np.tril(solver.A_inv)
         A_inv = L + np.tril(L, -1).T
         np.testing.assert_allclose(A_inv @ (K + np.eye(len(K)) / 2.0),
@@ -176,103 +273,120 @@ class TestCoefficientSolver:
 
         monkeypatch.setattr(admm, "dsymv", recording_dsymv)
         ds = gen_double_circles(60, noise_std=0.1, seed=3)
-        for kernel in (gaussian_spec(0.5), KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
+        for kernel in (gaussian_spec(0.5), LINEAR,
+                       KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
             solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
         K, y, xi = self._system()
-        solver = _CoefficientSolver(K, 1.0, True)
-        solver.A_inv = solver.A_inv * 1.5
-        solver.solve(xi, y)  # recovered through the ridge
+        update_c(K, y, xi, 0.0, np.zeros(len(y)), 1.0)
         assert len(seen) > 20 and all(seen)
-
-    def test_full_mode_iterates_solve_full_system(self):
-        ds = gen_double_circles(120, noise_std=0.15, seed=6)
-        kernel = KernelSpec("polynomial", {"degree": 2, "offset": 1.0})
-        hp = Hyperparams(C=8.0, sigma=2.0, max_iter=200, kernel=kernel)
-        assert not hp.strictly_pd_shortcut
-        K = gram_matrix(kernel, ds.X).entries
-        A = K + hp.sigma * (K @ K)
-        worst = []
-
-        def check(st):
-            bound = 1e-8 * (1.0 + np.linalg.norm(st.xi))
-            rhs = hp.sigma * (K @ (ds.y * st.xi))
-            worst.append(np.linalg.norm(A @ st.c - rhs) / bound)
-
-        _, trace = solve(ds, hp, on_iteration=check)
-        assert len(worst) == trace.iterations > 1
-        assert max(worst) <= 1.0
 
 
 class TestUpdateB:
+    """b = <y, r> / m with r = 1 - u - diag(y) K c - lam_prev / sigma."""
+
     def test_hand_worked(self):
-        # K=0, c arbitrary, lam=0, u chosen so r = (0.5, 0.3)
-        K = np.zeros((2, 2))
-        y = np.array([1.0, -1.0])
-        b = update_b(y, np.array([0.5, 0.7]), K, np.zeros(2), np.zeros(2), 1.0)
-        assert b == pytest.approx(0.1, abs=1e-15)
+        # K = I, C large enough to zero the cold eta = 1: u = 0, xi = 1,
+        # c = diag(y) / 2, r = 1/2, b = (1/2 + 1/2 - 1/2) / 3
+        ds = Dataset(X=np.eye(3), y=np.array([1.0, 1.0, -1.0]))
+        hp = Hyperparams(C=4.0, sigma=1.0, max_iter=1, kernel=LINEAR)
+        snaps, _ = _snapshots(ds, hp)
+        np.testing.assert_array_equal(snaps[0].u, np.zeros(3))
+        np.testing.assert_allclose(snaps[0].r, np.full(3, 0.5), rtol=0, atol=1e-15)
+        assert snaps[0].b == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_zero_residual(self):
-        K = np.zeros((2, 2))
-        y = np.array([1.0, -1.0])
-        b = update_b(y, np.ones(2), K, np.zeros(2), np.zeros(2), 1.0)
-        assert b == 0.0
+        # tau = sqrt(2C/sigma) < 1 keeps the cold eta = 1: u = 1, xi = 0, c = 0
+        ds = Dataset(X=np.eye(2), y=np.array([1.0, -1.0]))
+        hp = Hyperparams(C=0.25, sigma=1.0, max_iter=1, kernel=LINEAR)
+        snaps, _ = _snapshots(ds, hp)
+        np.testing.assert_array_equal(snaps[0].r, np.zeros(2))
+        assert snaps[0].b == 0.0
 
     def test_projection_optimality(self):
-        rng = np.random.default_rng(3)
-        m = 12
-        X = rng.normal(size=(m, 2))
-        K = gram_matrix(gaussian_spec(1.0), X).entries
-        y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        u_next, c_next, lam = rng.normal(size=m), rng.normal(size=m), rng.normal(size=m)
-        sigma = 2.0
-        b = update_b(y, u_next, K, c_next, lam, sigma)
-        r = 1.0 - u_next - y * (K @ c_next) - lam / sigma
-        assert abs(y @ (r - b * y)) <= 1e-12 * m
+        ds, hp, K, snaps, _ = _gaussian_run()
+        m = len(ds.y)
+        prev_lam = np.zeros(m)
+        for st in snaps:
+            want = 1.0 - st.u - ds.y * (K @ st.c) - prev_lam / hp.sigma
+            np.testing.assert_allclose(st.r, want, rtol=0, atol=1e-12)
+            assert st.b == float(ds.y @ st.r) / m
+            assert abs(ds.y @ (st.r - st.b * ds.y)) <= 1e-12 * m
+            prev_lam = st.lam
 
 
 class TestUpdateLambda:
+    """Masked dual ascent: lam_prev + iota*sigma*omega on gamma_k, zero elsewhere."""
+
     def test_empty_mask_zeroes_everything(self):
-        lam = np.array([1.0, -2.0, 3.0])
-        out = update_lambda(lam, np.ones(3), np.empty(0, dtype=int), 1.0, 1.0)
-        np.testing.assert_array_equal(out, np.zeros(3))
+        # K = 0: eta = 1 - lam/sigma = (0, 3, -2) misses (0, tau] for tau < 3
+        ds = Dataset(X=np.zeros((3, 1)), y=np.array([1.0, -1.0, 1.0]))
+        hp = Hyperparams(C=1.0, sigma=1.0, max_iter=1, kernel=LINEAR)
+        snaps, _ = _snapshots(ds, hp, init=_warm(3, lam=[1.0, -2.0, 3.0]))
+        assert len(snaps[0].gamma_k) == 0
+        np.testing.assert_array_equal(snaps[0].lam, np.zeros(3))
 
     def test_masked_ascent(self):
-        out = update_lambda(np.array([1.0, -1.0]), np.array([0.5, 0.5]),
-                            np.array([0, 1]), 1.0, 2.0)
-        np.testing.assert_array_equal(out, [2.0, 0.0])
+        ds, hp, _, snaps, _ = _gaussian_run(iota=0.5)
+        prev_lam = np.zeros(len(ds.y))
+        for st in snaps:
+            want = np.zeros_like(prev_lam)
+            gk = st.gamma_k
+            want[gk] = prev_lam[gk] + hp.iota * hp.sigma * st.omega[gk]
+            np.testing.assert_array_equal(st.lam, want)
+            prev_lam = st.lam
+        assert any(len(st.gamma_k) for st in snaps)
 
     def test_zero_step_keeps_masked_entries(self):
-        lam = np.array([0.5, 0.25, -1.0])
-        out = update_lambda(lam, np.zeros(3), np.array([0, 2]), 1.0, 4.0)
-        np.testing.assert_array_equal(out, [0.5, 0.0, -1.0])
+        # a step far below the rounding of lam keeps it on gamma_k
+        ds, hp, _, snaps, _ = _gaussian_run()
+        start = snaps[-1]
+        hp0 = Hyperparams(C=hp.C, sigma=hp.sigma, iota=1e-300, max_iter=3,
+                          kernel=hp.kernel)
+        again, _ = _snapshots(ds, hp0, init=start)
+        prev_lam = start.lam
+        for st in again:
+            off = np.setdiff1d(np.arange(len(ds.y)), st.gamma_k)
+            np.testing.assert_allclose(st.lam[st.gamma_k], prev_lam[st.gamma_k],
+                                       rtol=0, atol=1e-290)
+            np.testing.assert_array_equal(st.lam[off], 0.0)
+            prev_lam = st.lam
+        assert np.any(again[-1].lam != 0.0)
 
 
 class TestBetas:
+    """The trace records carry ``stationarity.scaled_residuals`` at each
+    snapshot."""
+
     def test_cold_feasible_point(self):
-        m = 4
-        K = np.eye(m)
-        y = np.array([1.0, 1.0, -1.0, -1.0])
-        u = np.ones(m)  # = 1 - b*y with b=0
-        b1, b2, b3, b4 = betas(np.zeros(m), 0.0, u, np.zeros(m), K, y, 1.0, 1.0)
-        assert b1 == 0.0 and b2 == 0.0 and b3 == 0.0
-        # prox zeroes the all-ones vector at tau=sqrt(2) -> gap ||1||/(1+||1||)
-        assert b4 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        # K = I and tau < 1: the first iterate is c = 0, b = 0, u = 1,
+        # lam = 0, which is feasible and a prox fixed point
+        ds = Dataset(X=np.eye(4), y=np.array([1.0, 1.0, -1.0, -1.0]))
+        hp = Hyperparams(C=0.25, sigma=1.0, kernel=LINEAR)
+        snaps, trace = _snapshots(ds, hp)
+        rec = trace.records[0]
+        assert (rec.beta1, rec.beta2, rec.beta3, rec.beta4) == (0.0, 0.0, 0.0, 0.0)
+        assert trace.termination == "tolerance_met" and trace.iterations == 1
+        np.testing.assert_array_equal(snaps[0].u, np.ones(4))
 
     def test_dual_imbalance_unit(self):
-        m = 6
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(m, 2))
-        K = gram_matrix(gaussian_spec(1.0), X).entries
-        y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        _, b2, _, _ = betas(np.zeros(m), 0.0, np.zeros(m), y.copy(), K, y, 1.0, 1.0)
-        assert b2 == pytest.approx(1.0, rel=1e-12)
+        ds, hp, K, snaps, trace = _gaussian_run()
+        p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
+        m = len(ds.y)
+        for st, rec in zip(snaps, trace.records):
+            assert rec.beta2 == float(ds.y @ st.lam) / m  # signed
+            want = scaled_residuals(st.c, st.u, st.lam,
+                                    feasibility(st.u, K @ st.c, st.b, ds.y), ds.y,
+                                    prox_l01(st.u - st.lam / hp.sigma, p))
+            got = (rec.beta1, rec.beta2, rec.beta3, rec.beta4)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+        assert any(rec.beta2 < 0.0 for rec in trace.records)
 
     def test_stationary_fixture_vanishes(self):
-        from zeroone import construct_gamma
         rng = np.random.default_rng(21)
         c, b, u, lam, K, y = make_kkt_fixture(rng, m=10, kind="pair")
         gamma = construct_gamma(u, lam, 2.0)
-        res = betas(c, b, u, lam, K, y, C=2.0, sigma=1.0 / gamma)
+        res = scaled_residuals(c, u, lam, feasibility(u, K @ c, b, y), y,
+                               prox_l01(u - gamma * lam, ProxParams(gamma, 2.0)))
         assert max(res[0], abs(res[1]), res[2], res[3]) <= 1e-12
 
 
@@ -363,3 +477,27 @@ class TestSolve:
                                     gram.entries, train.y, hp.C,
                                     gamma=1.0 / hp.sigma, tol=10 * hp.eps)
         assert rep.is_prox_stationary
+
+    def test_polynomial_solve_certifies(self):
+        # the normal-equations solve of K + sigma K K picked up a component
+        # in the null space of K here that kept beta1 from vanishing
+        ds = gen_double_circles(300, noise_std=0.1, seed=7)
+        train, test = split(ds, seed=9)
+        train, test, _ = standardize(train, test)
+        hp = Hyperparams(C=16.0, sigma=1.0,
+                         kernel=KernelSpec("polynomial", {"degree": 3, "offset": 1.0}))
+        gram = gram_matrix(hp.kernel, train.X)
+        state, trace = solve(train, hp, gram=gram)
+        assert trace.termination == "tolerance_met"
+        rep = check_prox_stationary(state.c, state.b, state.u, state.lam,
+                                    gram.entries, train.y, hp.C,
+                                    gamma=1.0 / hp.sigma, tol=10 * hp.eps)
+        assert rep.is_prox_stationary
+
+    def test_strictly_pd_shortcut_is_read_only(self):
+        hp = Hyperparams(C=1.0, sigma=1.0, kernel=LINEAR)
+        assert hp.strictly_pd_shortcut is True
+        with pytest.raises(AttributeError):
+            hp.strictly_pd_shortcut = False
+        with pytest.raises(TypeError):
+            Hyperparams(C=1.0, sigma=1.0, strictly_pd_shortcut=False)

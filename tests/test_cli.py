@@ -175,7 +175,7 @@ class TestBench:
         assert len(rows) == 1
         row = rows[0]
         assert row["selection"] == "paper" and row["error"] == ""
-        assert set(row) >= {"train_acc", "test_acc", "nsv", "cpu_s", "iters"}
+        assert set(row) >= {"train_acc", "test_acc", "nsv", "wall_s", "iters"}
 
     def test_rows_in_config_order(self):
         cfg = self._cfg(grid_c=(1.0, 8.0), grid_sigma=(1.0, 2.0),
