@@ -11,7 +11,7 @@ the ``zeroone`` command line (:mod:`zeroone.cli`).
 
 from .admm import (AdmmState, Hyperparams, SolveTrace, TraceRecord, solve,
                    update_c, update_u, zeros_state)
-from .baselines import LossKind, objective, solve_baseline
+from .baselines import objective, solve_baseline
 from .data import (Dataset, StandardizeStats, flip_labels, format_csv,
                    format_libsvm, gen_double_circles, gen_double_moons,
                    load_dataset, parse_csv, parse_libsvm, split, standardize)
@@ -23,7 +23,7 @@ from .kernels import (FAMILIES, GramMatrix, KernelSpec, cross_matrix,
 from .model import (TrainedModel, accuracy, decision_function, from_json,
                     from_solution, load_model, predict, save_model,
                     support_vectors, support_vectors_dual, to_json)
-from .prox import ProxParams, prox_hinge, prox_l01, prox_sqhinge
+from .prox import LossKind, ProxParams, prox_hinge, prox_l01, prox_sqhinge
 from .stationarity import (StationarityReport, check_kkt,
                            check_prox_stationary, construct_gamma,
                            equivalence_roundtrip, subdiff_l01_contains)

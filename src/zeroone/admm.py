@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from .data import Dataset
 from .errors import InputError, NumericalError
 from .kernels import GramMatrix, KernelSpec, gaussian_spec, gram_matrix
-from .prox import ProxParams, loss_l01, prox_l01
+from .prox import LOSS, PROX, LossKind, ProxParams
 from .stationarity import feasibility, scaled_residuals
 
 # Acceptable relative residual of the coefficient linear solve.
@@ -119,16 +119,19 @@ def zeros_state(m: int) -> AdmmState:
     )
 
 
-def update_u(eta, C, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold step: zero the coordinates of ``eta`` in ``(0, sqrt(2C/sigma)]``.
+def update_u(eta, C, sigma, kind=LossKind.L01) -> tuple[np.ndarray, np.ndarray]:
+    """Slack step: the ``kind`` prox of ``eta`` at step ``1/sigma``.
 
     Returns the new slack vector and the (sorted, 0-based) index set that
-    was zeroed.
+    was zeroed.  For the zero-one loss that set is the coordinates of
+    ``eta`` in ``(0, sqrt(2C/sigma)]``; for the baselines it is the zeros
+    of the new slack vector.
     """
     p = ProxParams(gamma=1.0 / sigma, C=C)
-    u = prox_l01(eta, p)
-    gamma_k = np.flatnonzero((eta > 0.0) & (eta <= p.tau))
-    return u, gamma_k
+    u = PROX[kind](eta, p)
+    if kind == LossKind.L01:
+        return u, np.flatnonzero((eta > 0.0) & (eta <= p.tau))
+    return u, np.flatnonzero(u == 0.0)
 
 
 class _CoefficientSolver:
@@ -214,24 +217,22 @@ def _run_admm(
     K: np.ndarray,
     y: np.ndarray,
     hp: Hyperparams,
-    *,
-    update_slack: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    fixed_point_prox: Callable[[np.ndarray], np.ndarray],
-    mask_dual: bool,
-    loss_term: Callable[[np.ndarray], float],
+    kind: LossKind,
     init: Optional[AdmmState],
     on_iteration: Optional[Callable[[AdmmState], None]],
 ) -> tuple[AdmmState, SolveTrace]:
-    """Shared iteration skeleton for the zero-one solver and the baselines.
+    """Shared iteration of the zero-one solver and the baselines.
 
-    ``update_slack`` maps eta to (u, zeroed index set); ``fixed_point_prox``
-    is the matching prox used inside beta4; ``mask_dual`` selects between
-    the masked and the plain dual ascent.
+    ``kind`` picks the prox of the slack step and of beta4 and the loss of
+    the objective; the dual ascent is masked to the zeroed set for the
+    zero-one loss only, and plain for the baselines.
     """
     m = len(y)
     state = init if init is not None else zeros_state(m)
     c, b, u, lam = state.c.copy(), float(state.b), state.u.copy(), state.lam.copy()
     sigma, iota, C = hp.sigma, hp.iota, hp.C
+    p = ProxParams(gamma=1.0 / sigma, C=C)
+    prox, loss = PROX[kind], LOSS[kind]
     solver = _CoefficientSolver(K, sigma)
     Kc = dsymv(1.0, solver.K, c, lower=1)  # carried: feeds each next eta
     trace = SolveTrace(records=[], termination="max_iter")
@@ -243,13 +244,13 @@ def _run_admm(
 
     for k in range(hp.max_iter):
         eta = 1.0 - y * Kc - b * y - lam / sigma
-        u, gamma_k = update_slack(eta)
+        u, gamma_k = update_u(eta, C, sigma, kind)
         xi = 1.0 - u - b * y - lam / sigma
         c, Kc = solver.solve(xi, y)
         r = 1.0 - u - y * Kc - lam / sigma
         b = float(y @ r) / m
         omega = feasibility(u, Kc, b, y)
-        if mask_dual:
+        if kind == LossKind.L01:
             new_lam = np.zeros(m)
             new_lam[gamma_k] = lam[gamma_k] + iota * sigma * omega[gamma_k]
             lam = new_lam
@@ -257,8 +258,8 @@ def _run_admm(
             lam = lam + iota * sigma * omega
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, y, fixed_point_prox(u - lam / sigma))
-        objective = 0.5 * float(c @ Kc) + C * loss_term(u)
+            c, u, lam, omega, y, prox(u - lam / sigma, p))
+        objective = 0.5 * float(c @ Kc) + C * loss(u)
         trace.records.append(
             TraceRecord(k + 1, beta1, beta2, beta3, beta4, objective, len(gamma_k))
         )
@@ -328,17 +329,4 @@ def solve(
     identical traces.
     """
     K = _training_gram(dataset, hp, gram)
-
-    def update_slack(eta):
-        return update_u(eta, hp.C, hp.sigma)
-
-    p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
-    return _run_admm(
-        K, dataset.y, hp,
-        update_slack=update_slack,
-        fixed_point_prox=lambda v: prox_l01(v, p),
-        mask_dual=True,
-        loss_term=loss_l01,
-        init=init,
-        on_iteration=on_iteration,
-    )
+    return _run_admm(K, dataset.y, hp, LossKind.L01, init, on_iteration)

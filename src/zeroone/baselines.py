@@ -1,16 +1,16 @@
 """Hinge and squared-hinge solvers sharing the ADMM skeleton.
 
-Both baselines reuse the exact iteration of the zero-one solver with two
-swaps: the slack update uses the matching prox, and the dual ascent runs
-unmasked (every multiplier accumulates the full feasibility violation).
-This isolates the effect of the loss in any comparison, the solver being
+Both baselines run the zero-one solver's own iteration, ``_run_admm``,
+with another :class:`~zeroone.prox.LossKind`: the slack step and the
+fixed-point gap use the matching prox, and the dual ascent runs unmasked
+(every multiplier accumulates the full feasibility violation).  This
+isolates the effect of the loss in any comparison, the solver being
 identical.  Baseline support vectors are the samples with a numerically
 nonzero multiplier.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -20,29 +20,10 @@ from .admm import AdmmState, Hyperparams, SolveTrace, _run_admm
 from .data import Dataset, StandardizeStats
 from .kernels import GramMatrix
 from .model import TrainedModel, from_solution
-from .prox import (ProxParams, loss_hinge, loss_l01, loss_sqhinge, prox_hinge,
-                   prox_l01, prox_sqhinge)
+from .prox import LOSS, LossKind
 
 # Multipliers below this magnitude count as zero for baseline support sets.
 BASELINE_SV_TOL = 1e-6
-
-
-class LossKind(str, Enum):
-    L01 = "l01"
-    HINGE = "hinge_l1"
-    SQHINGE = "squared_hinge_l2"
-
-
-_PROX = {
-    LossKind.L01: prox_l01,
-    LossKind.HINGE: prox_hinge,
-    LossKind.SQHINGE: prox_sqhinge,
-}
-_LOSS = {
-    LossKind.L01: loss_l01,
-    LossKind.HINGE: loss_hinge,
-    LossKind.SQHINGE: loss_sqhinge,
-}
 
 
 def objective(kind: LossKind, K, c, u, C) -> float:
@@ -52,7 +33,7 @@ def objective(kind: LossKind, K, c, u, C) -> float:
     kind = LossKind(kind)
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
-    return 0.5 * float(c @ (K @ c)) + C * _LOSS[kind](u)
+    return 0.5 * float(c @ (K @ c)) + C * LOSS[kind](u)
 
 
 def solve_baseline(
@@ -67,9 +48,9 @@ def solve_baseline(
     """Train a classifier with the selected loss via the shared ADMM.
 
     ``l01`` routes to :func:`zeroone.admm.solve` unchanged (identical
-    trace); the baselines replace the slack prox and drop the dual
-    masking.  Stopping reuses the scaled residuals with the fixed-point
-    gap evaluated under the matching prox.
+    trace); the baselines run the same iteration with their own ``kind``,
+    which swaps the prox of the slack step and of the fixed-point gap and
+    drops the dual masking.
     """
     kind = LossKind(kind)
     if kind is LossKind.L01:
@@ -78,22 +59,7 @@ def solve_baseline(
         return state, trace, from_solution(state, dataset, hp, scaling=scaling)
 
     K = admm._training_gram(dataset, hp, gram)
-    p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
-    prox = _PROX[kind]
-
-    def update_slack(eta):
-        u = prox(eta, p)
-        return u, np.flatnonzero(u == 0.0)
-
-    state, trace = _run_admm(
-        K, dataset.y, hp,
-        update_slack=update_slack,
-        fixed_point_prox=lambda v: prox(v, p),
-        mask_dual=False,
-        loss_term=_LOSS[kind],
-        init=init,
-        on_iteration=on_iteration,
-    )
+    state, trace = _run_admm(K, dataset.y, hp, kind, init, on_iteration)
     support = np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
     model = from_solution(state, dataset, hp, scaling=scaling, support=support)
     return state, trace, model

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import baselines, data, model as model_mod
 from .admm import Hyperparams, SolveTrace, TraceRecord
-from .baselines import LossKind
 from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
 from .kernels import KernelSpec, data_fingerprint, gram_matrix
+from .prox import LossKind
 from .stationarity import (check_kkt, check_prox_stationary, construct_gamma,
                            equivalence_roundtrip)
 
@@ -343,15 +343,8 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
             row["error"] = str(exc)
         return row
 
-    rows: list[dict | None] = [None] * len(combos)
-    workers = _worker_count(len(combos))
-    if workers == 1:
-        for i, combo in enumerate(combos):
-            rows[i] = one(combo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(one, combos)):
-                rows[i] = row
+    with ThreadPoolExecutor(max_workers=_worker_count(len(combos))) as pool:
+        rows = list(pool.map(one, combos))
 
     for kind in kinds:
         ok = [(i, r) for i, r in enumerate(rows)

@@ -8,7 +8,7 @@ increasing indices) and a dense CSV with header ``x1,...,xd,label``.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,11 @@ from .kernels import data_fingerprint
 
 @dataclass(frozen=True)
 class Dataset:
-    """A labeled sample matrix with labels in {-1, +1}.
-
-    ``provenance`` records how the data was produced (generator settings,
-    scaling statistics, noise injection) for reproducibility.
-    """
+    """A labeled sample matrix with labels in {-1, +1}."""
 
     X: np.ndarray
     y: np.ndarray
     name: str = ""
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -214,10 +209,8 @@ def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Standa
     std = train.X.std(axis=0)
     constant = std == 0.0
     stats = StandardizeStats(mean=mean, std=std, constant=constant)
-    tr = Dataset(X=stats.apply(train.X), y=train.y, name=train.name,
-                 provenance={**train.provenance, "standardized": True})
-    te = Dataset(X=stats.apply(test.X), y=test.y, name=test.name,
-                 provenance={**test.provenance, "standardized": True})
+    tr = Dataset(X=stats.apply(train.X), y=train.y, name=train.name)
+    te = Dataset(X=stats.apply(test.X), y=test.y, name=test.name)
     return tr, te, stats
 
 
@@ -232,10 +225,8 @@ def split(dataset: Dataset, train_fraction: float = 0.6, seed: int = 0) -> tuple
     order = rng.permutation(dataset.n)
     n_train = int(train_fraction * dataset.n)
     tr_idx, te_idx = order[:n_train], order[n_train:]
-    tr = Dataset(X=dataset.X[tr_idx], y=dataset.y[tr_idx],
-                 name=dataset.name, provenance=dict(dataset.provenance))
-    te = Dataset(X=dataset.X[te_idx], y=dataset.y[te_idx],
-                 name=dataset.name, provenance=dict(dataset.provenance))
+    tr = Dataset(X=dataset.X[tr_idx], y=dataset.y[tr_idx], name=dataset.name)
+    te = Dataset(X=dataset.X[te_idx], y=dataset.y[te_idx], name=dataset.name)
     for part, label in ((tr, "train"), (te, "test")):
         if len(np.unique(part.y)) < 2:
             raise InputError(f"split collapsed the {label} half to one class")
@@ -263,9 +254,7 @@ def gen_double_moons(m: int, noise_std: float = 0.15, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     if noise_std > 0:
         X = X + rng.normal(0.0, noise_std, X.shape)
-    return Dataset(X=X, y=y, name="moons",
-                   provenance={"generator": "double_moons", "m": m,
-                               "noise_std": noise_std, "seed": seed})
+    return Dataset(X=X, y=y, name="moons")
 
 
 def gen_double_circles(m: int, factor: float = 0.5, noise_std: float = 0.05,
@@ -288,10 +277,7 @@ def gen_double_circles(m: int, factor: float = 0.5, noise_std: float = 0.05,
     rng = np.random.default_rng(seed)
     if noise_std > 0:
         X = X + rng.normal(0.0, noise_std, X.shape)
-    return Dataset(X=X, y=y, name="circles",
-                   provenance={"generator": "double_circles", "m": m,
-                               "factor": factor, "noise_std": noise_std,
-                               "seed": seed})
+    return Dataset(X=X, y=y, name="circles")
 
 
 def flip_labels(dataset: Dataset, rate: float, seed: int = 0) -> Dataset:
@@ -305,6 +291,4 @@ def flip_labels(dataset: Dataset, rate: float, seed: int = 0) -> Dataset:
         rng = np.random.default_rng(seed)
         idx = rng.choice(dataset.n, size=n_flips, replace=False)
         y[idx] = -y[idx]
-    return Dataset(X=dataset.X, y=y, name=dataset.name,
-                   provenance={**dataset.provenance,
-                               "flip_rate": rate, "flip_seed": seed})
+    return Dataset(X=dataset.X, y=y, name=dataset.name)

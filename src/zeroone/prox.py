@@ -1,5 +1,5 @@
 """Closed-form proximal operators for the three loss kinds, each next to
-its unweighted loss.
+its unweighted loss, and the tables mapping a :class:`LossKind` to both.
 
 Each operator maps ``eta`` to the coordinatewise minimizer of
 ``C * loss(v) + (v - eta)^2 / (2 * gamma)``.  Comparisons against the
@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+class LossKind(str, Enum):
+    """The loss a solve minimizes: the zero-one hinge loss or a baseline."""
+
+    L01 = "l01"
+    HINGE = "hinge_l1"
+    SQHINGE = "squared_hinge_l2"
 
 
 @dataclass(frozen=True)
@@ -81,3 +90,15 @@ def prox_sqhinge(eta, p: ProxParams) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=float)
     return np.where(eta > 0.0, eta / (1.0 + 2.0 * p.gamma * p.C), eta)
+
+
+PROX = {
+    LossKind.L01: prox_l01,
+    LossKind.HINGE: prox_hinge,
+    LossKind.SQHINGE: prox_sqhinge,
+}
+LOSS = {
+    LossKind.L01: loss_l01,
+    LossKind.HINGE: loss_hinge,
+    LossKind.SQHINGE: loss_sqhinge,
+}

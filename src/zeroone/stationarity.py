@@ -122,10 +122,10 @@ def scaled_residuals(c, u, lam, omega, y, u_prox=None
 def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     """KKT certificate at tolerance ``tol``.
 
-    The subdifferential condition is evaluated through the multiplier sign
-    pattern it is equivalent to: ``lam_i <= tol`` wherever ``|u_i| <= tol``
-    and ``|lam_i| <= tol`` elsewhere (the inclusion of ``-lam/C`` is
-    invariant to ``C``, see :func:`subdiff_l01_contains`).
+    The subdifferential condition is the inclusion of ``-lam`` in
+    :func:`subdiff_l01_contains`, which stands for ``-lam/C`` because the
+    set is a cone: ``lam_i <= tol`` wherever ``|u_i| <= tol`` and
+    ``|lam_i| <= tol`` elsewhere.
     """
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -133,8 +133,7 @@ def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     r_stat, r_dual, r_feas, _ = scaled_residuals(
         c, u, lam, feasibility(u, K @ c, b, y), y)
     r_dual = abs(r_dual)
-    zero = np.abs(u) <= tol
-    subdiff_ok = bool(np.all(lam[zero] <= tol) and np.all(np.abs(lam[~zero]) <= tol))
+    subdiff_ok = subdiff_l01_contains(u, -lam, tol)
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and subdiff_ok
     return StationarityReport(
         is_kkt=ok, is_prox_stationary=None, gamma_used=None,
@@ -162,13 +161,11 @@ def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
     """
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if u.shape != lam.shape:
-        raise InputError(f"shape mismatch: {u.shape} vs {lam.shape}")
     if C <= 0:
         raise InputError("C must be > 0")
-    zero = np.abs(u) <= tol
-    if not (np.all(lam[zero] <= tol) and np.all(np.abs(lam[~zero]) <= tol)):
+    if not subdiff_l01_contains(u, -lam, tol):
         raise InputError("(u, lam) violates the KKT multiplier sign pattern")
+    zero = np.abs(u) <= tol
     positive = u > tol
     neg_mult = zero & (lam < -tol)
     candidates = []

@@ -6,7 +6,7 @@ from scipy.linalg.blas import dsymv
 
 from conftest import make_kkt_fixture, toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
-                     NumericalError, accuracy, check_kkt,
+                     LossKind, NumericalError, accuracy, check_kkt,
                      check_prox_stationary, construct_gamma, from_solution,
                      gaussian_spec, gen_double_circles, gram_matrix, predict,
                      prox_l01, ProxParams, solve, split, standardize,
@@ -85,6 +85,33 @@ class TestUpdateU:
         tau = math.sqrt(2.0 * C / sigma)
         u, gk = update_u(np.array([tau]), C, sigma)
         assert u[0] == 0.0 and list(gk) == [0]
+
+    def test_zero_one_excludes_exact_zero(self):
+        # prox_l01 leaves eta == 0 at zero, but it is not in (0, tau].
+        u, gk = update_u(np.array([0.0, 0.5, -0.0]), 1.0, 1.0)
+        np.testing.assert_array_equal(u, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(gk, [1])
+
+    @pytest.mark.parametrize("kind, u_expected", [
+        # C=1, sigma=2 -> gamma*C = 0.5; squared hinge shrinks by 1/(1+1)
+        (LossKind.HINGE, [0.0, 0.0, 1.0, -0.2, 0.0]),
+        (LossKind.SQHINGE, [0.0, 0.15, 0.75, -0.2, 0.25]),
+    ])
+    def test_baseline_zeroed_set_is_zeros_of_u(self, kind, u_expected):
+        eta = np.array([0.0, 0.3, 1.5, -0.2, 0.5])
+        u, gk = update_u(eta, 1.0, 2.0, kind)
+        np.testing.assert_allclose(u, u_expected, rtol=1e-15)
+        np.testing.assert_array_equal(gk, np.flatnonzero(u == 0.0))
+        assert 0 in gk
+
+    def test_hinge_zeroes_half_open_interval(self):
+        C, sigma = 3.0, 2.0
+        gc = C / sigma
+        eta = np.array([np.nextafter(0.0, 1.0), gc, np.nextafter(gc, np.inf),
+                        np.nextafter(0.0, -1.0)])
+        u, gk = update_u(eta, C, sigma, LossKind.HINGE)
+        np.testing.assert_array_equal(gk, [0, 1])
+        assert u[2] > 0.0 and u[3] == eta[3]
 
 
 def _shortcut_residual(K, sigma, c, y, xi):
