@@ -12,11 +12,12 @@ stops once ``max(beta1, |beta2|, beta3, beta4) < eps``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
@@ -35,10 +36,20 @@ class Hyperparams:
     stopping tolerance eps, iteration cap and the kernel.
 
     Every kernel uses one coefficient system,
-    ``[(1/sigma) I + K] c = diag(y) xi``.  The solver holds its inverse,
-    which is well conditioned (``cond <= 1 + sigma * lambda_max(K)``), so
-    each iteration costs two symmetric matrix-vector products that read
-    one triangle each, both in scipy's BLAS; see ``_CoefficientSolver``.
+    ``[(1/sigma) I + K] c = diag(y) xi``, applied in one of two forms
+    chosen from the numerical rank ``r`` of ``K`` (pivoted Cholesky at
+    LAPACK's default tolerance), with no setting to pick one:
+
+    * ``r <= m // 4``: the low-rank factor ``K = L L^T`` and Woodbury, so
+      each iteration costs four ``dgemv`` over the m x r factor.  The
+      factor is checked once against ``K`` itself and, if it fails,
+      replaced by the dense form.
+    * otherwise: the explicit inverse, well conditioned (``cond <= 1 +
+      sigma * lambda_max(K)``), so each iteration costs two symmetric
+      matrix-vector products that read one triangle each.
+
+    Either way every product is in scipy's BLAS and every solve passes a
+    residual guard; see ``_CoefficientSolver``.
     """
 
     C: float
@@ -99,10 +110,15 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration residual/objective records and the termination reason."""
+    """Per-iteration residual/objective records, the termination reason,
+    and how the coefficient solver was built: ``factor_rank`` is the rank
+    of its low-rank kernel factor (``None`` for the dense inverse) and
+    ``setup_s`` the wall time, in seconds, to build it."""
 
     records: list[TraceRecord] = field(default_factory=list)
     termination: str = "max_iter"  # "tolerance_met" | "max_iter"
+    factor_rank: Optional[int] = None
+    setup_s: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -134,6 +150,35 @@ def update_u(eta, C, sigma, kind=LossKind.L01) -> tuple[np.ndarray, np.ndarray]:
     return u, np.flatnonzero(u == 0.0)
 
 
+def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
+    """Greedy pivoted Cholesky factor ``L`` (m x r, F-ordered) with
+    ``K ~= L L^T``, or ``None`` when ``K`` has more than ``max_rank`` pivots.
+
+    Each step takes the largest remaining diagonal entry as pivot and reads
+    that column of ``K`` in place, so ``K`` is never copied, and the work
+    buffer holds at most ``max_rank`` rows of length m.  It stops
+    once every remaining diagonal entry is at most ``m * eps * max(diag K)``,
+    LAPACK's default tolerance; for a positive semidefinite ``K`` the
+    remainder ``K - L L^T`` is then positive semidefinite with trace at most
+    ``m`` times that.  A NaN pivot never meets the tolerance.
+    """
+    m = len(K)
+    d = K.diagonal().copy()
+    tol = m * np.finfo(float).eps * d.max()
+    Lt = np.empty((max_rank, m))
+    for j in range(max_rank + 1):
+        i = int(np.argmax(d))
+        if d[i] <= tol:
+            return Lt[:j].copy().T
+        if j == max_rank:
+            return None
+        # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T,
+        # in scipy's BLAS like the solves; at j = 0 there is no L yet
+        col = dgemv(-1.0, Lt[:j].T, Lt[:j, i], beta=1.0, y=K[:, i]) if j else K[:, i]
+        Lt[j] = col / np.sqrt(d[i])
+        d -= Lt[j] * Lt[j]
+
+
 class _CoefficientSolver:
     """Pre-factored solver for the coefficient update, reused across
     iterations.  :meth:`solve` returns ``c`` together with ``K c``, which
@@ -144,39 +189,71 @@ class _CoefficientSolver:
     normal equations ``[K + sigma K K] c = sigma K diag(y) xi`` of the
     coefficient step, so its solution solves the step even when ``K`` is
     singular; and ``A`` is positive definite for any positive
-    semidefinite ``K``.  The solver holds ``A^-1`` explicitly, so a solve
-    is one matrix-vector product.  Forming the inverse is safe, because
-    ``cond(A) <= 1 + sigma * lambda_max(K)``.  The inverse comes from
-    LAPACK's Cholesky routines once per solver and stays in the lower
-    triangle of the F-ordered buffer they wrote; the stale upper triangle
-    is never read.
+    semidefinite ``K``.
 
-    Every O(m^2) product is a scipy ``dsymv`` on the lower triangle of an
-    F-ordered operand: it reads half the matrix, and nothing is copied.
-    numpy's and scipy's BLAS may be separate libraries whose thread pools
-    make switching between them cost more than the products.  ``K`` is
-    symmetric to the bit, so its free F-ordered transpose view stands in.
+    The representation of ``A^-1`` follows the numerical rank ``r`` of
+    ``K``, found by :func:`_pivoted_cholesky`:
+
+    * ``r <= m // 4`` (gaussian kernels on low-dimensional data, linear,
+      low-degree polynomial): ``K = L L^T`` with ``L`` m x r, and Woodbury
+      gives ``A^-1 = sigma [I - L M^-1 L^T]`` with ``M = I/sigma + L^T L``
+      (r x r).  A solve and ``K c = L (L^T c)`` are four ``dgemv`` over
+      ``L``.  That reads ``4 m r`` entries, against ``m^2`` for the two
+      half-matrix ``dsymv`` below, hence the cutoff.  ``factor_rank`` is
+      ``r``.  Before use, the factor is checked once against ``K`` itself:
+      on a fixed probe vector ``p``, ``||K p - L L^T p|| <= 1e-8 ||p|| /
+      sigma``, the residual guard's tolerance for ``c = p``.  A symmetric
+      indefinite ``K``, whose pivots can look low-rank, fails this check.
+    * otherwise, or when the check fails: ``A^-1`` is held explicitly, so
+      a solve is one ``dsymv``, and ``K c`` a second one on ``K``.  Forming
+      the inverse is safe, because ``cond(A) <= 1 + sigma *
+      lambda_max(K)``.  It comes from LAPACK's Cholesky routines and stays
+      in the lower triangle of the F-ordered buffer they wrote; the stale
+      upper triangle is never read.  ``factor_rank`` is ``None``.
+
+    Every matrix product, at set-up and in each iteration, is a scipy BLAS
+    call, and every m-row operand is F-ordered, so nothing is copied.  numpy's and scipy's BLAS may be
+    separate libraries whose thread pools make switching between them
+    cost more than the products.  ``K`` is symmetric to the bit, so its
+    free F-ordered transpose view stands in.
 
     Every solve is checked: ``||K c + c/sigma - diag(y) xi|| <=
-    1e-8 (1 + ||xi||)`` with ``K c`` computed, not derived.  A failed or
-    NaN check raises ``NumericalError``, and so does a Cholesky breakdown
-    at set-up, which rounding can cause when ``sigma * |lambda_min(K)|``
-    reaches 1.
+    1e-8 (1 + ||xi||)`` with ``K c`` computed from the representation in
+    use (``L (L^T c)`` or ``K c``), not derived.  A failed or NaN check
+    raises ``NumericalError``, and so does a Cholesky breakdown at set-up,
+    which rounding can cause when ``sigma * |lambda_min(K)|`` reaches 1.
     """
 
     def __init__(self, K: np.ndarray, sigma: float):
         self.K = K = np.asfortranarray(K.T)
         self.sigma = sigma
-        A = np.array(K, dtype=float, order="F")
-        A.flat[::K.shape[0] + 1] += 1.0 / sigma
+        m = len(K)
+        self.L = _pivoted_cholesky(K, m // 4)
+        self.factor_rank = None if self.L is None else self.L.shape[1]
+        if self.factor_rank == 0:
+            # BLAS takes no empty operand; a zero column adds nothing to L L^T
+            self.L = np.zeros((m, 1), order="F")
+        if self.L is not None:
+            p = np.random.default_rng(0).standard_normal(m)
+            err = float(np.linalg.norm(dsymv(1.0, K, p, lower=1) - self.K_times(p)))
+            if err <= _SOLVE_RTOL * float(np.linalg.norm(p)) / sigma:
+                self.M_inv = self._inverse(dsyrk(1.0, self.L, trans=1, lower=1))
+                return
+            self.factor_rank = self.L = None
+        self.A_inv = self._inverse(np.array(K, dtype=float, order="F"))
+
+    def _inverse(self, A: np.ndarray) -> np.ndarray:
+        """Lower triangle of ``(A + I/sigma)^-1``, written over ``A``."""
+        A.flat[::A.shape[0] + 1] += 1.0 / self.sigma
         L, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
         if info == 0:
-            self.A_inv, info = dpotri(L, lower=True, overwrite_c=True)
+            A_inv, info = dpotri(L, lower=True, overwrite_c=True)
         if info != 0:
             raise NumericalError(
                 f"Cholesky factorization of K + I/sigma failed (info={info})",
                 cond=self._cond(),
             )
+        return A_inv
 
     def _cond(self) -> float:
         A = self.K + np.eye(len(self.K)) / self.sigma
@@ -185,10 +262,20 @@ class _CoefficientSolver:
         except np.linalg.LinAlgError:  # the SVD fails on non-finite entries
             return float("inf")
 
+    def K_times(self, c: np.ndarray) -> np.ndarray:
+        """``K c`` through the representation the solves use."""
+        if self.L is None:
+            return dsymv(1.0, self.K, c, lower=1)
+        return dgemv(1.0, self.L, dgemv(1.0, self.L, c, trans=1))
+
     def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dyxi = y * xi
-        c = dsymv(1.0, self.A_inv, dyxi, lower=1)
-        Kc = dsymv(1.0, self.K, c, lower=1)
+        if self.L is None:
+            c = dsymv(1.0, self.A_inv, dyxi, lower=1)
+        else:
+            z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, dyxi, trans=1), lower=1)
+            c = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=dyxi)
+        Kc = self.K_times(c)
         resid = float(np.linalg.norm(Kc + c / self.sigma - dyxi))
         bound = _SOLVE_RTOL * (1.0 + float(np.linalg.norm(xi)))
         if not resid <= bound:
@@ -233,9 +320,12 @@ def _run_admm(
     sigma, iota, C = hp.sigma, hp.iota, hp.C
     p = ProxParams(gamma=1.0 / sigma, C=C)
     prox, loss = PROX[kind], LOSS[kind]
+    t0 = time.perf_counter()
     solver = _CoefficientSolver(K, sigma)
-    Kc = dsymv(1.0, solver.K, c, lower=1)  # carried: feeds each next eta
-    trace = SolveTrace(records=[], termination="max_iter")
+    trace = SolveTrace(records=[], termination="max_iter",
+                       factor_rank=solver.factor_rank,
+                       setup_s=time.perf_counter() - t0)
+    Kc = solver.K_times(c)  # carried: feeds each next eta
     gamma_k = state.gamma_k
     eta = state.eta
     xi = state.xi

@@ -29,8 +29,7 @@ from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
 from .kernels import KernelSpec, data_fingerprint, gram_matrix
 from .prox import LossKind
-from .stationarity import (check_kkt, check_prox_stationary, construct_gamma,
-                           equivalence_roundtrip)
+from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtrip
 
 DEFAULT_GRID_C = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_GRID_SIGMA = (1.0, 2.0)
@@ -237,8 +236,10 @@ def cmd_train(cfg: RunConfig) -> int:
     trace_path = os.path.join(outdir, "trace.csv")
     model_mod.save_model(mdl, model_path)
     write_trace_csv(trace, trace_path)
+    rank = "dense" if trace.factor_rank is None else trace.factor_rank
     print(f"train_acc={row['train_acc']:.6f} test_acc={row['test_acc']:.6f} "
-          f"nsv={row['nsv']} wall_seconds={row['wall_s']:.3f} iters={row['iters']}")
+          f"nsv={row['nsv']} wall_seconds={row['wall_s']:.3f} "
+          f"setup_seconds={trace.setup_s:.3f} factor_rank={rank} iters={row['iters']}")
     print(f"model: {model_path}")
     print(f"trace: {trace_path}")
     return 0

@@ -291,7 +291,8 @@ class TestCoefficientSolver:
                                    np.eye(len(K)), atol=1e-9)
 
     def test_every_dsymv_operand_is_f_contiguous(self, monkeypatch):
-        # f2py copies a C-ordered matrix on every call; F-ordered goes through
+        # f2py copies a C-ordered matrix on every call; F-ordered goes
+        # through.  Dense-path solves only: their products are all dsymv.
         seen = []
 
         def recording_dsymv(alpha, a, x, **kw):
@@ -300,11 +301,135 @@ class TestCoefficientSolver:
 
         monkeypatch.setattr(admm, "dsymv", recording_dsymv)
         ds = gen_double_circles(60, noise_std=0.1, seed=3)
-        for kernel in (gaussian_spec(0.5), LINEAR,
-                       KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
-            solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
+        for kernel in (gaussian_spec(0.5), KernelSpec("laplacian", {"rho": 0.5}),
+                       KernelSpec("exponential", {"rho": 0.5})):
+            _, trace = solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
+            assert trace.factor_rank is None, kernel.family
         K, y, xi = self._system()
         update_c(K, y, xi, 0.0, np.zeros(len(y)), 1.0)
+        assert len(seen) > 20 and all(seen)
+
+
+def _circles_gram(m, kernel=None):
+    """Standardized circles training split (seed 7, split seed 9) and its
+    Gram matrix; the kernel defaults to gaussian with rho = 1/d."""
+    train, _ = split(gen_double_circles(m, seed=7), seed=9)
+    train, _, _ = standardize(train, train)
+    kernel = kernel or gaussian_spec(1.0 / train.d)
+    return train, kernel, gram_matrix(kernel, train.X)
+
+
+POLY3 = KernelSpec("polynomial", {"degree": 3, "offset": 1.0})
+
+
+class TestLowRankFactor:
+    """The rank rule of ``_CoefficientSolver``: a pivoted-Cholesky factor
+    of rank at most m // 4 replaces the dense inverse."""
+
+    @pytest.mark.parametrize("m, kernel, rank", [
+        (1200, None, (100, 180)),
+        (500, POLY3, (10, 10)),
+        (500, LINEAR, (2, 2)),
+        (1200, KernelSpec("laplacian", {"rho": 0.5}), None),
+    ], ids=["gaussian-720", "polynomial-300", "linear-300", "laplacian-720"])
+    def test_rank_selects_representation(self, m, kernel, rank):
+        train, kernel, gram = _circles_gram(m, kernel)
+        solver = _CoefficientSolver(gram.entries, 1.0)
+        if rank is None:
+            assert solver.factor_rank is None and solver.L is None
+            assert solver.A_inv.shape == gram.entries.shape
+        else:
+            assert rank[0] <= solver.factor_rank <= rank[1] <= len(train.y) // 4
+            assert solver.L.shape == (len(train.y), solver.factor_rank)
+            assert solver.L.flags["F_CONTIGUOUS"]
+            assert not hasattr(solver, "A_inv")
+
+    def test_factor_iterates_solve_true_system(self):
+        train, kernel, gram = _circles_gram(1200)
+        K = gram.entries
+        hp = Hyperparams(C=16.0, sigma=2.0, max_iter=150, kernel=kernel)
+        worst = []
+
+        def check(st):
+            bound = 1e-8 * (1.0 + np.linalg.norm(st.xi))
+            worst.append(_shortcut_residual(K, hp.sigma, st.c, train.y, st.xi) / bound)
+
+        _, trace = solve(train, hp, gram=gram, on_iteration=check)
+        assert trace.factor_rank is not None
+        assert len(worst) == trace.iterations > 1
+        assert max(worst) <= 1.0
+
+    @pytest.mark.parametrize("name", ["L", "M_inv"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: a * 1.5,
+        lambda a: np.full_like(a, np.nan),
+    ], ids=["scaled", "nan"])
+    def test_corrupted_factor_never_returns_unchecked_c(self, corrupt, name):
+        # the guard's K c comes from the factor, not from y*xi - c/sigma
+        train, _, gram = _circles_gram(160, POLY3)
+        solver = _CoefficientSolver(gram.entries, 1.0)
+        assert solver.factor_rank == 10
+        xi = np.random.default_rng(4).normal(size=len(train.y))
+        solver.solve(xi, train.y)
+        setattr(solver, name, np.asfortranarray(corrupt(getattr(solver, name))))
+        with pytest.raises(NumericalError) as info:
+            solver.solve(xi, train.y)
+        K = gram.entries
+        assert info.value.cond == pytest.approx(np.linalg.cond(K + np.eye(len(K))))
+
+    def test_zero_gram_solves_with_rank_zero(self):
+        K = np.zeros((8, 8))
+        y = np.array([1.0, -1.0] * 4)
+        xi = np.linspace(-1.0, 2.0, 8)
+        solver = _CoefficientSolver(K, 2.5)
+        assert solver.factor_rank == 0
+        c, Kc = solver.solve(xi, y)
+        np.testing.assert_array_equal(c, 2.5 * y * xi)
+        np.testing.assert_array_equal(Kc, np.zeros(8))
+        ds = Dataset(X=np.zeros((8, 2)), y=y)
+        state, trace = solve(ds, Hyperparams(C=1.0, sigma=2.5, max_iter=20, kernel=LINEAR))
+        assert trace.factor_rank == 0 and trace.iterations >= 1
+        np.testing.assert_array_equal(state.c, 2.5 * y * state.xi)
+
+    def test_indefinite_gram_with_low_rank_pivots_falls_back_and_raises(self):
+        # K = x x^T + 3 (e1 e2^T + e2 e1^T): the first pivot (row 0) leaves a
+        # zero diagonal, so the pivots see rank 1, but lambda_min(K) < -1
+        x = np.array([3.0, 0.1, 0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+        K = np.outer(x, x)
+        K[1, 2] += 3.0
+        K[2, 1] += 3.0
+        assert np.linalg.eigvalsh(K)[0] < -1.0
+        assert admm._pivoted_cholesky(np.asfortranarray(K.T), 2).shape == (8, 1)
+        with pytest.raises(NumericalError, match="Cholesky"):
+            _CoefficientSolver(K, 1.0)
+        ds = Dataset(X=np.zeros((8, 2)), y=np.array([1.0, -1.0] * 4))
+        gram = GramMatrix(entries=K, spec=LINEAR, fingerprint=ds.fingerprint())
+        with pytest.raises(NumericalError):
+            solve(ds, Hyperparams(C=1.0, sigma=1.0, kernel=LINEAR), gram=gram)
+
+    def test_pivoted_cholesky_stops_at_tolerance_or_cap(self):
+        rng = np.random.default_rng(2)
+        G = rng.normal(size=(40, 3))
+        K = np.asfortranarray(G @ G.T)
+        L = admm._pivoted_cholesky(K, 10)
+        assert L.shape == (40, 3)
+        np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-12)
+        assert admm._pivoted_cholesky(K, 2) is None
+        assert admm._pivoted_cholesky(np.asfortranarray(np.eye(40)), 10) is None
+
+    def test_every_dgemv_operand_is_f_contiguous(self, monkeypatch):
+        seen = []
+        real = admm.dgemv
+
+        def recording_dgemv(alpha, a, x, **kw):
+            seen.append(a.flags["F_CONTIGUOUS"])
+            return real(alpha, a, x, **kw)
+
+        monkeypatch.setattr(admm, "dgemv", recording_dgemv)
+        ds = gen_double_circles(60, noise_std=0.1, seed=3)
+        for kernel in (LINEAR, KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
+            _, trace = solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
+            assert trace.factor_rank is not None, kernel.family
         assert len(seen) > 20 and all(seen)
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import toy_dataset
 from zeroone import (Hyperparams, LossKind, ProxParams, accuracy,
                      gaussian_spec, gen_double_circles, objective, predict,
-                     prox_hinge, prox_sqhinge, solve, solve_baseline, split,
+                     prox_hinge, solve, solve_baseline, split,
                      standardize)
 
 

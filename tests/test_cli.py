@@ -48,6 +48,17 @@ class TestTrain:
         trace = read_trace_csv(str(tmp_path / "trace.csv"))
         assert trace.iterations >= 1
 
+    def test_summary_reports_solver_setup(self, tmp_path, capsys):
+        # linear on 2-D data has rank 2; gaussian at m_train=72 stays dense
+        for kernel, rank in (("linear", "factor_rank=2 "), ("gaussian", "factor_rank=dense ")):
+            assert run_cli("train", "--dataset", "circles", "--m", "120", "--seed", "5",
+                           "--kernel", kernel, "--max-iter", "20",
+                           "--out", str(tmp_path)) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            assert rank in line
+            setup = float(line.split("setup_seconds=")[1].split()[0])
+            assert 0.0 <= setup <= float(line.split("wall_seconds=")[1].split()[0])
+
     def test_max_iter_one_row(self, tmp_path):
         run_cli("train", "--dataset", "moons", "--m", "40", "--seed", "2",
                 "--max-iter", "1", "--out", str(tmp_path))
