@@ -36,20 +36,9 @@ class Hyperparams:
     stopping tolerance eps, iteration cap and the kernel.
 
     Every kernel uses one coefficient system,
-    ``[(1/sigma) I + K] c = diag(y) xi``, applied in one of two forms
-    chosen from the numerical rank ``r`` of ``K`` (pivoted Cholesky at
-    LAPACK's default tolerance), with no setting to pick one:
-
-    * ``r <= m // 4``: the low-rank factor ``K = L L^T`` and Woodbury, so
-      each iteration costs four ``dgemv`` over the m x r factor.  The
-      factor is checked once against ``K`` itself and, if it fails,
-      replaced by the dense form.
-    * otherwise: the explicit inverse, well conditioned (``cond <= 1 +
-      sigma * lambda_max(K)``), so each iteration costs two symmetric
-      matrix-vector products that read one triangle each.
-
-    Either way every product is in scipy's BLAS and every solve passes a
-    residual guard; see ``_CoefficientSolver``.
+    ``[(1/sigma) I + K] c = diag(y) xi``, with no setting to pick how it
+    is solved: ``_CoefficientSolver`` chooses the representation from
+    the numerical rank of ``K`` and guards every solve.
     """
 
     C: float

@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +78,6 @@ class RunConfig:
 
 # Default generator noise levels; the benchmark protocol leaves them open.
 _GEN_NOISE = {"circles": 0.05, "moons": 0.15}
-
-
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("ZEROONE_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 def make_kernel(cfg: RunConfig, d: int) -> KernelSpec:
@@ -301,7 +295,8 @@ def _cv_folds(train: data.Dataset, folds: int, seed: int):
 
 
 def bench_rows(cfg: RunConfig) -> list[dict]:
-    """Run the (loss, C, sigma) grid and return result rows in config order.
+    """Run the (loss, C, sigma) grid, one cell after another, and return
+    result rows in grid order.
 
     Each row carries the five evaluation metrics plus a ``selection`` mark:
     per loss kind, ``paper`` flags the row with the best test accuracy
@@ -311,10 +306,11 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
     error recorded; the grid continues.
     """
     train, test, stats = prepare_splits(cfg)
+    if cfg.selection == "cv" and not 2 <= cfg.cv_folds <= train.n:
+        raise InputError(f"--cv-folds must be in [2, {train.n}] "
+                         f"(the training size), got {cfg.cv_folds}")
     name = train.name or (cfg.data_path or "data")
     kinds = [LossKind(k) for k in cfg.loss]
-    combos = [(kind, C, sigma) for kind in kinds
-              for C in cfg.grid_c for sigma in cfg.grid_sigma]
     kernel = make_kernel(cfg, train.d)
     gram = gram_matrix(kernel, train.X)
 
@@ -322,15 +318,15 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
         if cfg.selection == "cv" else []
     cv_grams = [gram_matrix(kernel, tr.X) for tr, _ in cv_pairs]
 
-    def one(combo):
-        kind, C, sigma = combo
+    rows = []
+    for kind, C, sigma in itertools.product(kinds, cfg.grid_c, cfg.grid_sigma):
         hp = Hyperparams(C=C, sigma=sigma, iota=cfg.iota, eps=cfg.eps,
                          max_iter=cfg.max_iter, kernel=kernel)
         row = {"dataset": name, "r": cfg.noise_rate, "loss": kind.value,
                "C": C, "sigma": sigma, "selection": "", "error": ""}
         try:
-            metrics, mdl, trace = run_single(train, test, hp, kind,
-                                             gram=gram, scaling=stats)
+            metrics, _, _ = run_single(train, test, hp, kind,
+                                       gram=gram, scaling=stats)
             row.update(metrics)
             if cv_pairs:
                 scores = []
@@ -342,10 +338,7 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
                 row["cv_acc"] = float(np.mean(scores))
         except ZeroOneError as exc:
             row["error"] = str(exc)
-        return row
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(combos))) as pool:
-        rows = list(pool.map(one, combos))
+        rows.append(row)
 
     for kind in kinds:
         ok = [(i, r) for i, r in enumerate(rows)
@@ -515,6 +508,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.grid_sigma = tuple(float(v) for v in args.grid_sigma.split(","))
     if not cfg.grid_c or not cfg.grid_sigma:
         raise InputError("bench grids must be nonempty")
+    if not cfg.loss:
+        raise InputError("--loss needs at least one loss kind")
     return cfg
 
 

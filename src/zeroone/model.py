@@ -144,6 +144,8 @@ def accuracy(predictions, labels) -> float:
     if not (np.all(np.isin(p, (-1.0, 1.0))) and np.all(np.isin(t, (-1.0, 1.0)))):
         raise InputError("entries must be -1 or +1")
     n = len(t)
+    if n == 0:
+        raise InputError("accuracy needs at least one sample")
     mismatches = float(np.sum(np.abs(p - t))) / 2.0
     return (n - mismatches) / n
 

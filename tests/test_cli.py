@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from zeroone import parse_csv, parse_libsvm, save_model
-from zeroone.cli import (RunConfig, bench_rows, main, read_trace_csv,
-                         rows_to_csv)
+from zeroone.cli import (RunConfig, bench_rows, main, prepare_splits,
+                         read_trace_csv, rows_to_csv)
 
 
 def run_cli(*argv):
@@ -204,10 +205,16 @@ class TestBench:
         assert any("cv" in mk for mk in marks)
         assert all("cv_acc" in r for r in rows)
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("ZEROONE_THREADS", "1")
-        rows = bench_rows(self._cfg(grid_c=(1.0, 4.0)))
-        assert len(rows) == 2
+    @pytest.mark.parametrize("folds, code", [
+        ("8", 4),  # more folds than the 6 training samples: empty holdouts
+        ("1", 4),
+        ("0", 4),
+        ("6", 0),  # one holdout sample per fold
+    ])
+    def test_cv_folds_range(self, folds, code, capsys):
+        assert run_cli("bench", "--dataset", "circles", "--m", "10",
+                       "--seed", "1", "--grid-c", "1", "--grid-sigma", "1",
+                       "--max-iter", "50", "--cv-folds", folds) == code
 
     def test_cli_csv_format(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -223,6 +230,34 @@ class TestBench:
     def test_empty_grid_rejected(self, capsys):
         assert run_cli("bench", "--dataset", "circles", "--grid-c", "",
                        "--max-iter", "10") == 4
+
+    def test_empty_loss_rejected(self, tmp_path, capsys):
+        assert run_cli("train", "--dataset", "circles", "--m", "40",
+                       "--loss", "", "--max-iter", "10",
+                       "--out", str(tmp_path)) == 4
+        assert run_cli("bench", "--dataset", "circles", "--m", "40",
+                       "--loss", ",", "--max-iter", "10") == 4
+
+
+class TestPrepareSplits:
+    def _labels(self, **kw):
+        cfg = RunConfig(command="train", generator="circles", m=100, seed=5,
+                        **kw)
+        train, test, _ = prepare_splits(cfg)
+        return train.y, test.y
+
+    def test_noise_on_train_leaves_test_clean(self):
+        clean_tr, clean_te = self._labels()
+        tr, te = self._labels(noise_rate=0.1, noise_on="train")
+        assert np.array_equal(te, clean_te)
+        # Default multiplier 2: the effective rate is 0.2.
+        assert np.sum(tr != clean_tr) == math.floor(0.2 * len(clean_tr))
+
+    def test_noise_multiplier_scales_flip_count(self):
+        clean = np.concatenate(self._labels())
+        noisy = np.concatenate(self._labels(noise_rate=0.1,
+                                            noise_multiplier=1.0))
+        assert np.sum(noisy != clean) == math.floor(0.1 * len(clean))
 
 
 def test_rows_to_csv_round_trip():

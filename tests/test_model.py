@@ -134,6 +134,10 @@ class TestAccuracy:
         with pytest.raises(InputError):
             accuracy([1.0, 0.5], [1.0, -1.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(InputError):
+            accuracy([], [])
+
 
 class TestSerialization:
     def test_round_trip(self, circles_run):
