@@ -39,6 +39,9 @@ class Hyperparams:
     ``[(1/sigma) I + K] c = diag(y) xi``, with no setting to pick how it
     is solved: ``_CoefficientSolver`` chooses the representation from
     the numerical rank of ``K`` and guards every solve.
+
+    The kernel defaults to the gaussian with ``rho = 1``; the CLI's
+    ``make_kernel`` picks ``rho = 1/d`` instead.
     """
 
     C: float
@@ -360,7 +363,8 @@ def _run_admm(
 def _training_gram(dataset: Dataset, hp: Hyperparams,
                    gram: Optional[GramMatrix]) -> np.ndarray:
     """Gram entries for a trainable ``dataset``: at least two samples of
-    both classes, and a precomputed ``gram`` only with its fingerprint."""
+    both classes, and a precomputed ``gram`` only with its fingerprint and
+    with ``hp``'s kernel."""
     y = dataset.y
     if len(y) < 2:
         raise InputError("need at least 2 samples")
@@ -370,6 +374,8 @@ def _training_gram(dataset: Dataset, hp: Hyperparams,
         gram = gram_matrix(hp.kernel, dataset.X)
     elif gram.fingerprint != dataset.fingerprint():
         raise InputError("Gram matrix fingerprint does not match the dataset")
+    elif gram.spec != hp.kernel:
+        raise InputError("Gram matrix was built with another kernel")
     return gram.entries
 
 

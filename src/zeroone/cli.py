@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import baselines, data, model as model_mod
 from .admm import Hyperparams, SolveTrace, TraceRecord
 from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
-from .kernels import KernelSpec, data_fingerprint, gram_matrix
+from .kernels import FAMILIES, KernelSpec, data_fingerprint, gram_matrix
 from .prox import LossKind
 from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtrip
 
@@ -41,14 +41,15 @@ BENCH_COLUMNS = ("dataset", "r", "loss", "C", "sigma", "train_acc",
 
 @dataclass
 class RunConfig:
-    """Normalized settings of one CLI invocation."""
+    """Normalized settings of one CLI invocation, and the one home of the
+    CLI's defaults: the parser declares none."""
 
     command: str
     data_path: str | None = None
     generator: str | None = None
     m: int = 500
     factor: float = 0.5
-    noise_std: float | None = None
+    noise_std: float | None = None  # None -> the generator's own default
     kernel_family: str = "gaussian"
     rho: float | None = None  # None -> 1/d
     degree: int = 3
@@ -76,10 +77,6 @@ class RunConfig:
     cv_folds: int = 5
 
 
-# Default generator noise levels; the benchmark protocol leaves them open.
-_GEN_NOISE = {"circles": 0.05, "moons": 0.15}
-
-
 def make_kernel(cfg: RunConfig, d: int) -> KernelSpec:
     fam = cfg.kernel_family
     if fam in ("gaussian", "laplacian", "exponential"):
@@ -97,12 +94,12 @@ def load_or_generate(cfg: RunConfig) -> data.Dataset:
         return data.load_dataset(cfg.data_path)
     if cfg.generator is None:
         raise InputError("either --data or --dataset is required")
-    noise = cfg.noise_std if cfg.noise_std is not None else _GEN_NOISE[cfg.generator]
+    noise = {} if cfg.noise_std is None else {"noise_std": cfg.noise_std}
     if cfg.generator == "circles":
         return data.gen_double_circles(cfg.m, factor=cfg.factor,
-                                       noise_std=noise, seed=cfg.seed)
+                                       seed=cfg.seed, **noise)
     if cfg.generator == "moons":
-        return data.gen_double_moons(cfg.m, noise_std=noise, seed=cfg.seed)
+        return data.gen_double_moons(cfg.m, seed=cfg.seed, **noise)
     raise InputError(f"unknown generator {cfg.generator!r}")
 
 
@@ -119,14 +116,10 @@ def prepare_splits(cfg: RunConfig) -> tuple[data.Dataset, data.Dataset, data.Sta
     return data.standardize(train, test)
 
 
-def _hyperparams(cfg: RunConfig, d: int, C: float | None = None,
-                 sigma: float | None = None) -> Hyperparams:
-    return Hyperparams(
-        C=C if C is not None else cfg.C,
-        sigma=sigma if sigma is not None else cfg.sigma,
-        iota=cfg.iota, eps=cfg.eps, max_iter=cfg.max_iter,
-        kernel=make_kernel(cfg, d),
-    )
+def _hyperparams(cfg: RunConfig, kernel: KernelSpec, C: float,
+                 sigma: float) -> Hyperparams:
+    return Hyperparams(C=C, sigma=sigma, iota=cfg.iota, eps=cfg.eps,
+                       max_iter=cfg.max_iter, kernel=kernel)
 
 
 def run_single(train, test, hp, kind, gram=None, scaling=None) -> tuple[dict, "model_mod.TrainedModel", SolveTrace]:
@@ -149,27 +142,15 @@ def run_single(train, test, hp, kind, gram=None, scaling=None) -> tuple[dict, "m
 # trace / table serialization
 
 def write_trace_csv(trace: SolveTrace, path: str):
+    """One row per :class:`TraceRecord`, headed by its field names; floats
+    keep all 17 significant digits."""
+    names = [f.name for f in fields(TraceRecord)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "beta1", "beta2", "beta3", "beta4",
-                    "objective", "gamma_size"])
+        w.writerow(names)
         for rec in trace.records:
-            w.writerow([rec.iter, f"{rec.beta1:.17g}", f"{rec.beta2:.17g}",
-                        f"{rec.beta3:.17g}", f"{rec.beta4:.17g}",
-                        f"{rec.objective:.17g}", rec.gamma_size])
-
-
-def read_trace_csv(path: str) -> SolveTrace:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(TraceRecord(
-                iter=int(row["iter"]), beta1=float(row["beta1"]),
-                beta2=float(row["beta2"]), beta3=float(row["beta3"]),
-                beta4=float(row["beta4"]), objective=float(row["objective"]),
-                gamma_size=int(row["gamma_size"]),
-            ))
-    return SolveTrace(records=records)
+            w.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                        for v in (getattr(rec, n) for n in names)])
 
 
 def rows_to_csv(rows, columns) -> str:
@@ -221,7 +202,7 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     train, test, stats = prepare_splits(cfg)
-    hp = _hyperparams(cfg, train.d)
+    hp = _hyperparams(cfg, make_kernel(cfg, train.d), cfg.C, cfg.sigma)
     kind = cfg.loss[0]
     row, mdl, trace = run_single(train, test, hp, kind, scaling=stats)
     outdir = cfg.out or "."
@@ -239,28 +220,36 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if cfg.model_path is None or cfg.data_path is None:
-        raise InputError("eval requires --model and --data")
+def _load_model(cfg: RunConfig) -> tuple["model_mod.TrainedModel",
+                                         data.Dataset | None]:
+    """The model at ``--model`` and the optional ``--data`` rows, mapped
+    into the model's input space by its stored scaling."""
+    if cfg.model_path is None:
+        raise InputError(f"{cfg.command} requires --model")
     mdl = model_mod.load_model(cfg.model_path)
+    if cfg.data_path is None:
+        return mdl, None
     ds = data.load_dataset(cfg.data_path)
-    X = mdl.scaling.apply(ds.X) if mdl.scaling is not None else ds.X
-    acc = model_mod.accuracy(model_mod.predict(mdl, X), ds.y)
+    if mdl.scaling is not None:
+        ds = data.Dataset(X=mdl.scaling.apply(ds.X), y=ds.y, name=ds.name)
+    return mdl, ds
+
+
+def cmd_eval(cfg: RunConfig) -> int:
+    if cfg.data_path is None:
+        raise InputError("eval requires --data")
+    mdl, ds = _load_model(cfg)
+    acc = model_mod.accuracy(model_mod.predict(mdl, ds.X), ds.y)
     _emit(json.dumps({"accuracy": acc, "n": ds.n}) + "\n", cfg.out)
     return 0
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    if cfg.model_path is None:
-        raise InputError("certify requires --model")
-    mdl = model_mod.load_model(cfg.model_path)
-    if cfg.data_path is not None:
-        ds = data.load_dataset(cfg.data_path)
-        X = mdl.scaling.apply(ds.X) if mdl.scaling is not None else ds.X
-        if data_fingerprint(X) != data_fingerprint(mdl.X):
-            raise InputError(
-                "dataset fingerprint does not match the model's training data"
-            )
+    mdl, ds = _load_model(cfg)
+    if ds is not None and ds.fingerprint() != data_fingerprint(mdl.X):
+        raise InputError(
+            "dataset fingerprint does not match the model's training data"
+        )
     K = gram_matrix(mdl.kernel, mdl.X).entries
     tol = 10.0 * cfg.eps
     kkt = check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C, tol=tol)
@@ -304,6 +293,9 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
     chosen by k-fold cross-validation on the training half.  CV is skipped
     in ``--selection paper`` mode.  Failed runs keep their row with the
     error recorded; the grid continues.
+
+    ``wall_s`` times the cell's training solve only: the k fold solves of
+    ``--selection cv`` are timed in no column.
     """
     train, test, stats = prepare_splits(cfg)
     if cfg.selection == "cv" and not 2 <= cfg.cv_folds <= train.n:
@@ -320,8 +312,7 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
 
     rows = []
     for kind, C, sigma in itertools.product(kinds, cfg.grid_c, cfg.grid_sigma):
-        hp = Hyperparams(C=C, sigma=sigma, iota=cfg.iota, eps=cfg.eps,
-                         max_iter=cfg.max_iter, kernel=kernel)
+        hp = _hyperparams(cfg, kernel, C, sigma)
         row = {"dataset": name, "r": cfg.noise_rate, "loss": kind.value,
                "C": C, "sigma": sigma, "selection": "", "error": ""}
         try:
@@ -370,16 +361,10 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_boundary(cfg: RunConfig) -> int:
-    if cfg.model_path is None:
-        raise InputError("boundary requires --model")
-    mdl = model_mod.load_model(cfg.model_path)
+    mdl, ds = _load_model(cfg)
     if mdl.X.shape[1] != 2:
         raise InputError("boundary export needs a 2-D dataset")
-    if cfg.data_path is not None:
-        ds = data.load_dataset(cfg.data_path)
-        box = mdl.scaling.apply(ds.X) if mdl.scaling is not None else ds.X
-    else:
-        box = mdl.X
+    box = mdl.X if ds is None else ds.X
     lo, hi = box.min(axis=0), box.max(axis=0)
     pad = 0.1 * (hi - lo)
     lo, hi = lo - pad, hi + pad
@@ -415,42 +400,42 @@ def cmd_boundary(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p):
+def _add_source(p):
     p.add_argument("--data", dest="data_path", help="dataset file (libsvm or csv)")
     p.add_argument("--dataset", dest="generator", choices=["circles", "moons"],
                    help="synthetic generator")
-    p.add_argument("--m", type=int, default=500, help="generated sample count")
-    p.add_argument("--factor", type=float, default=0.5,
+    p.add_argument("--m", type=int, help="generated sample count")
+    p.add_argument("--factor", type=float,
                    help="inner circle radius (circles generator)")
-    p.add_argument("--noise-std", type=float, default=None,
-                   help="generator noise std (default 0.05 circles / 0.15 moons)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", dest="fmt", default="table",
-                   choices=["table", "csv", "json", "libsvm"])
-    p.add_argument("--out", default=None)
+    p.add_argument("--noise-std", type=float,
+                   help="generator noise std (default: the generator's own)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+
+
+def _add_model(p):
+    p.add_argument("--model", dest="model_path", required=True)
+    p.add_argument("--data", dest="data_path",
+                   help="dataset file, read under the model's stored scaling")
+    p.add_argument("--out")
 
 
 def _add_solver(p):
-    p.add_argument("--kernel", dest="kernel_family", default="gaussian",
-                   choices=["gaussian", "linear", "laplacian", "exponential",
-                            "polynomial", "inverse_multiquadric"])
-    p.add_argument("--rho", type=float, default=None,
-                   help="kernel scale (default 1/d)")
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--offset", type=float, default=1.0)
-    p.add_argument("--imq-c", type=float, default=1.0)
-    p.add_argument("--imq-beta", type=float, default=0.5)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--iota", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--loss", default="l01",
-                   help="comma list of l01,hinge_l1,squared_hinge_l2")
-    p.add_argument("--noise-rate", type=float, default=0.0)
-    p.add_argument("--noise-on", default="all", choices=["all", "train"])
-    p.add_argument("--noise-multiplier", type=float, default=2.0)
-    p.add_argument("--train-frac", type=float, default=0.6)
+    """The flags of a solve, apart from its (C, sigma)."""
+    p.add_argument("--kernel", dest="kernel_family", choices=FAMILIES)
+    p.add_argument("--rho", type=float, help="kernel scale (default 1/d)")
+    p.add_argument("--degree", type=int)
+    p.add_argument("--offset", type=float)
+    p.add_argument("--imq-c", type=float)
+    p.add_argument("--imq-beta", type=float)
+    p.add_argument("--iota", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--loss", help="comma list of l01,hinge_l1,squared_hinge_l2")
+    p.add_argument("--noise-rate", type=float)
+    p.add_argument("--noise-on", choices=["all", "train"])
+    p.add_argument("--noise-multiplier", type=float)
+    p.add_argument("--train-frac", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,51 +446,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_common(p)
+    _add_source(p)
+    p.add_argument("--format", dest="fmt", choices=["csv", "libsvm"],
+                   help="output format (default csv)")
 
     p = sub.add_parser("train", help="train one model and write model/trace files")
-    _add_common(p)
+    _add_source(p)
     _add_solver(p)
+    p.add_argument("--C", type=float)
+    p.add_argument("--sigma", type=float)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset")
-    _add_common(p)
-    p.add_argument("--model", dest="model_path", required=True)
+    _add_model(p)
 
     p = sub.add_parser("certify", help="first-order optimality certificates")
-    _add_common(p)
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--eps", type=float, default=1e-3,
+    _add_model(p)
+    p.add_argument("--eps", type=float,
                    help="solver tolerance; certificates use 10x this")
 
     p = sub.add_parser("bench", help="run a (loss, C, sigma) benchmark grid")
-    _add_common(p)
+    _add_source(p)
     _add_solver(p)
-    p.add_argument("--grid-c", default=None,
-                   help="comma list of C values (default 0.5,...,64)")
-    p.add_argument("--grid-sigma", default=None,
-                   help="comma list of sigma values (default 1,2)")
-    p.add_argument("--selection", default="cv", choices=["cv", "paper"])
-    p.add_argument("--cv-folds", type=int, default=5)
+    p.add_argument("--format", dest="fmt", choices=["table", "csv", "json"])
+    grid_c = ",".join(f"{v:g}" for v in DEFAULT_GRID_C)
+    grid_sigma = ",".join(f"{v:g}" for v in DEFAULT_GRID_SIGMA)
+    p.add_argument("--grid-c", help=f"comma list of C values (default {grid_c})")
+    p.add_argument("--grid-sigma",
+                   help=f"comma list of sigma values (default {grid_sigma})")
+    p.add_argument("--selection", choices=["cv", "paper"])
+    p.add_argument("--cv-folds", type=int)
 
     p = sub.add_parser("boundary", help="export a decision grid for plotting")
-    _add_common(p)
-    p.add_argument("--model", dest="model_path", required=True)
-    p.add_argument("--grid-size", type=int, default=100)
+    _add_model(p)
+    p.add_argument("--grid-size", type=int)
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """``RunConfig``'s defaults, overridden by the flags that were given."""
     cfg = RunConfig(command=args.command)
     for name in vars(cfg):
-        if hasattr(args, name) and getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "loss"):
+    if getattr(args, "loss", None) is not None:
         cfg.loss = tuple(LossKind(tok.strip())
-                         for tok in str(args.loss).split(",") if tok.strip())
-    if getattr(args, "grid_c", None):
-        cfg.grid_c = tuple(float(v) for v in args.grid_c.split(","))
-    if getattr(args, "grid_sigma", None):
-        cfg.grid_sigma = tuple(float(v) for v in args.grid_sigma.split(","))
+                         for tok in args.loss.split(",") if tok.strip())
+    for name in ("grid_c", "grid_sigma"):
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(cfg, name, tuple(float(v) for v in text.split(",")) if text else ())
     if not cfg.grid_c or not cfg.grid_sigma:
         raise InputError("bench grids must be nonempty")
     if not cfg.loss:

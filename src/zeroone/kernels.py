@@ -3,8 +3,9 @@
 Supported families: gaussian ``exp(-rho*||z-z'||^2)``, exponential
 ``exp(-rho*||z-z'||)``, laplacian ``exp(-rho*||z-z'||_1)``, linear
 ``<z, z'>``, polynomial ``(<z, z'> + offset)^degree`` and inverse
-multiquadric ``(c^2 + ||z-z'||^2)^(-beta)``.  The gaussian kernel with
-``rho = 1/d`` is the default throughout the package.
+multiquadric ``(c^2 + ||z-z'||^2)^(-beta)``.  ``Hyperparams()`` defaults
+to the gaussian kernel with ``rho = 1``; only the CLI (``make_kernel``)
+defaults to the gaussian with ``rho = 1/d``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      LossKind, NumericalError, accuracy, check_kkt,
                      check_prox_stationary, construct_gamma, from_solution,
                      gaussian_spec, gen_double_circles, gram_matrix, predict,
-                     prox_l01, ProxParams, solve, split, standardize,
-                     update_c, update_u, zeros_state)
+                     prox_l01, ProxParams, solve, solve_baseline, split,
+                     standardize, update_c, update_u, zeros_state)
 from zeroone import admm
 from zeroone.admm import _CoefficientSolver
 from zeroone.stationarity import feasibility, scaled_residuals
@@ -570,6 +570,16 @@ class TestSolve:
         other = gram_matrix(hp.kernel, np.eye(4))
         with pytest.raises(InputError):
             solve(ds, hp, gram=other)
+
+    def test_gram_of_another_kernel_rejected(self):
+        # same samples, so the fingerprint matches; only the kernel differs
+        ds = toy_dataset()
+        hp = Hyperparams(C=16.0, sigma=1.0, max_iter=300, kernel=LINEAR)
+        other = gram_matrix(gaussian_spec(0.5), ds.X)
+        with pytest.raises(InputError, match="another kernel"):
+            solve(ds, hp, gram=other)
+        with pytest.raises(InputError, match="another kernel"):
+            solve_baseline(ds, hp, LossKind.HINGE, gram=other)
 
     def test_max_iter_respected(self):
         ds = toy_dataset()

@@ -1,17 +1,52 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from zeroone import parse_csv, parse_libsvm, save_model
-from zeroone.cli import (RunConfig, bench_rows, main, prepare_splits,
-                         read_trace_csv, rows_to_csv)
+from zeroone import TraceRecord, parse_csv, parse_libsvm, save_model
+from zeroone.cli import (RunConfig, bench_rows, build_parser, config_from_args,
+                         main, prepare_splits, rows_to_csv)
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def trace_rows(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv, expected", [
+        (["gen"], {}),
+        (["train"], {}),
+        (["eval", "--model", "m.json"], {"model_path": "m.json"}),
+        (["certify", "--model", "m.json"], {"model_path": "m.json"}),
+        (["bench"], {}),
+        (["boundary", "--model", "m.json"], {"model_path": "m.json"}),
+    ])
+    def test_minimal_invocation_gives_runconfig_defaults(self, argv, expected):
+        cfg = config_from_args(build_parser().parse_args(argv))
+        assert cfg == RunConfig(command=argv[0], **expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "m.json", "--seed", "1"],
+        ["certify", "--model", "m.json", "--seed", "1"],
+        ["boundary", "--model", "m.json", "--seed", "1"],
+        ["train", "--dataset", "circles", "--format", "csv"],
+        ["bench", "--dataset", "circles", "--C", "4"],
+        ["gen", "--dataset", "circles", "--format", "json"],
+        ["bench", "--dataset", "circles", "--format", "libsvm"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
 
 
 class TestGen:
@@ -46,8 +81,9 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "train_acc=" in out and "nsv=" in out and "iters=" in out
         assert (tmp_path / "model.json").exists()
-        trace = read_trace_csv(str(tmp_path / "trace.csv"))
-        assert trace.iterations >= 1
+        header, rows = trace_rows(tmp_path / "trace.csv")
+        assert header == [f.name for f in fields(TraceRecord)]
+        assert len(rows) >= 1 and rows[0]["iter"] == "1"
 
     def test_summary_reports_solver_setup(self, tmp_path, capsys):
         # linear on 2-D data has rank 2; gaussian at m_train=72 stays dense
@@ -63,7 +99,7 @@ class TestTrain:
     def test_max_iter_one_row(self, tmp_path):
         run_cli("train", "--dataset", "moons", "--m", "40", "--seed", "2",
                 "--max-iter", "1", "--out", str(tmp_path))
-        assert read_trace_csv(str(tmp_path / "trace.csv")).iterations == 1
+        assert len(trace_rows(tmp_path / "trace.csv")[1]) == 1
 
     def test_missing_file_exit_code(self, capsys):
         path = "/nonexistent/dataset.txt"

@@ -1,7 +1,8 @@
-"""Every name a package module imports is referenced in that module.
+"""Every name a package module imports is referenced in that module, and
+every top-level private name is referenced somewhere in the package.
 
-Stdlib ``ast`` only: an import left behind when the code that used it
-goes fails here instead of waiting for a reader to notice it.
+Stdlib ``ast`` only: an import or a helper left behind when the code that
+used it goes fails here instead of waiting for a reader to notice it.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zeroone"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def imported_names(tree):
@@ -32,6 +34,37 @@ def referenced_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def private_definitions(tree):
+    """Top-level ``_name`` functions, classes and constants, with their
+    line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update({n: node.lineno for n in targets
+                      if n.startswith("_") and not n.startswith("__")})
+    return names
+
+
+def used_names(tree):
+    """Names a module loads, reads as an attribute (``admm._run_admm``) or
+    imports from another module."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
 def test_modules_found():
     assert len(MODULES) >= 5
 
@@ -51,3 +84,21 @@ def test_detects_a_leftover_import():
                      "def f():\n    return os.sep\n")
     names = imported_names(tree)
     assert set(names) - referenced_names(tree) == {"OrderedDict"}
+
+
+def test_no_orphaned_private_name():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in PACKAGE}
+    used = set().union(*map(used_names, trees.values()))
+    orphans = {f"{name}:{n}": line for name, tree in trees.items()
+               for n, line in private_definitions(tree).items() if n not in used}
+    assert not orphans, f"private names referenced nowhere in the package: {orphans}"
+
+
+def test_detects_an_orphaned_helper():
+    tree = ast.parse("_LIMIT = 3\n_unused = 0\n"
+                     "def _helper():\n    return _LIMIT\n"
+                     "def _orphan():\n    return _helper()\n"
+                     "class _Gone:\n    pass\n")
+    assert set(private_definitions(tree)) - used_names(tree) == {
+        "_unused", "_orphan", "_Gone"}
