@@ -8,12 +8,22 @@ rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 :func:`zeroone.stationarity.scaled_residuals` (stationarity, dual balance,
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
 stops once ``max(beta1, |beta2|, beta3, beta4) < eps``.
+
+One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
+``(C, sigma)`` per cell, one Gram) in lockstep: the state is ``(cells, m)``
+C-ordered, the elementwise steps run on the whole batch, and the
+matrix-vector products, the guarded coefficient solves and the dot
+products run per row with the calls a single vector makes, so each cell's
+trace is bitwise the same whether it is solved alone or in a batch.  A
+single solve is a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,10 +31,10 @@ from scipy.linalg.blas import dgemv, dsymv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import GramMatrix, KernelSpec, gaussian_spec, gram_matrix
 from .prox import LOSS, PROX, LossKind, ProxParams
-from .stationarity import feasibility, scaled_residuals
+from .stationarity import feasibility, row_norms, scaled_residuals
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
@@ -100,21 +110,36 @@ class TraceRecord:
     gamma_size: int
 
 
+# Values a trace stores per iteration: a TraceRecord without its ``iter``.
+_RECORD_WIDTH = len(fields(TraceRecord)) - 1
+
+
 @dataclass
 class SolveTrace:
     """Per-iteration residual/objective records, the termination reason,
     and how the coefficient solver was built: ``factor_rank`` is the rank
     of its low-rank kernel factor (``None`` for the dense inverse) and
-    ``setup_s`` the wall time, in seconds, to build it."""
+    ``setup_s`` the wall time, in seconds, to build it.
 
-    records: list[TraceRecord] = field(default_factory=list)
+    ``flat`` holds each iteration's record values as doubles, one after
+    another; a lockstep grid keeps every cell's trace until the batch
+    ends, and 48 bytes an iteration is a sixth of what record objects
+    cost.  :attr:`records` rebuilds the records from it."""
+
     termination: str = "max_iter"  # "tolerance_met" | "max_iter"
     factor_rank: Optional[int] = None
     setup_s: float = 0.0
+    flat: array = field(default_factory=lambda: array("d"), repr=False)
 
     @property
     def iterations(self) -> int:
-        return len(self.records)
+        return len(self.flat) // _RECORD_WIDTH
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        w, v = _RECORD_WIDTH, self.flat
+        return [TraceRecord(k + 1, *v[k * w:(k + 1) * w - 1], int(v[(k + 1) * w - 1]))
+                for k in range(self.iterations)]
 
 
 def zeros_state(m: int) -> AdmmState:
@@ -135,11 +160,17 @@ def update_u(eta, C, sigma, kind=LossKind.L01) -> tuple[np.ndarray, np.ndarray]:
     ``eta`` in ``(0, sqrt(2C/sigma)]``; for the baselines it is the zeros
     of the new slack vector.
     """
-    p = ProxParams(gamma=1.0 / sigma, C=C)
+    u, zeroed = _slack_step(eta, ProxParams(gamma=1.0 / sigma, C=C), kind)
+    return u, np.flatnonzero(zeroed)
+
+
+def _slack_step(eta, p: ProxParams, kind: LossKind) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`update_u` on a vector or a batch, with the zeroed set as a
+    boolean mask."""
     u = PROX[kind](eta, p)
     if kind == LossKind.L01:
-        return u, np.flatnonzero((eta > 0.0) & (eta <= p.tau))
-    return u, np.flatnonzero(u == 0.0)
+        return u, (eta > 0.0) & (eta <= p.tau)
+    return u, u == 0.0
 
 
 def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
@@ -171,6 +202,30 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
         d -= Lt[j] * Lt[j]
 
 
+class _GramFactor:
+    """What the coefficient solvers of one Gram share, whatever their
+    ``sigma``: ``K`` as a free F-ordered view, its pivoted-Cholesky factor
+    ``L`` (``None`` above rank ``m // 4``; a zero column at rank 0, since
+    BLAS takes no empty operand) and the factor's error on a fixed probe
+    ``p``, ``||K p - L L^T p||``, which each solver compares with its own
+    tolerance.  ``setup_s`` is the wall time to build it."""
+
+    def __init__(self, K: np.ndarray):
+        t0 = time.perf_counter()
+        self.K = K = np.asfortranarray(K.T)
+        m = len(K)
+        self.L = _pivoted_cholesky(K, m // 4)
+        self.rank = None if self.L is None else self.L.shape[1]
+        if self.rank == 0:
+            self.L = np.zeros((m, 1), order="F")
+        if self.L is not None:
+            p = np.random.default_rng(0).standard_normal(m)
+            LLp = dgemv(1.0, self.L, dgemv(1.0, self.L, p, trans=1))
+            self.probe_err = float(np.linalg.norm(dsymv(1.0, K, p, lower=1) - LLp))
+            self.probe_norm = float(np.linalg.norm(p))
+        self.setup_s = time.perf_counter() - t0
+
+
 class _CoefficientSolver:
     """Pre-factored solver for the coefficient update, reused across
     iterations.  :meth:`solve` returns ``c`` together with ``K c``, which
@@ -184,7 +239,8 @@ class _CoefficientSolver:
     semidefinite ``K``.
 
     The representation of ``A^-1`` follows the numerical rank ``r`` of
-    ``K``, found by :func:`_pivoted_cholesky`:
+    ``K``, found by :func:`_pivoted_cholesky` in a :class:`_GramFactor`,
+    which the solvers of every ``sigma`` on one Gram can share:
 
     * ``r <= m // 4`` (gaussian kernels on low-dimensional data, linear,
       low-degree polynomial): ``K = L L^T`` with ``L`` m x r, and Woodbury
@@ -214,25 +270,23 @@ class _CoefficientSolver:
     use (``L (L^T c)`` or ``K c``), not derived.  A failed or NaN check
     raises ``NumericalError``, and so does a Cholesky breakdown at set-up,
     which rounding can cause when ``sigma * |lambda_min(K)|`` reaches 1.
+
+    ``setup_s`` is the wall time, in seconds, to build the solver,
+    including its Gram factor's.
     """
 
-    def __init__(self, K: np.ndarray, sigma: float):
-        self.K = K = np.asfortranarray(K.T)
-        self.sigma = sigma
-        m = len(K)
-        self.L = _pivoted_cholesky(K, m // 4)
-        self.factor_rank = None if self.L is None else self.L.shape[1]
-        if self.factor_rank == 0:
-            # BLAS takes no empty operand; a zero column adds nothing to L L^T
-            self.L = np.zeros((m, 1), order="F")
-        if self.L is not None:
-            p = np.random.default_rng(0).standard_normal(m)
-            err = float(np.linalg.norm(dsymv(1.0, K, p, lower=1) - self.K_times(p)))
-            if err <= _SOLVE_RTOL * float(np.linalg.norm(p)) / sigma:
-                self.M_inv = self._inverse(dsyrk(1.0, self.L, trans=1, lower=1))
-                return
-            self.factor_rank = self.L = None
-        self.A_inv = self._inverse(np.array(K, dtype=float, order="F"))
+    def __init__(self, K: np.ndarray, sigma: float,
+                 factor: Optional[_GramFactor] = None):
+        f = factor if factor is not None else _GramFactor(K)
+        t0 = time.perf_counter()
+        self.K, self.sigma = f.K, sigma
+        self.L = self.factor_rank = None
+        if f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma:
+            self.L, self.factor_rank = f.L, f.rank
+            self.M_inv = self._inverse(dsyrk(1.0, self.L, trans=1, lower=1))
+        else:
+            self.A_inv = self._inverse(np.array(self.K, dtype=float, order="F"))
+        self.setup_s = f.setup_s + time.perf_counter() - t0
 
     def _inverse(self, A: np.ndarray) -> np.ndarray:
         """Lower triangle of ``(A + I/sigma)^-1``, written over ``A``."""
@@ -261,21 +315,35 @@ class _CoefficientSolver:
         return dgemv(1.0, self.L, dgemv(1.0, self.L, c, trans=1))
 
     def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``c`` and ``K c`` for one right-hand side; raises the
+        ``NumericalError`` of a failed check."""
+        c, Kc = np.empty((2, 1, len(xi)))
+        errors = self.solve_rows(xi[None], y, c, Kc)
+        if errors:
+            raise errors[0][1]
+        return c[0], Kc[0]
+
+    def solve_rows(self, xi: np.ndarray, y: np.ndarray, c: np.ndarray,
+                   Kc: np.ndarray) -> list:
+        """Write ``c`` and ``K c`` for each row of ``xi`` into the rows of
+        ``c`` and ``Kc``, each solved and checked as if alone; returns a
+        ``(row, NumericalError)`` pair for each row whose check failed."""
         dyxi = y * xi
-        if self.L is None:
-            c = dsymv(1.0, self.A_inv, dyxi, lower=1)
-        else:
-            z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, dyxi, trans=1), lower=1)
-            c = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=dyxi)
-        Kc = self.K_times(c)
-        resid = float(np.linalg.norm(Kc + c / self.sigma - dyxi))
-        bound = _SOLVE_RTOL * (1.0 + float(np.linalg.norm(xi)))
-        if not resid <= bound:
-            raise NumericalError(
-                f"coefficient solve residual {resid:.3e} exceeds {bound:.3e}",
-                cond=self._cond(),
-            )
-        return c, Kc
+        for j, d in enumerate(dyxi):
+            if self.L is None:
+                c[j] = dsymv(1.0, self.A_inv, d, lower=1)
+            else:
+                z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, d, trans=1), lower=1)
+                c[j] = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=d)
+            Kc[j] = self.K_times(c[j])
+        resid = c / self.sigma
+        resid += Kc  # Kc + c/sigma - y*xi, in place
+        resid -= dyxi
+        resid = row_norms(resid)
+        bound = _SOLVE_RTOL * (1.0 + row_norms(xi))
+        return [(j, NumericalError(
+            f"coefficient solve residual {resid[j]:.3e} exceeds {bound[j]:.3e}",
+            cond=self._cond())) for j in np.flatnonzero(~(resid <= bound))]
 
 
 def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut=None) -> np.ndarray:
@@ -292,72 +360,158 @@ def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut=None) -> np.ndarr
     return _CoefficientSolver(K, sigma).solve(xi, y)[0]
 
 
-def _run_admm(
-    K: np.ndarray,
-    y: np.ndarray,
-    hp: Hyperparams,
-    kind: LossKind,
-    init: Optional[AdmmState],
-    on_iteration: Optional[Callable[[AdmmState], None]],
-) -> tuple[AdmmState, SolveTrace]:
-    """Shared iteration of the zero-one solver and the baselines.
+def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
+    """One coefficient solver per distinct ``sigma`` on ``K``, all sharing
+    one :class:`_GramFactor`; a ``sigma`` whose set-up fails maps to its
+    ``ZeroOneError`` instead."""
+    factor = _GramFactor(K)
+    solvers = {}
+    for sigma in sigmas:
+        if sigma not in solvers:
+            try:
+                solvers[sigma] = _CoefficientSolver(K, sigma, factor)
+            except ZeroOneError as exc:
+                solvers[sigma] = exc
+    return solvers
 
-    ``kind`` picks the prox of the slack step and of beta4 and the loss of
-    the objective; the dual ascent is masked to the zeroed set for the
+
+def _run_admm(
+    solvers: dict,
+    y: np.ndarray,
+    hps: list[Hyperparams],
+    kind: LossKind,
+    init: Optional[AdmmState] = None,
+    on_iteration: Optional[Callable[[int, AdmmState], None]] = None,
+) -> list:
+    """Shared iteration of the zero-one solver and the baselines, run on a
+    batch of cells in lockstep.
+
+    Cell ``i`` solves the ``kind`` problem with ``hps[i]`` from the warm
+    start ``init`` (all zeros by default), using ``solvers[hps[i].sigma]``
+    from :func:`_coefficient_solvers` on the cells' common Gram.  ``kind``
+    picks the prox of the slack step and of beta4 and the loss of the
+    objective; the dual ascent is masked to the zeroed set for the
     zero-one loss only, and plain for the baselines.
+
+    A cell leaves the batch when it meets its tolerance, reaches its
+    ``max_iter``, or its solver's set-up or a solve raises a
+    ``ZeroOneError``.  ``on_iteration(i, state)`` receives a snapshot of
+    every cell still in the batch after each iteration.  Returns, per
+    cell, ``(AdmmState, SolveTrace)`` or the error that removed it.
     """
     m = len(y)
-    state = init if init is not None else zeros_state(m)
-    c, b, u, lam = state.c.copy(), float(state.b), state.u.copy(), state.lam.copy()
-    sigma, iota, C = hp.sigma, hp.iota, hp.C
+    results = [solvers[hp.sigma] for hp in hps]  # set-up errors stay
+    # ordered by sigma, so that the rows each solver serves are one slice
+    rows = sorted((i for i, s in enumerate(results)
+                   if not isinstance(s, ZeroOneError)), key=lambda i: hps[i].sigma)
+    if not rows:
+        return results
+    traces = {i: SolveTrace(factor_rank=results[i].factor_rank,
+                            setup_s=results[i].setup_s) for i in rows}
+    start = init if init is not None else zeros_state(m)
+
+    def per_row(name):
+        return np.array([getattr(hps[i], name) for i in rows], dtype=float)
+
+    def full(values):
+        # per-row constants are stored as whole rows: numpy broadcasts a
+        # (rows, 1) column over a batch several times slower
+        return np.repeat(values[:, None], m, axis=1)
+
+    sigma, C = full(per_row("sigma")), full(per_row("C"))
+    step_size = full(per_row("iota")) * sigma  # iota * sigma
     p = ProxParams(gamma=1.0 / sigma, C=C)
     prox, loss = PROX[kind], LOSS[kind]
-    t0 = time.perf_counter()
-    solver = _CoefficientSolver(K, sigma)
-    trace = SolveTrace(records=[], termination="max_iter",
-                       factor_rank=solver.factor_rank,
-                       setup_s=time.perf_counter() - t0)
-    Kc = solver.K_times(c)  # carried: feeds each next eta
-    gamma_k = state.gamma_k
-    eta = state.eta
-    xi = state.xi
-    r = state.r
-    omega = state.omega
+    Y = np.tile(y, (len(rows), 1))
+    b = np.full((len(rows), 1), float(start.b))
+    lam = np.tile(start.lam, (len(rows), 1))
+    Kc = np.array([results[i].K_times(start.c) for i in rows])  # carried
+    c = np.empty_like(Kc)
 
-    for k in range(hp.max_iter):
-        eta = 1.0 - y * Kc - b * y - lam / sigma
-        u, gamma_k = update_u(eta, C, sigma, kind)
-        xi = 1.0 - u - b * y - lam / sigma
-        c, Kc = solver.solve(xi, y)
-        r = 1.0 - u - y * Kc - lam / sigma
-        b = float(y @ r) / m
-        omega = feasibility(u, Kc, b, y)
-        if kind == LossKind.L01:
-            new_lam = np.zeros(m)
-            new_lam[gamma_k] = lam[gamma_k] + iota * sigma * omega[gamma_k]
-            lam = new_lam
-        else:
-            lam = lam + iota * sigma * omega
+    def state(j, k):
+        return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
+                         lam=lam[j].copy(), gamma_k=np.flatnonzero(zeroed[j]),
+                         eta=eta[j].copy(), xi=xi[j].copy(), r=r[j].copy(),
+                         omega=omega[j].copy(), iter=k)
+
+    def grouped():
+        """Each solver in use with the slice of rows it serves."""
+        groups, j = [], 0
+        for s, run in itertools.groupby(hps[i].sigma for i in rows):
+            n = len(list(run))
+            groups.append((solvers[s], slice(j, j + n)))
+            j += n
+        return groups
+
+    groups = grouped()
+    for k in range(1, max(hps[i].max_iter for i in rows) + 1):
+        # the in-place steps keep the operation order of the plain
+        # expressions (eta = 1 - y*Kc - b*y - lam/sigma, ...), and so their
+        # bits, with one temporary each instead of three or four
+        by, scaled_lam = b * Y, lam / sigma
+        eta = Y * Kc
+        np.subtract(1.0, eta, out=eta)
+        eta -= by
+        eta -= scaled_lam
+        u, zeroed = _slack_step(eta, p, kind)
+        xi = np.subtract(1.0, u)
+        xi -= by
+        xi -= scaled_lam
+        failed = {}
+        for s, rs in groups:
+            for j, exc in s.solve_rows(xi[rs], Y[rs], c[rs], Kc[rs]):
+                failed[rs.start + j] = exc
+        r = np.subtract(1.0, u)
+        r -= Y * Kc
+        r -= scaled_lam
+        b = np.vecdot(r, Y)[:, None] / m
+        omega = feasibility(u, Kc, b, Y)
+        step = step_size * omega
+        step += lam
+        lam = np.where(zeroed, step, 0.0) if kind == LossKind.L01 else step
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, y, prox(u - lam / sigma, p))
-        objective = 0.5 * float(c @ Kc) + C * loss(u)
-        trace.records.append(
-            TraceRecord(k + 1, beta1, beta2, beta3, beta4, objective, len(gamma_k))
-        )
-        if on_iteration is not None:
-            on_iteration(
-                AdmmState(c=c.copy(), b=b, u=u.copy(), lam=lam.copy(),
-                          gamma_k=gamma_k.copy(), eta=eta.copy(), xi=xi.copy(),
-                          r=r.copy(), omega=omega.copy(), iter=k + 1)
-            )
-        if max(beta1, abs(beta2), beta3, beta4) < hp.eps:
-            trace.termination = "tolerance_met"
-            break
+            c, u, lam, omega, Y, prox(u - lam / sigma, p))
+        objective = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
+        records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
+                      beta4.tolist(), objective.tolist(),
+                      zeroed.sum(axis=1).tolist())
+        leave = dict(failed)
+        for j, (i, rec) in enumerate(zip(rows, records)):
+            if j in failed:
+                continue
+            traces[i].flat.extend(rec)
+            if on_iteration is not None:
+                on_iteration(i, state(j, k))
+            met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
+            if met or k == hps[i].max_iter:
+                traces[i].termination = "tolerance_met" if met else "max_iter"
+                leave[j] = (state(j, k), traces[i])
+        if leave:
+            for j, out in leave.items():
+                results[rows[j]] = out
+            keep = np.ones(len(rows), dtype=bool)
+            keep[list(leave)] = False
+            if not keep.any():
+                break
+            rows = [i for i, kept in zip(rows, keep) if kept]
+            c, Kc, b, lam, Y, sigma, C, step_size = (
+                a[keep] for a in (c, Kc, b, lam, Y, sigma, C, step_size))
+            p = ProxParams(gamma=1.0 / sigma, C=C)
+            groups = grouped()
+    return results
 
-    final = AdmmState(c=c, b=b, u=u, lam=lam, gamma_k=gamma_k, eta=eta,
-                      xi=xi, r=r, omega=omega, iter=len(trace.records))
-    return final, trace
+
+def _solve_one(K, y, hp: Hyperparams, kind: LossKind, init, on_iteration
+               ) -> tuple[AdmmState, SolveTrace]:
+    """A batch of one on ``K``: its ``(AdmmState, SolveTrace)``, or the
+    error that removed it, raised."""
+    each = None if on_iteration is None else (lambda _, state: on_iteration(state))
+    (out,) = _run_admm(_coefficient_solvers(K, [hp.sigma]), y, [hp], kind,
+                       init, each)
+    if isinstance(out, ZeroOneError):
+        raise out
+    return out
 
 
 def _training_gram(dataset: Dataset, hp: Hyperparams,
@@ -414,4 +568,4 @@ def solve(
     identical traces.
     """
     K = _training_gram(dataset, hp, gram)
-    return _run_admm(K, dataset.y, hp, LossKind.L01, init, on_iteration)
+    return _solve_one(K, dataset.y, hp, LossKind.L01, init, on_iteration)

@@ -6,11 +6,13 @@ fixed-point gap use the matching prox, and the dual ascent runs unmasked
 (every multiplier accumulates the full feasibility violation).  This
 isolates the effect of the loss in any comparison, the solver being
 identical.  Baseline support vectors are the samples with a numerically
-nonzero multiplier.
+nonzero multiplier.  :func:`solve_grid` solves a whole (loss, C, sigma)
+grid on one Gram, one lockstep batch per loss.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from . import admm
 from .admm import AdmmState, Hyperparams, SolveTrace, _run_admm
 from .data import Dataset, StandardizeStats
+from .errors import InputError, ZeroOneError
 from .kernels import GramMatrix
 from .model import TrainedModel, from_solution
 from .prox import LOSS, LossKind
@@ -56,10 +59,54 @@ def solve_baseline(
     if kind is LossKind.L01:
         state, trace = admm.solve(dataset, hp, init=init, gram=gram,
                                   on_iteration=on_iteration)
-        return state, trace, from_solution(state, dataset, hp, scaling=scaling)
+        return state, trace, _model(kind, state, dataset, hp, scaling)
 
     K = admm._training_gram(dataset, hp, gram)
-    state, trace = _run_admm(K, dataset.y, hp, kind, init, on_iteration)
-    support = np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
-    model = from_solution(state, dataset, hp, scaling=scaling, support=support)
-    return state, trace, model
+    state, trace = admm._solve_one(K, dataset.y, hp, kind, init, on_iteration)
+    return state, trace, _model(kind, state, dataset, hp, scaling)
+
+
+def _model(kind: LossKind, state: AdmmState, dataset: Dataset,
+           hp: Hyperparams, scaling: Optional[StandardizeStats]) -> TrainedModel:
+    """The deployable model of one solve: the zero-one support rule, or
+    for a baseline the samples with a numerically nonzero multiplier."""
+    support = None if kind is LossKind.L01 else \
+        np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
+    return from_solution(state, dataset, hp, scaling=scaling, support=support)
+
+
+def solve_grid(
+    dataset: Dataset,
+    hps: list[Hyperparams],
+    kinds,
+    gram: Optional[GramMatrix] = None,
+    scaling: Optional[StandardizeStats] = None,
+) -> list:
+    """Solve every ``(kind, hp)`` cell on ``dataset``: one lockstep batch
+    per kind over all of ``hps``, whose kernel they must share, with one
+    coefficient solver per ``sigma`` shared by every kind.
+
+    Returns one entry per cell in kind-major order, each either
+    ``(state, trace, model, wall_s)`` or the ``ZeroOneError`` that removed
+    the cell from its batch; every other cell is unaffected by it.  The
+    cells are bitwise those of :func:`solve_baseline`.  ``wall_s`` is the
+    cell's share of its batch's wall time (the iterations and the models),
+    in proportion to its iterations, so the shares of a kind sum to its
+    batch's time.  The Gram and the solvers' set-up are timed in no cell.
+    """
+    if any(hp.kernel != hps[0].kernel for hp in hps):
+        raise InputError("the cells of a grid must share one kernel")
+    K = admm._training_gram(dataset, hps[0], gram)
+    solvers = admm._coefficient_solvers(K, [hp.sigma for hp in hps])
+    cells = []
+    for kind in map(LossKind, kinds):
+        t0 = time.perf_counter()
+        batch = [out if isinstance(out, ZeroOneError)
+                 else (*out, _model(kind, out[0], dataset, hp, scaling))
+                 for out, hp in zip(_run_admm(solvers, dataset.y, hps, kind), hps)]
+        wall = time.perf_counter() - t0
+        done = [out for out in batch if not isinstance(out, ZeroOneError)]
+        iters = sum(out[1].iterations for out in done)
+        cells += [out if isinstance(out, ZeroOneError)
+                  else (*out, wall * out[1].iterations / iters) for out in batch]
+    return cells

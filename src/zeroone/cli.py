@@ -127,15 +127,17 @@ def run_single(train, test, hp, kind, gram=None, scaling=None) -> tuple[dict, "m
     t0 = time.perf_counter()
     state, trace, mdl = baselines.solve_baseline(train, hp, kind, gram=gram,
                                                  scaling=scaling)
-    wall_s = time.perf_counter() - t0
-    train_acc = model_mod.accuracy(model_mod.predict(mdl, train.X), train.y)
-    test_acc = model_mod.accuracy(model_mod.predict(mdl, test.X), test.y)
-    row = {
-        "train_acc": train_acc, "test_acc": test_acc, "nsv": mdl.nsv,
-        "wall_s": wall_s, "iters": trace.iterations,
+    return _metrics(train, test, mdl, trace, time.perf_counter() - t0), mdl, trace
+
+
+def _metrics(train, test, mdl, trace: SolveTrace, wall_s: float) -> dict:
+    """The result columns of one solved cell."""
+    return {
+        "train_acc": model_mod.accuracy(model_mod.predict(mdl, train.X), train.y),
+        "test_acc": model_mod.accuracy(model_mod.predict(mdl, test.X), test.y),
+        "nsv": mdl.nsv, "wall_s": wall_s, "iters": trace.iterations,
         "termination": trace.termination,
     }
-    return row, mdl, trace
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +203,12 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    if len(cfg.loss) != 1:
+        raise InputError("train takes one --loss kind, got "
+                         + ",".join(LossKind(k).value for k in cfg.loss))
     train, test, stats = prepare_splits(cfg)
     hp = _hyperparams(cfg, make_kernel(cfg, train.d), cfg.C, cfg.sigma)
-    kind = cfg.loss[0]
-    row, mdl, trace = run_single(train, test, hp, kind, scaling=stats)
+    row, mdl, trace = run_single(train, test, hp, cfg.loss[0], scaling=stats)
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     model_path = os.path.join(outdir, "model.json")
@@ -284,8 +288,7 @@ def _cv_folds(train: data.Dataset, folds: int, seed: int):
 
 
 def bench_rows(cfg: RunConfig) -> list[dict]:
-    """Run the (loss, C, sigma) grid, one cell after another, and return
-    result rows in grid order.
+    """Run the (loss, C, sigma) grid and return result rows in grid order.
 
     Each row carries the five evaluation metrics plus a ``selection`` mark:
     per loss kind, ``paper`` flags the row with the best test accuracy
@@ -294,9 +297,18 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
     in ``--selection paper`` mode.  Failed runs keep their row with the
     error recorded; the grid continues.
 
-    ``wall_s`` times the cell's training solve only: the k fold solves of
-    ``--selection cv`` are timed in no column.
+    Rows of two runs differ only in ``wall_s``: the cell's share of its
+    loss's training batch (see :func:`baselines.solve_grid`).  The fold
+    batches' shares, ``cv_wall_s``, are a column of ``zeroone bench`` only.
     """
+    return _bench(cfg)[0]
+
+
+def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
+    """:func:`bench_rows` and each row's summed share of its fold batches.
+
+    Per Gram (the training half's, then each fold's), one lockstep batch
+    per loss kind solves every (C, sigma) cell."""
     train, test, stats = prepare_splits(cfg)
     if cfg.selection == "cv" and not 2 <= cfg.cv_folds <= train.n:
         raise InputError(f"--cv-folds must be in [2, {train.n}] "
@@ -310,26 +322,33 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
         if cfg.selection == "cv" else []
     cv_grams = [gram_matrix(kernel, tr.X) for tr, _ in cv_pairs]
 
-    rows = []
-    for kind, C, sigma in itertools.product(kinds, cfg.grid_c, cfg.grid_sigma):
-        hp = _hyperparams(cfg, kernel, C, sigma)
-        row = {"dataset": name, "r": cfg.noise_rate, "loss": kind.value,
-               "C": C, "sigma": sigma, "selection": "", "error": ""}
-        try:
-            metrics, _, _ = run_single(train, test, hp, kind,
-                                       gram=gram, scaling=stats)
-            row.update(metrics)
-            if cv_pairs:
-                scores = []
-                for (ftr, fte), fgram in zip(cv_pairs, cv_grams):
-                    _, _, fmdl = baselines.solve_baseline(ftr, hp, kind,
-                                                          gram=fgram)
-                    scores.append(model_mod.accuracy(
-                        model_mod.predict(fmdl, fte.X), fte.y))
-                row["cv_acc"] = float(np.mean(scores))
-        except ZeroOneError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
+    cells = list(itertools.product(cfg.grid_c, cfg.grid_sigma))
+    hps = [_hyperparams(cfg, kernel, C, sigma) for C, sigma in cells]
+    rows = [{"dataset": name, "r": cfg.noise_rate, "loss": kind.value,
+             "C": C, "sigma": sigma, "selection": "", "error": ""}
+            for kind in kinds for C, sigma in cells]
+    for row, out in zip(rows, baselines.solve_grid(train, hps, kinds, gram=gram,
+                                                   scaling=stats)):
+        if isinstance(out, ZeroOneError):
+            row["error"] = str(out)
+        else:
+            _, trace, mdl, wall_s = out
+            row.update(_metrics(train, test, mdl, trace, wall_s))
+
+    scores = [[] for _ in rows]
+    cv_walls = [0.0] * len(rows)
+    for (ftr, fte), fgram in zip(cv_pairs, cv_grams):
+        for i, out in enumerate(baselines.solve_grid(ftr, hps, kinds, gram=fgram)):
+            if isinstance(out, ZeroOneError):
+                rows[i]["error"] = rows[i]["error"] or str(out)
+            else:
+                _, _, fmdl, wall_s = out
+                scores[i].append(model_mod.accuracy(
+                    model_mod.predict(fmdl, fte.X), fte.y))
+                cv_walls[i] += wall_s
+    for row, fold_scores in zip(rows, scores):
+        if cv_pairs and not row["error"]:
+            row["cv_acc"] = float(np.mean(fold_scores))
 
     for kind in kinds:
         ok = [(i, r) for i, r in enumerate(rows)
@@ -344,16 +363,20 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
                                            -ir[0]))[0]
             mark = rows[cv_i]["selection"]
             rows[cv_i]["selection"] = (mark + "+cv") if mark else "cv"
-    return rows
+    return rows, cv_walls
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    rows = bench_rows(cfg)
+    rows, cv_walls = _bench(cfg)
     columns = list(BENCH_COLUMNS)
     if cfg.selection == "cv":
+        columns.insert(columns.index("wall_s") + 1, "cv_wall_s")
         columns.insert(columns.index("selection"), "cv_acc")
+        for row, cv_wall_s in zip(rows, cv_walls):
+            if "cv_acc" in row:
+                row["cv_wall_s"] = cv_wall_s
     for row in rows:
-        for key in ("train_acc", "test_acc", "cv_acc", "wall_s"):
+        for key in ("train_acc", "test_acc", "cv_acc", "wall_s", "cv_wall_s"):
             if isinstance(row.get(key), float):
                 row[key] = round(row[key], 6)
     _emit(_format_rows(rows, columns, cfg.fmt), cfg.out)
@@ -400,8 +423,10 @@ def cmd_boundary(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_source(p):
-    p.add_argument("--data", dest="data_path", help="dataset file (libsvm or csv)")
+def _add_source(p, data=True):
+    if data:
+        p.add_argument("--data", dest="data_path",
+                       help="dataset file (libsvm or csv)")
     p.add_argument("--dataset", dest="generator", choices=["circles", "moons"],
                    help="synthetic generator")
     p.add_argument("--m", type=int, help="generated sample count")
@@ -446,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_source(p)
+    _add_source(p, data=False)
     p.add_argument("--format", dest="fmt", choices=["csv", "libsvm"],
                    help="output format (default csv)")
 

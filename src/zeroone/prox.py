@@ -2,7 +2,9 @@
 its unweighted loss, and the tables mapping a :class:`LossKind` to both.
 
 Each operator maps ``eta`` to the coordinatewise minimizer of
-``C * loss(v) + (v - eta)^2 / (2 * gamma)``.  Comparisons against the
+``C * loss(v) + (v - eta)^2 / (2 * gamma)``.  ``eta`` may be one vector or
+a ``(rows, m)`` batch whose rows carry their own ``gamma`` and ``C`` (see
+:class:`ProxParams`); each loss is summed per row.  Comparisons against the
 thresholds use exact floating-point ``>`` / ``<=`` with no epsilon; the
 stationarity certificates compensate on their side when they pick a step
 size sitting on a threshold.
@@ -10,8 +12,8 @@ size sitting on a threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -29,24 +31,25 @@ class LossKind(str, Enum):
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Step size ``gamma`` and loss weight ``C``, both strictly positive."""
+    """Step size ``gamma`` and loss weight ``C``, both strictly positive:
+    floats, or ``(rows, 1)`` columns giving each row of a batch its own."""
 
-    gamma: float
-    C: float
+    gamma: float | np.ndarray
+    C: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.C > 0):
+        if not (np.all(self.gamma > 0) and np.all(self.C > 0)):
             raise ConfigError("gamma and C must be > 0")
 
-    @property
-    def tau(self) -> float:
+    @cached_property
+    def tau(self) -> float | np.ndarray:
         """Zeroing threshold sqrt(2*gamma*C) of the zero-one hinge prox."""
-        return math.sqrt(2.0 * self.gamma * self.C)
+        return np.sqrt(2.0 * self.gamma * self.C)
 
 
-def loss_l01(u: np.ndarray) -> float:
+def loss_l01(u: np.ndarray) -> float | np.ndarray:
     """Zero-one hinge loss ``count(u_i > 0)``."""
-    return float(np.count_nonzero(u > 0.0))
+    return (u > 0.0).sum(axis=-1, dtype=float)
 
 
 def prox_l01(eta, p: ProxParams) -> np.ndarray:
@@ -60,9 +63,9 @@ def prox_l01(eta, p: ProxParams) -> np.ndarray:
     return np.where((eta > 0.0) & (eta <= p.tau), 0.0, eta)
 
 
-def loss_hinge(u: np.ndarray) -> float:
+def loss_hinge(u: np.ndarray) -> float | np.ndarray:
     """Hinge loss ``sum(max(u_i, 0))``."""
-    return float(np.sum(np.maximum(u, 0.0)))
+    return np.sum(np.maximum(u, 0.0), axis=-1)
 
 
 def prox_hinge(eta, p: ProxParams) -> np.ndarray:
@@ -76,10 +79,10 @@ def prox_hinge(eta, p: ProxParams) -> np.ndarray:
     return np.where(eta > gc, eta - gc, np.where(eta < 0.0, eta, 0.0))
 
 
-def loss_sqhinge(u: np.ndarray) -> float:
+def loss_sqhinge(u: np.ndarray) -> float | np.ndarray:
     """Squared hinge loss ``sum(max(u_i, 0)^2)``."""
     pos = np.maximum(u, 0.0)
-    return float(np.sum(pos * pos))
+    return np.sum(pos * pos, axis=-1)
 
 
 def prox_sqhinge(eta, p: ProxParams) -> np.ndarray:

@@ -94,28 +94,37 @@ def subdiff_l01_contains(u, v, tol: float = 1e-9) -> bool:
 
 def feasibility(u, Kc, b, y) -> np.ndarray:
     """Feasibility vector ``omega = u + diag(y) K c + b y - 1``, from a
-    precomputed ``K c``."""
+    precomputed ``K c``; for a batch, ``b`` is a ``(rows, 1)`` column."""
     return u + y * Kc + b * y - 1.0
 
 
-def scaled_residuals(c, u, lam, omega, y, u_prox=None
-                     ) -> tuple[float, float, float, Optional[float]]:
+def row_norms(X) -> np.ndarray:
+    """Euclidean norm of a vector, or of each row of a batch, as
+    ``sqrt(x @ x)``: ``np.linalg.norm``'s own formula for a real vector.
+    ``np.vecdot`` makes one BLAS dot per row, so a row's norm is bitwise
+    the norm of that row alone."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def scaled_residuals(c, u, lam, omega, y, u_prox=None):
     """The four scaled residuals ``(beta1, beta2, beta3, beta4)``.
 
     ``omega`` is the :func:`feasibility` vector and ``u_prox`` the prox
     image ``prox(u - gamma*lam)``; ``beta4`` is ``None`` without it.
     ``beta2`` is returned signed; the stopping rule and the certificates
-    take its absolute value.
+    take its absolute value.  Each residual is a float for vector inputs,
+    and an array with one entry per row for ``(rows, m)`` batches, for
+    which ``y`` may be the label vector or one copy of it per row.
     """
-    m = len(y)
-    beta1 = float(np.linalg.norm(c + y * lam)) / (
-        1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(lam))
-    )
-    beta2 = float(y @ lam) / m
-    beta3 = float(np.linalg.norm(omega)) / math.sqrt(m)
-    beta4 = None if u_prox is None else float(np.linalg.norm(u - u_prox)) / (
-        1.0 + float(np.linalg.norm(u))
-    )
+    m = np.shape(y)[-1]
+    beta1 = row_norms(c + y * lam) / (1.0 + row_norms(c) + row_norms(lam))
+    beta2 = np.vecdot(lam, y) / m
+    beta3 = row_norms(omega) / math.sqrt(m)
+    beta4 = None if u_prox is None else row_norms(u - u_prox) / (
+        1.0 + row_norms(u))
+    if np.ndim(c) == 1:
+        return (float(beta1), float(beta2), float(beta3),
+                None if beta4 is None else float(beta4))
     return beta1, beta2, beta3, beta4
 
 

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import toy_dataset
-from zeroone import (Hyperparams, LossKind, ProxParams, accuracy,
-                     gaussian_spec, gen_double_circles, objective, predict,
-                     prox_hinge, solve, solve_baseline, split,
-                     standardize)
+from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
+                     LossKind, NumericalError, ProxParams, accuracy,
+                     flip_labels, gaussian_spec, gen_double_circles,
+                     gen_double_moons, gram_matrix, objective, predict,
+                     prox_hinge, solve, solve_baseline, split, standardize)
+from zeroone.baselines import solve_grid
 
 
 class TestObjective:
@@ -108,3 +112,68 @@ class TestSolveBaseline:
         _, _, m_l0 = solve_baseline(train, hp, LossKind.L01)
         _, _, m_hinge = solve_baseline(train, hp, LossKind.HINGE)
         assert m_l0.nsv < m_hinge.nsv
+
+
+def _moons_grid(max_iter=300):
+    """Noisy moons (m_train 60) and a (C, sigma) grid whose cells mix
+    terminations for every loss; l01 stops at iteration 1 at (0.5, 2)."""
+    ds = flip_labels(gen_double_moons(100, seed=7), 0.1, seed=8)
+    train, test = split(ds, seed=9)
+    train, _, _ = standardize(train, test)
+    kernel = gaussian_spec(1.0 / train.d)
+    hps = [Hyperparams(C=C, sigma=sigma, max_iter=max_iter, kernel=kernel)
+           for C, sigma in itertools.product((0.5, 4.0, 64.0), (1.0, 2.0))]
+    return train, hps, gram_matrix(kernel, train.X)
+
+
+class TestSolveGrid:
+    def test_cells_bitwise_equal_solves_alone(self):
+        train, hps, gram = _moons_grid()
+        cells = solve_grid(train, hps, list(LossKind), gram=gram)
+        terminations = set()
+        for (kind, hp), (state, trace, model, _) in zip(
+                itertools.product(LossKind, hps), cells):
+            alone, alone_trace, alone_model = solve_baseline(train, hp, kind,
+                                                             gram=gram)
+            assert trace.records == alone_trace.records
+            assert trace.termination == alone_trace.termination
+            assert (state.b, state.iter) == (alone.b, alone.iter)
+            for name in ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega"):
+                assert getattr(state, name).tobytes() == \
+                    getattr(alone, name).tobytes(), (kind, hp.C, hp.sigma, name)
+            np.testing.assert_array_equal(model.support, alone_model.support)
+            terminations.add((kind, trace.termination))
+        assert len(terminations) == 6
+        assert cells[1][1].iterations == 1  # l01, C=0.5, sigma=2
+
+    def test_wall_shares_follow_iterations(self):
+        train, hps, gram = _moons_grid(max_iter=50)
+        cells = solve_grid(train, hps, [LossKind.L01, LossKind.HINGE], gram=gram)
+        for batch in (cells[:len(hps)], cells[len(hps):]):
+            per_iter = [wall / trace.iterations for _, trace, _, wall in batch]
+            assert min(per_iter) > 0.0
+            assert max(per_iter) == pytest.approx(min(per_iter), rel=1e-9)
+
+    def test_failed_set_up_removes_only_its_sigma(self):
+        # lambda_min(K) = -3: K + I/sigma has a Cholesky factor for
+        # sigma = 0.1 and none for sigma = 1
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        K = (Q * np.array([-3.0, 0.5, 1.0, 1.5, 2.0, 2.5])) @ Q.T
+        K = 0.5 * (K + K.T)
+        linear = KernelSpec("linear", {})
+        ds = Dataset(X=rng.normal(size=(6, 2)), y=np.array([1.0, -1.0] * 3))
+        gram = GramMatrix(entries=K, spec=linear, fingerprint=ds.fingerprint())
+        hps = [Hyperparams(C=1.0, sigma=s, max_iter=30, kernel=linear)
+               for s in (0.1, 1.0)]
+        ok, failed = solve_grid(ds, hps, [LossKind.HINGE], gram=gram)
+        assert isinstance(failed, NumericalError)
+        alone, trace, _ = solve_baseline(ds, hps[0], LossKind.HINGE, gram=gram)
+        assert ok[1].records == trace.records
+        assert ok[0].c.tobytes() == alone.c.tobytes()
+
+    def test_cells_share_one_kernel(self):
+        train, hps, gram = _moons_grid(max_iter=5)
+        hps[1] = Hyperparams(C=1.0, sigma=1.0, kernel=KernelSpec("linear", {}))
+        with pytest.raises(InputError, match="one kernel"):
+            solve_grid(train, hps, [LossKind.L01], gram=gram)

@@ -6,9 +6,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from zeroone import TraceRecord, parse_csv, parse_libsvm, save_model
-from zeroone.cli import (RunConfig, bench_rows, build_parser, config_from_args,
-                         main, prepare_splits, rows_to_csv)
+from zeroone import (NumericalError, TraceRecord, admm, parse_csv, parse_libsvm,
+                     save_model)
+from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
+                         config_from_args, main, make_kernel, prepare_splits,
+                         rows_to_csv, run_single)
+from zeroone.kernels import gram_matrix
 
 
 def run_cli(*argv):
@@ -46,6 +49,18 @@ class TestSurface:
     def test_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(*argv)
+        assert info.value.code == 2
+
+    def test_gen_options(self, capsys):
+        # gen generates; it takes no --data to convert
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        gen = sub.choices["gen"]
+        options = {o for a in gen._actions if a.dest != "help"
+                   for o in a.option_strings}
+        assert options == {"--dataset", "--m", "--factor", "--noise-std",
+                           "--seed", "--out", "--format"}
+        with pytest.raises(SystemExit) as info:
+            run_cli("gen", "--data", "c.csv", "--dataset", "moons")
         assert info.value.code == 2
 
 
@@ -95,6 +110,16 @@ class TestTrain:
             assert rank in line
             setup = float(line.split("setup_seconds=")[1].split()[0])
             assert 0.0 <= setup <= float(line.split("wall_seconds=")[1].split()[0])
+
+    def test_more_than_one_loss_rejected(self, tmp_path, capsys):
+        assert run_cli("train", "--dataset", "circles", "--m", "60",
+                       "--seed", "1", "--loss", "hinge_l1,l01",
+                       "--max-iter", "50", "--out", str(tmp_path)) == 4
+        assert "one --loss" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+        assert run_cli("train", "--dataset", "circles", "--m", "60",
+                       "--seed", "1", "--loss", "hinge_l1",
+                       "--max-iter", "50", "--out", str(tmp_path)) == 0
 
     def test_max_iter_one_row(self, tmp_path):
         run_cli("train", "--dataset", "moons", "--m", "40", "--seed", "2",
@@ -263,6 +288,22 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["loss"] == "l01"
 
+    def test_cv_wall_s_column(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--dataset", "circles", "--m", "80",
+                       "--seed", "3", "--grid-c", "1,16", "--grid-sigma", "1",
+                       "--max-iter", "100", "--cv-folds", "3",
+                       "--format", "csv", "--out", str(out)) == 0
+        with open(out) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        cols = reader.fieldnames
+        assert cols.index("cv_wall_s") == cols.index("wall_s") + 1
+        assert all(float(r["cv_wall_s"]) > 0.0 for r in rows)
+        assert "cv_wall_s" not in bench_rows(RunConfig(
+            command="bench", generator="circles", m=80, seed=3,
+            grid_c=(1.0,), grid_sigma=(1.0,), max_iter=20, cv_folds=3))[0]
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli("bench", "--dataset", "circles", "--grid-c", "",
                        "--max-iter", "10") == 4
@@ -273,6 +314,92 @@ class TestBench:
                        "--out", str(tmp_path)) == 4
         assert run_cli("bench", "--dataset", "circles", "--m", "40",
                        "--loss", ",", "--max-iter", "10") == 4
+
+
+# Moons m=100, noise 0.05: every loss mixes tolerance_met and max_iter
+# cells, and l01 at (C=0.5, sigma=2) stops at iteration 1 (2C < sigma).
+LOCKSTEP = dict(command="bench", generator="moons", m=100, seed=7,
+                noise_rate=0.05, grid_c=(0.5, 4.0, 64.0), grid_sigma=(1.0, 2.0),
+                max_iter=300, loss=("l01", "hinge_l1", "squared_hinge_l2"),
+                selection="paper")
+
+
+def _without_wall(rows):
+    return [{k: v for k, v in r.items() if k != "wall_s"} for r in rows]
+
+
+class TestLockstepGrid:
+    """``bench_rows`` solves each loss's cells in one lockstep batch; every
+    row must be the row of that cell solved alone."""
+
+    def test_rows_equal_cells_solved_alone(self):
+        cfg = RunConfig(**LOCKSTEP)
+        rows = bench_rows(cfg)
+        train, test, stats = prepare_splits(cfg)
+        kernel = make_kernel(cfg, train.d)
+        gram = gram_matrix(kernel, train.X)
+        alone = []
+        for row in rows:
+            hp = _hyperparams(cfg, kernel, row["C"], row["sigma"])
+            metrics, _, _ = run_single(train, test, hp, row["loss"],
+                                       gram=gram, scaling=stats)
+            alone.append({**row, **metrics})
+        assert _without_wall(rows) == _without_wall(alone)
+        terms = {(r["loss"], r["termination"]) for r in rows}
+        assert terms == {(k, t) for k in cfg.loss
+                         for t in ("tolerance_met", "max_iter")}
+        trivial = next(r for r in rows if (r["loss"], r["C"], r["sigma"])
+                       == ("l01", 0.5, 2.0))
+        assert trivial["iters"] == 1
+
+    def test_failed_cell_keeps_its_error_only(self, monkeypatch):
+        clean = bench_rows(RunConfig(**LOCKSTEP))
+        real = admm._CoefficientSolver.solve_rows
+        calls = []
+
+        def third_sigma1_call_fails_row_1(self, xi, y, c, Kc):
+            # the first batch is l01; its sigma=1 rows are, in grid order,
+            # the cells C = 0.5, 4, 64: row 1 is (C=4, sigma=1)
+            errors = real(self, xi, y, c, Kc)
+            calls.append(self.sigma)
+            if self.sigma == 1.0 and calls.count(1.0) == 3:
+                errors = errors + [(1, NumericalError("injected"))]
+            return errors
+
+        monkeypatch.setattr(admm._CoefficientSolver, "solve_rows",
+                            third_sigma1_call_fails_row_1)
+        rows = bench_rows(RunConfig(**LOCKSTEP))
+        failed = [r for r in rows if r["error"]]
+        assert [(r["loss"], r["C"], r["sigma"], r["error"]) for r in failed] \
+            == [("l01", 4.0, 1.0, "injected")]
+        assert "iters" not in failed[0]
+        others = [r for r in rows if not r["error"]]
+        want = [r for r in clean if (r["loss"], r["C"], r["sigma"])
+                != ("l01", 4.0, 1.0)]
+        assert _without_wall(others) == _without_wall(want)
+
+    @pytest.mark.parametrize("selection, folds, grams", [
+        ("paper", 5, 1), ("cv", 3, 4)])
+    def test_one_solver_per_sigma_per_gram(self, monkeypatch, selection,
+                                           folds, grams):
+        built, factored = [], []
+        real_cholesky = admm._pivoted_cholesky
+
+        class Counted(admm._CoefficientSolver):
+            def __init__(self, *args, **kw):
+                built.append(1)
+                super().__init__(*args, **kw)
+
+        def counted_cholesky(K, max_rank):
+            factored.append(1)
+            return real_cholesky(K, max_rank)
+
+        monkeypatch.setattr(admm, "_CoefficientSolver", Counted)
+        monkeypatch.setattr(admm, "_pivoted_cholesky", counted_cholesky)
+        bench_rows(RunConfig(**{**LOCKSTEP, "max_iter": 20,
+                                "selection": selection, "cv_folds": folds}))
+        assert len(built) == 2 * grams  # two sigmas, shared by the 3 losses
+        assert len(factored) == grams
 
 
 class TestPrepareSplits:
