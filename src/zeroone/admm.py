@@ -33,11 +33,14 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from .data import Dataset
 from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import GramMatrix, KernelSpec, gaussian_spec, gram_matrix
-from .prox import LOSS, PROX, LossKind, ProxParams
-from .stationarity import feasibility, row_norms, scaled_residuals
+from .prox import LOSS, PROX, LossKind, ProxParams, prox_l01_zeroed
+from .stationarity import row_norms, scaled_residuals
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
+
+# Alignment, in bytes, of the matrices the iteration's BLAS calls read.
+_ALIGN = 64
 
 
 @dataclass
@@ -167,10 +170,26 @@ def update_u(eta, C, sigma, kind=LossKind.L01) -> tuple[np.ndarray, np.ndarray]:
 def _slack_step(eta, p: ProxParams, kind: LossKind) -> tuple[np.ndarray, np.ndarray]:
     """:func:`update_u` on a vector or a batch, with the zeroed set as a
     boolean mask."""
-    u = PROX[kind](eta, p)
     if kind == LossKind.L01:
-        return u, (eta > 0.0) & (eta <= p.tau)
+        return prox_l01_zeroed(eta, p)
+    u = PROX[kind](eta, p)
     return u, u == 0.0
+
+
+def _aligned_empty(shape: tuple, order: str = "F") -> np.ndarray:
+    """Uninitialised float array whose data starts on an ``_ALIGN``-byte
+    (cache-line) boundary.
+
+    numpy promises 16 bytes, and where the allocator puts a matrix changes
+    from one process to the next.  On a 2-vCPU Xeon with OpenBLAS, ``K c``
+    through a 1200 x 162 factor took 55-70 us from a cache-line boundary
+    and 75-105 us from the other offsets, so a solve's speed hung on that
+    placement.  The bits of a product do not depend on it.
+    """
+    n = int(np.prod(shape))
+    buf = np.empty(n + _ALIGN // 8)
+    start = (-buf.ctypes.data % _ALIGN) // 8
+    return buf[start:start + n].reshape(shape, order=order)
 
 
 def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
@@ -179,7 +198,8 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
 
     Each step takes the largest remaining diagonal entry as pivot and reads
     that column of ``K`` in place, so ``K`` is never copied, and the work
-    buffer holds at most ``max_rank`` rows of length m.  It stops
+    buffer holds at most ``max_rank`` rows of length m; it and ``L`` are
+    cache-line aligned (see :func:`_aligned_empty`).  It stops
     once every remaining diagonal entry is at most ``m * eps * max(diag K)``,
     LAPACK's default tolerance; for a positive semidefinite ``K`` the
     remainder ``K - L L^T`` is then positive semidefinite with trace at most
@@ -188,11 +208,13 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
     m = len(K)
     d = K.diagonal().copy()
     tol = m * np.finfo(float).eps * d.max()
-    Lt = np.empty((max_rank, m))
+    Lt = _aligned_empty((max_rank, m), order="C")
     for j in range(max_rank + 1):
         i = int(np.argmax(d))
         if d[i] <= tol:
-            return Lt[:j].copy().T
+            L = _aligned_empty((m, j))
+            L[...] = Lt[:j].T
+            return L
         if j == max_rank:
             return None
         # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T,
@@ -285,13 +307,16 @@ class _CoefficientSolver:
             self.L, self.factor_rank = f.L, f.rank
             self.M_inv = self._inverse(dsyrk(1.0, self.L, trans=1, lower=1))
         else:
-            self.A_inv = self._inverse(np.array(self.K, dtype=float, order="F"))
+            self.A_inv = self._inverse(self.K)
         self.setup_s = f.setup_s + time.perf_counter() - t0
 
     def _inverse(self, A: np.ndarray) -> np.ndarray:
-        """Lower triangle of ``(A + I/sigma)^-1``, written over ``A``."""
-        A.flat[::A.shape[0] + 1] += 1.0 / self.sigma
-        L, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
+        """Lower triangle of ``(A + I/sigma)^-1``, written over a cache-line
+        aligned F-ordered copy of ``A`` (see :func:`_aligned_empty`)."""
+        A_copy = _aligned_empty(A.shape)
+        A_copy[...] = A
+        A_copy.flat[::len(A) + 1] += 1.0 / self.sigma
+        L, info = dpotrf(A_copy, lower=True, clean=False, overwrite_a=True)
         if info == 0:
             A_inv, info = dpotri(L, lower=True, overwrite_c=True)
         if info != 0:
@@ -341,9 +366,12 @@ class _CoefficientSolver:
         resid -= dyxi
         resid = row_norms(resid)
         bound = _SOLVE_RTOL * (1.0 + row_norms(xi))
+        ok = resid <= bound
+        if ok.all():
+            return []
         return [(j, NumericalError(
             f"coefficient solve residual {resid[j]:.3e} exceeds {bound[j]:.3e}",
-            cond=self._cond())) for j in np.flatnonzero(~(resid <= bound))]
+            cond=self._cond())) for j in np.flatnonzero(~ok)]
 
 
 def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut=None) -> np.ndarray:
@@ -444,13 +472,14 @@ def _run_admm(
         return groups
 
     groups = grouped()
+    # y*Kc, b*y and lam/sigma of one iteration are the first operands of
+    # the next one's eta and xi, so each is computed once
+    yKc, by, scaled_lam = Y * Kc, b * Y, lam / sigma
     for k in range(1, max(hps[i].max_iter for i in rows) + 1):
         # the in-place steps keep the operation order of the plain
         # expressions (eta = 1 - y*Kc - b*y - lam/sigma, ...), and so their
         # bits, with one temporary each instead of three or four
-        by, scaled_lam = b * Y, lam / sigma
-        eta = Y * Kc
-        np.subtract(1.0, eta, out=eta)
+        eta = np.subtract(1.0, yKc)
         eta -= by
         eta -= scaled_lam
         u, zeroed = _slack_step(eta, p, kind)
@@ -461,17 +490,22 @@ def _run_admm(
         for s, rs in groups:
             for j, exc in s.solve_rows(xi[rs], Y[rs], c[rs], Kc[rs]):
                 failed[rs.start + j] = exc
+        yKc = Y * Kc
         r = np.subtract(1.0, u)
-        r -= Y * Kc
+        r -= yKc
         r -= scaled_lam
         b = np.vecdot(r, Y)[:, None] / m
-        omega = feasibility(u, Kc, b, Y)
+        by = b * Y
+        omega = u + yKc  # feasibility(u, Kc, b, Y), from the products above
+        omega += by
+        omega -= 1.0
         step = step_size * omega
         step += lam
         lam = np.where(zeroed, step, 0.0) if kind == LossKind.L01 else step
+        scaled_lam = lam / sigma
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, Y, prox(u - lam / sigma, p))
+            c, u, lam, omega, Y, prox(u - scaled_lam, p))
         objective = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
         records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
                       beta4.tolist(), objective.tolist(),
@@ -495,8 +529,9 @@ def _run_admm(
             if not keep.any():
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
-            c, Kc, b, lam, Y, sigma, C, step_size = (
-                a[keep] for a in (c, Kc, b, lam, Y, sigma, C, step_size))
+            c, Kc, yKc, b, by, lam, scaled_lam, Y, sigma, C, step_size = (
+                a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, Y,
+                                  sigma, C, step_size))
             p = ProxParams(gamma=1.0 / sigma, C=C)
             groups = grouped()
     return results

@@ -59,8 +59,15 @@ def prox_l01(eta, p: ProxParams) -> np.ndarray:
     through.  The boundary ``eta_i == tau`` maps to zero, which keeps the
     operator single-valued.
     """
+    return prox_l01_zeroed(eta, p)[0]
+
+
+def prox_l01_zeroed(eta, p: ProxParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`prox_l01` together with the mask of the coordinates it set
+    to zero, those of ``eta`` in ``(0, tau]``."""
     eta = np.asarray(eta, dtype=float)
-    return np.where((eta > 0.0) & (eta <= p.tau), 0.0, eta)
+    zeroed = (eta > 0.0) & (eta <= p.tau)
+    return np.where(zeroed, 0.0, eta), zeroed
 
 
 def loss_hinge(u: np.ndarray) -> float | np.ndarray:

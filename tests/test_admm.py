@@ -338,11 +338,15 @@ class TestLowRankFactor:
         if rank is None:
             assert solver.factor_rank is None and solver.L is None
             assert solver.A_inv.shape == gram.entries.shape
+            read = [solver.A_inv]
         else:
             assert rank[0] <= solver.factor_rank <= rank[1] <= len(train.y) // 4
             assert solver.L.shape == (len(train.y), solver.factor_rank)
-            assert solver.L.flags["F_CONTIGUOUS"]
             assert not hasattr(solver, "A_inv")
+            read = [solver.L, solver.M_inv]
+        # the matrices each iteration reads start on a cache line
+        for a in read:
+            assert a.flags["F_CONTIGUOUS"] and a.ctypes.data % 64 == 0
 
     def test_factor_iterates_solve_true_system(self):
         train, kernel, gram = _circles_gram(1200)
