@@ -32,15 +32,13 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
 from .errors import InputError, NumericalError, ZeroOneError
-from .kernels import GramMatrix, KernelSpec, gaussian_spec, gram_matrix
+from .kernels import (GramMatrix, KernelSpec, _aligned_empty, gaussian_spec,
+                      gram_matrix)
 from .prox import LOSS, PROX, LossKind, ProxParams, prox_l01_zeroed
 from .stationarity import row_norms, scaled_residuals
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
-
-# Alignment, in bytes, of the matrices the iteration's BLAS calls read.
-_ALIGN = 64
 
 
 @dataclass
@@ -174,22 +172,6 @@ def _slack_step(eta, p: ProxParams, kind: LossKind) -> tuple[np.ndarray, np.ndar
         return prox_l01_zeroed(eta, p)
     u = PROX[kind](eta, p)
     return u, u == 0.0
-
-
-def _aligned_empty(shape: tuple, order: str = "F") -> np.ndarray:
-    """Uninitialised float array whose data starts on an ``_ALIGN``-byte
-    (cache-line) boundary.
-
-    numpy promises 16 bytes, and where the allocator puts a matrix changes
-    from one process to the next.  On a 2-vCPU Xeon with OpenBLAS, ``K c``
-    through a 1200 x 162 factor took 55-70 us from a cache-line boundary
-    and 75-105 us from the other offsets, so a solve's speed hung on that
-    placement.  The bits of a product do not depend on it.
-    """
-    n = int(np.prod(shape))
-    buf = np.empty(n + _ALIGN // 8)
-    start = (-buf.ctypes.data % _ALIGN) // 8
-    return buf[start:start + n].reshape(shape, order=order)
 
 
 def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:

@@ -132,6 +132,31 @@ class TestTrain:
         assert path in capsys.readouterr().err
 
 
+class TestNonFiniteKernelParameter:
+    @pytest.mark.parametrize("flags", [
+        ["--rho", "inf"],
+        ["--kernel", "polynomial", "--offset", "nan"],
+        ["--kernel", "inverse_multiquadric", "--imq-c", "inf"],
+        ["--kernel", "inverse_multiquadric", "--imq-beta", "inf"],
+    ], ids=lambda f: " ".join(f))
+    def test_train_flag_exits_4(self, tmp_path, capsys, flags):
+        assert run_cli("train", "--dataset", "circles", "--m", "60", "--seed", "1",
+                       "--max-iter", "20", *flags, "--out", str(tmp_path)) == 4
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("degree", [math.nan, math.inf])
+    def test_model_degree_exits_4(self, tmp_path, circles_run, capsys, degree):
+        path = tmp_path / "model.json"
+        save_model(circles_run.model, str(path))
+        doc = json.loads(path.read_text())
+        doc["kernel"] = {"family": "polynomial",
+                         "params": {"degree": degree, "offset": 1.0}}
+        path.write_text(json.dumps(doc))
+        assert run_cli("certify", "--model", str(path)) == 4
+        assert "degree must be finite" in capsys.readouterr().err
+
+
 class TestEvalCertify:
     @pytest.fixture()
     def trained(self, tmp_path, circles_run):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zeroone import (ConfigError, InputError, KernelSpec, cross_matrix,
-                     eval_kernel, gaussian_spec, gram_matrix)
+                     eval_kernel, gaussian_spec, gram_matrix, kernels)
 
 ALL_SPECS = [
     gaussian_spec(0.8),
@@ -46,6 +47,25 @@ def test_spec_validation():
         KernelSpec("polynomial", {"degree": 0, "offset": 0.0})
     with pytest.raises(ConfigError):
         KernelSpec("gaussian", {"rho": 1.0, "typo": 2.0})
+
+
+NON_FINITE_PARAMS = [
+    ("gaussian", {"rho": math.inf}),
+    ("laplacian", {"rho": math.nan}),
+    ("exponential", {"rho": math.inf}),
+    ("polynomial", {"degree": 3, "offset": math.nan}),
+    ("polynomial", {"degree": math.nan, "offset": 1.0}),
+    ("polynomial", {"degree": math.inf, "offset": 1.0}),
+    ("inverse_multiquadric", {"c": math.inf, "beta": 0.5}),
+    ("inverse_multiquadric", {"c": 1.0, "beta": math.inf}),
+]
+
+
+@pytest.mark.parametrize("family, params", NON_FINITE_PARAMS,
+                         ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_non_finite_parameter_rejected(family, params):
+    with pytest.raises(ConfigError, match="finite"):
+        KernelSpec(family, params)
 
 
 class TestEvalKernel:
@@ -142,6 +162,46 @@ class TestGramMatrix:
         K = np.triu(K) + np.triu(K, 1).T
         assert gram_matrix(spec, X).entries.tobytes() == K.tobytes()
         assert cross_matrix(spec, Z, X).tobytes() == _reference_cross(spec, Z, X).tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_blocked_assembly_matches_reference_bitwise(self, spec):
+        # shapes spanning several row blocks with a ragged last one; every
+        # Gram block starts on the diagonal
+        rng = np.random.default_rng(10)
+        X, Z = rng.normal(size=(700, 3)), rng.normal(size=(130, 3))
+        rows = kernels._BLOCK // len(X)
+        assert len(X) // rows >= 4 and len(X) % rows and len(Z) % rows
+        K = _reference_cross(spec, X, X)
+        if spec.family in ("gaussian", "laplacian", "exponential"):
+            np.fill_diagonal(K, 1.0)
+        K = np.triu(K) + np.triu(K, 1).T
+        assert gram_matrix(spec, X).entries.tobytes() == K.tobytes()
+        for A, B in ((Z, X), (X, Z), (X[:1], X), (X[:0], X), (Z, X[:0])):
+            got, want = cross_matrix(spec, A, B), _reference_cross(spec, A, B)
+            assert got.shape == want.shape == (len(A), len(B))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_outputs_cache_line_aligned(self, spec):
+        rng = np.random.default_rng(11)
+        X, Z = rng.normal(size=(37, 3)), rng.normal(size=(5, 3))
+        for K in (gram_matrix(spec, X).entries, cross_matrix(spec, Z, X),
+                  cross_matrix(spec, X, Z), cross_matrix(spec, X[0], Z)):
+            assert K.flags["C_CONTIGUOUS"] and K.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_peak_memory_is_one_output(self, spec):
+        # the only full-size array either assembly holds is its output
+        rng = np.random.default_rng(12)
+        X, Z = rng.normal(size=(600, 3)), rng.normal(size=(600, 3))
+        for assemble in (lambda: gram_matrix(spec, X), lambda: cross_matrix(spec, Z, X)):
+            tracemalloc.start()
+            try:
+                assemble()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 600 * 600 * 8 + 2**20
 
     def test_entries_immutable(self):
         gm = gram_matrix(gaussian_spec(1.0), np.zeros((3, 2)))
