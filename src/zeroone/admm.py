@@ -21,6 +21,7 @@ single solve is a batch of one.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from array import array
 from dataclasses import dataclass, field, fields
@@ -44,7 +45,8 @@ _SOLVE_RTOL = 1e-8
 @dataclass
 class Hyperparams:
     """Solver settings: loss weight C, penalty sigma, dual step iota,
-    stopping tolerance eps, iteration cap and the kernel.
+    stopping tolerance eps (each finite and > 0), iteration cap and the
+    kernel.
 
     Every kernel uses one coefficient system,
     ``[(1/sigma) I + K] c = diag(y) xi``, with no setting to pick how it
@@ -63,8 +65,10 @@ class Hyperparams:
     kernel: KernelSpec = field(default_factory=lambda: gaussian_spec(1.0))
 
     def __post_init__(self):
-        if not (self.C > 0 and self.sigma > 0 and self.iota > 0 and self.eps > 0):
-            raise InputError("C, sigma, iota and eps must be > 0")
+        for name in ("C", "sigma", "iota", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be finite and > 0, got {value}")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
 
@@ -279,9 +283,7 @@ class _CoefficientSolver:
     including its Gram factor's.
     """
 
-    def __init__(self, K: np.ndarray, sigma: float,
-                 factor: Optional[_GramFactor] = None):
-        f = factor if factor is not None else _GramFactor(K)
+    def __init__(self, f: _GramFactor, sigma: float):
         t0 = time.perf_counter()
         self.K, self.sigma = f.K, sigma
         self.L = self.factor_rank = None
@@ -367,7 +369,7 @@ def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut=None) -> np.ndarr
     """
     K = np.asarray(K, dtype=float)
     xi = 1.0 - u_next - b * y - lam / sigma
-    return _CoefficientSolver(K, sigma).solve(xi, y)[0]
+    return _CoefficientSolver(_GramFactor(K), sigma).solve(xi, y)[0]
 
 
 def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
@@ -379,7 +381,7 @@ def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
     for sigma in sigmas:
         if sigma not in solvers:
             try:
-                solvers[sigma] = _CoefficientSolver(K, sigma, factor)
+                solvers[sigma] = _CoefficientSolver(factor, sigma)
             except ZeroOneError as exc:
                 solvers[sigma] = exc
     return solvers
@@ -391,7 +393,7 @@ def _run_admm(
     hps: list[Hyperparams],
     kind: LossKind,
     init: Optional[AdmmState] = None,
-    on_iteration: Optional[Callable[[int, AdmmState], None]] = None,
+    on_iteration: Optional[Callable[[AdmmState], None]] = None,
 ) -> list:
     """Shared iteration of the zero-one solver and the baselines, run on a
     batch of cells in lockstep.
@@ -405,7 +407,7 @@ def _run_admm(
 
     A cell leaves the batch when it meets its tolerance, reaches its
     ``max_iter``, or its solver's set-up or a solve raises a
-    ``ZeroOneError``.  ``on_iteration(i, state)`` receives a snapshot of
+    ``ZeroOneError``.  ``on_iteration(state)`` receives a snapshot of
     every cell still in the batch after each iteration.  Returns, per
     cell, ``(AdmmState, SolveTrace)`` or the error that removed it.
     """
@@ -498,7 +500,7 @@ def _run_admm(
                 continue
             traces[i].flat.extend(rec)
             if on_iteration is not None:
-                on_iteration(i, state(j, k))
+                on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if met or k == hps[i].max_iter:
                 traces[i].termination = "tolerance_met" if met else "max_iter"
@@ -517,18 +519,6 @@ def _run_admm(
             p = ProxParams(gamma=1.0 / sigma, C=C)
             groups = grouped()
     return results
-
-
-def _solve_one(K, y, hp: Hyperparams, kind: LossKind, init, on_iteration
-               ) -> tuple[AdmmState, SolveTrace]:
-    """A batch of one on ``K``: its ``(AdmmState, SolveTrace)``, or the
-    error that removed it, raised."""
-    each = None if on_iteration is None else (lambda _, state: on_iteration(state))
-    (out,) = _run_admm(_coefficient_solvers(K, [hp.sigma]), y, [hp], kind,
-                       init, each)
-    if isinstance(out, ZeroOneError):
-        raise out
-    return out
 
 
 def _training_gram(dataset: Dataset, hp: Hyperparams,
@@ -585,4 +575,8 @@ def solve(
     identical traces.
     """
     K = _training_gram(dataset, hp, gram)
-    return _solve_one(K, dataset.y, hp, LossKind.L01, init, on_iteration)
+    (out,) = _run_admm(_coefficient_solvers(K, [hp.sigma]), dataset.y, [hp],
+                       LossKind.L01, init, on_iteration)
+    if isinstance(out, ZeroOneError):
+        raise out
+    return out

@@ -1,13 +1,14 @@
-"""Hinge and squared-hinge solvers sharing the ADMM skeleton.
+"""Solves of any loss through the zero-one solver's ADMM loop.
 
-Both baselines run the zero-one solver's own iteration, ``_run_admm``,
-with another :class:`~zeroone.prox.LossKind`: the slack step and the
+:func:`solve_grid` solves a whole (loss, C, sigma) grid on one Gram, one
+lockstep batch of the zero-one solver's own iteration, ``_run_admm``, per
+:class:`~zeroone.prox.LossKind`; :func:`solve_baseline` is a one-cell
+grid.  For the hinge and squared-hinge baselines the slack step and the
 fixed-point gap use the matching prox, and the dual ascent runs unmasked
 (every multiplier accumulates the full feasibility violation).  This
 isolates the effect of the loss in any comparison, the solver being
 identical.  Baseline support vectors are the samples with a numerically
-nonzero multiplier.  :func:`solve_grid` solves a whole (loss, C, sigma)
-grid on one Gram, one lockstep batch per loss.
+nonzero multiplier.
 """
 
 from __future__ import annotations
@@ -43,27 +44,16 @@ def solve_baseline(
     dataset: Dataset,
     hp: Hyperparams,
     kind: LossKind,
-    init: Optional[AdmmState] = None,
     gram: Optional[GramMatrix] = None,
     scaling: Optional[StandardizeStats] = None,
-    on_iteration=None,
 ) -> tuple[AdmmState, SolveTrace, TrainedModel]:
-    """Train a classifier with the selected loss via the shared ADMM.
-
-    ``l01`` routes to :func:`zeroone.admm.solve` unchanged (identical
-    trace); the baselines run the same iteration with their own ``kind``,
-    which swaps the prox of the slack step and of the fixed-point gap and
-    drops the dual masking.
-    """
-    kind = LossKind(kind)
-    if kind is LossKind.L01:
-        state, trace = admm.solve(dataset, hp, init=init, gram=gram,
-                                  on_iteration=on_iteration)
-        return state, trace, _model(kind, state, dataset, hp, scaling)
-
-    K = admm._training_gram(dataset, hp, gram)
-    state, trace = admm._solve_one(K, dataset.y, hp, kind, init, on_iteration)
-    return state, trace, _model(kind, state, dataset, hp, scaling)
+    """Train a classifier with the selected loss via the shared ADMM: a
+    one-cell :func:`solve_grid`, whose error, if the cell fails, is
+    raised."""
+    (out,) = solve_grid(dataset, [hp], [kind], gram=gram, scaling=scaling)
+    if isinstance(out, ZeroOneError):
+        raise out
+    return out[:3]
 
 
 def _model(kind: LossKind, state: AdmmState, dataset: Dataset,
@@ -88,8 +78,8 @@ def solve_grid(
 
     Returns one entry per cell in kind-major order, each either
     ``(state, trace, model, wall_s)`` or the ``ZeroOneError`` that removed
-    the cell from its batch; every other cell is unaffected by it.  The
-    cells are bitwise those of :func:`solve_baseline`.  ``wall_s`` is the
+    the cell from its batch; every other cell is unaffected by it, and
+    each is bitwise the cell solved alone.  ``wall_s`` is the
     cell's share of its batch's wall time (the iterations and the models),
     in proportion to its iterations, so the shares of a kind sum to its
     batch's time.  The Gram and the solvers' set-up are timed in no cell.

@@ -23,7 +23,7 @@ form does too, so certification is conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,17 +60,7 @@ class StationarityReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_kkt": self.is_kkt,
-            "is_prox_stationary": self.is_prox_stationary,
-            "gamma_used": self.gamma_used,
-            "res_stationary": self.res_stationary,
-            "res_dual_balance": self.res_dual_balance,
-            "res_feasibility": self.res_feasibility,
-            "res_prox": self.res_prox,
-            "subdiff_ok": self.subdiff_ok,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def subdiff_l01_contains(u, v, tol: float = 1e-9) -> bool:

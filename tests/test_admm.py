@@ -12,7 +12,7 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      prox_l01, ProxParams, solve, solve_baseline, split,
                      standardize, update_c, update_u, zeros_state)
 from zeroone import admm
-from zeroone.admm import _CoefficientSolver
+from zeroone.admm import _CoefficientSolver, _GramFactor
 from zeroone.stationarity import feasibility, scaled_residuals
 
 LINEAR = KernelSpec("linear", {})
@@ -235,7 +235,7 @@ class TestCoefficientSolver:
     ], ids=["scaled", "nan"])
     def test_corrupted_inverse_never_returns_unchecked_c(self, corrupt):
         K, y, xi = self._system()
-        solver = _CoefficientSolver(K, 1.0)
+        solver = _CoefficientSolver(_GramFactor(K), 1.0)
         solver.A_inv = corrupt(solver.A_inv)
         with pytest.raises(NumericalError):
             solver.solve(xi, y)
@@ -244,7 +244,7 @@ class TestCoefficientSolver:
         # nothing is rebuilt behind the caller's back: every failing solve
         # raises, with the condition number of K + I/sigma attached
         K, y, xi = self._system()
-        solver = _CoefficientSolver(K, 1.0)
+        solver = _CoefficientSolver(_GramFactor(K), 1.0)
         solver.A_inv = solver.A_inv * 1.5
         for _ in range(2):
             with pytest.raises(NumericalError) as info:
@@ -260,7 +260,7 @@ class TestCoefficientSolver:
         K = 0.5 * (K + K.T)
         sigma = 1.0
         with pytest.raises(NumericalError) as info:
-            _CoefficientSolver(K, sigma)
+            _CoefficientSolver(_GramFactor(K), sigma)
         assert info.value.cond > 1.0
         ds = Dataset(X=rng.normal(size=(6, 2)), y=np.array([1.0, -1.0] * 3))
         gram = GramMatrix(entries=K, spec=LINEAR, fingerprint=ds.fingerprint())
@@ -284,7 +284,7 @@ class TestCoefficientSolver:
 
     def test_stored_lower_triangle_inverts_system(self):
         K, _, _ = self._system()
-        solver = _CoefficientSolver(K, 2.0)
+        solver = _CoefficientSolver(_GramFactor(K), 2.0)
         L = np.tril(solver.A_inv)
         A_inv = L + np.tril(L, -1).T
         np.testing.assert_allclose(A_inv @ (K + np.eye(len(K)) / 2.0),
@@ -334,7 +334,7 @@ class TestLowRankFactor:
     ], ids=["gaussian-720", "polynomial-300", "linear-300", "laplacian-720"])
     def test_rank_selects_representation(self, m, kernel, rank):
         train, kernel, gram = _circles_gram(m, kernel)
-        solver = _CoefficientSolver(gram.entries, 1.0)
+        solver = _CoefficientSolver(_GramFactor(gram.entries), 1.0)
         if rank is None:
             assert solver.factor_rank is None and solver.L is None
             assert solver.A_inv.shape == gram.entries.shape
@@ -371,7 +371,7 @@ class TestLowRankFactor:
     def test_corrupted_factor_never_returns_unchecked_c(self, corrupt, name):
         # the guard's K c comes from the factor, not from y*xi - c/sigma
         train, _, gram = _circles_gram(160, POLY3)
-        solver = _CoefficientSolver(gram.entries, 1.0)
+        solver = _CoefficientSolver(_GramFactor(gram.entries), 1.0)
         assert solver.factor_rank == 10
         xi = np.random.default_rng(4).normal(size=len(train.y))
         solver.solve(xi, train.y)
@@ -385,7 +385,7 @@ class TestLowRankFactor:
         K = np.zeros((8, 8))
         y = np.array([1.0, -1.0] * 4)
         xi = np.linspace(-1.0, 2.0, 8)
-        solver = _CoefficientSolver(K, 2.5)
+        solver = _CoefficientSolver(_GramFactor(K), 2.5)
         assert solver.factor_rank == 0
         c, Kc = solver.solve(xi, y)
         np.testing.assert_array_equal(c, 2.5 * y * xi)
@@ -405,7 +405,7 @@ class TestLowRankFactor:
         assert np.linalg.eigvalsh(K)[0] < -1.0
         assert admm._pivoted_cholesky(np.asfortranarray(K.T), 2).shape == (8, 1)
         with pytest.raises(NumericalError, match="Cholesky"):
-            _CoefficientSolver(K, 1.0)
+            _CoefficientSolver(_GramFactor(K), 1.0)
         ds = Dataset(X=np.zeros((8, 2)), y=np.array([1.0, -1.0] * 4))
         gram = GramMatrix(entries=K, spec=LINEAR, fingerprint=ds.fingerprint())
         with pytest.raises(NumericalError):
@@ -544,6 +544,14 @@ class TestBetas:
         res = scaled_residuals(c, u, lam, feasibility(u, K @ c, b, y), y,
                                prox_l01(u - gamma * lam, ProxParams(gamma, 2.0)))
         assert max(res[0], abs(res[1]), res[2], res[3]) <= 1e-12
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["C", "sigma", "iota", "eps"])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(InputError, match=f"^{name} must be finite and > 0"):
+            Hyperparams(**{"C": 1.0, "sigma": 1.0, name: value})
 
 
 class TestSolve:

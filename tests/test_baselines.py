@@ -6,9 +6,10 @@ import pytest
 from conftest import toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      LossKind, NumericalError, ProxParams, accuracy,
-                     flip_labels, gaussian_spec, gen_double_circles,
-                     gen_double_moons, gram_matrix, objective, predict,
-                     prox_hinge, solve, solve_baseline, split, standardize)
+                     flip_labels, from_solution, gaussian_spec,
+                     gen_double_circles, gen_double_moons, gram_matrix,
+                     objective, predict, prox_hinge, solve, solve_baseline,
+                     split, standardize)
 from zeroone.baselines import solve_grid
 
 
@@ -54,7 +55,12 @@ class TestSolveBaseline:
         state2, trace2 = solve(ds, hp)
         assert trace.records == trace2.records
         assert trace.termination == trace2.termination
-        np.testing.assert_array_equal(state.c, state2.c)
+        assert (state.b, state.iter) == (state2.b, state2.iter)
+        for name in ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega"):
+            assert getattr(state, name).tobytes() == \
+                getattr(state2, name).tobytes(), name
+        model2 = from_solution(state2, ds, hp)
+        np.testing.assert_array_equal(model.support, model2.support)
 
     @pytest.mark.parametrize("kind", [LossKind.HINGE, LossKind.SQHINGE])
     def test_toy_separable(self, kind):
@@ -126,6 +132,22 @@ def _moons_grid(max_iter=300):
     return train, hps, gram_matrix(kernel, train.X)
 
 
+def _indefinite_grid():
+    """Six samples with an indefinite linear Gram, lambda_min(K) = -3, and
+    two cells: K + I/sigma has a Cholesky factor for sigma = 0.1 and none
+    for sigma = 1."""
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    K = (Q * np.array([-3.0, 0.5, 1.0, 1.5, 2.0, 2.5])) @ Q.T
+    K = 0.5 * (K + K.T)
+    linear = KernelSpec("linear", {})
+    ds = Dataset(X=rng.normal(size=(6, 2)), y=np.array([1.0, -1.0] * 3))
+    gram = GramMatrix(entries=K, spec=linear, fingerprint=ds.fingerprint())
+    hps = [Hyperparams(C=1.0, sigma=s, max_iter=30, kernel=linear)
+           for s in (0.1, 1.0)]
+    return ds, gram, hps
+
+
 class TestSolveGrid:
     def test_cells_bitwise_equal_solves_alone(self):
         train, hps, gram = _moons_grid()
@@ -155,22 +177,18 @@ class TestSolveGrid:
             assert max(per_iter) == pytest.approx(min(per_iter), rel=1e-9)
 
     def test_failed_set_up_removes_only_its_sigma(self):
-        # lambda_min(K) = -3: K + I/sigma has a Cholesky factor for
-        # sigma = 0.1 and none for sigma = 1
-        rng = np.random.default_rng(8)
-        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        K = (Q * np.array([-3.0, 0.5, 1.0, 1.5, 2.0, 2.5])) @ Q.T
-        K = 0.5 * (K + K.T)
-        linear = KernelSpec("linear", {})
-        ds = Dataset(X=rng.normal(size=(6, 2)), y=np.array([1.0, -1.0] * 3))
-        gram = GramMatrix(entries=K, spec=linear, fingerprint=ds.fingerprint())
-        hps = [Hyperparams(C=1.0, sigma=s, max_iter=30, kernel=linear)
-               for s in (0.1, 1.0)]
+        ds, gram, hps = _indefinite_grid()
         ok, failed = solve_grid(ds, hps, [LossKind.HINGE], gram=gram)
         assert isinstance(failed, NumericalError)
         alone, trace, _ = solve_baseline(ds, hps[0], LossKind.HINGE, gram=gram)
         assert ok[1].records == trace.records
         assert ok[0].c.tobytes() == alone.c.tobytes()
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_solve_baseline_raises_failed_set_up(self, kind):
+        ds, gram, hps = _indefinite_grid()
+        with pytest.raises(NumericalError, match="Cholesky"):
+            solve_baseline(ds, hps[1], kind, gram=gram)
 
     def test_cells_share_one_kernel(self):
         train, hps, gram = _moons_grid(max_iter=5)

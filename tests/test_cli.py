@@ -157,6 +157,27 @@ class TestNonFiniteKernelParameter:
         assert "degree must be finite" in capsys.readouterr().err
 
 
+class TestNonFiniteSolverSetting:
+    @pytest.mark.parametrize("flag, name", [
+        ("--C", "C"), ("--sigma", "sigma"), ("--iota", "iota"), ("--eps", "eps"),
+    ])
+    def test_train_flag_exits_4(self, tmp_path, capsys, flag, name):
+        assert run_cli("train", "--dataset", "circles", "--m", "60", "--seed", "1",
+                       "--max-iter", "20", flag, "inf", "--out", str(tmp_path)) == 4
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("flag, name", [("--grid-c", "C"),
+                                            ("--grid-sigma", "sigma")])
+    def test_bench_grid_exits_4(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--dataset", "circles", "--m", "60", "--seed", "1",
+                       "--max-iter", "20", "--selection", "paper", flag, "1,inf",
+                       "--format", "csv", "--out", str(out)) == 4
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalCertify:
     @pytest.fixture()
     def trained(self, tmp_path, circles_run):
