@@ -20,7 +20,6 @@ single solve is a batch of one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from array import array
@@ -236,8 +235,9 @@ class _GramFactor:
 
 class _CoefficientSolver:
     """Pre-factored solver for the coefficient update, reused across
-    iterations.  :meth:`solve` returns ``c`` together with ``K c``, which
-    the caller carries into the next iteration's ``eta``.
+    iterations.  :meth:`apply` returns ``c`` and ``K c``, which the caller
+    carries into the next iteration's ``eta``, unchecked; :func:`_solve_rows`
+    checks them, and :meth:`solve` is that for one right-hand side.
 
     Every kernel gets the same system ``A c = diag(y) xi`` with
     ``A = (1/sigma) I + K``.  Multiplying it by ``sigma K`` gives the
@@ -323,39 +323,42 @@ class _CoefficientSolver:
             return dsymv(1.0, self.K, c, lower=1)
         return dgemv(1.0, self.L, dgemv(1.0, self.L, c, trans=1))
 
+    def apply(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unchecked ``c = A^-1 d`` and ``K c`` for one right-hand side
+        ``d = diag(y) xi``; :func:`_solve_rows` checks them."""
+        if self.L is None:
+            c = dsymv(1.0, self.A_inv, d, lower=1)
+        else:
+            z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, d, trans=1), lower=1)
+            c = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=d)
+        return c, self.K_times(c)
+
     def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``c`` and ``K c`` for one right-hand side; raises the
         ``NumericalError`` of a failed check."""
         c, Kc = np.empty((2, 1, len(xi)))
-        errors = self.solve_rows(xi[None], y, c, Kc)
-        if errors:
-            raise errors[0][1]
+        for exc in _solve_rows([self], xi[None], y[None], self.sigma, c, Kc).values():
+            raise exc
         return c[0], Kc[0]
 
-    def solve_rows(self, xi: np.ndarray, y: np.ndarray, c: np.ndarray,
-                   Kc: np.ndarray) -> list:
-        """Write ``c`` and ``K c`` for each row of ``xi`` into the rows of
-        ``c`` and ``Kc``, each solved and checked as if alone; returns a
-        ``(row, NumericalError)`` pair for each row whose check failed."""
-        dyxi = y * xi
-        for j, d in enumerate(dyxi):
-            if self.L is None:
-                c[j] = dsymv(1.0, self.A_inv, d, lower=1)
-            else:
-                z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, d, trans=1), lower=1)
-                c[j] = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=d)
-            Kc[j] = self.K_times(c[j])
-        resid = c / self.sigma
-        resid += Kc  # Kc + c/sigma - y*xi, in place
-        resid -= dyxi
-        resid = row_norms(resid)
-        bound = _SOLVE_RTOL * (1.0 + row_norms(xi))
-        ok = resid <= bound
-        if ok.all():
-            return []
-        return [(j, NumericalError(
-            f"coefficient solve residual {resid[j]:.3e} exceeds {bound[j]:.3e}",
-            cond=self._cond())) for j in np.flatnonzero(~ok)]
+
+def _solve_rows(solvers: list, xi: np.ndarray, Y: np.ndarray, sigma,
+                c: np.ndarray, Kc: np.ndarray) -> dict:
+    """Solve row ``j`` of ``xi`` with ``solvers[j]`` into row ``j`` of ``c``
+    and ``Kc``, then check all rows at once, each at its own ``sigma`` (a
+    scalar, or shaped like ``xi``).  Returns ``{row: NumericalError}`` for
+    the rows whose check failed, each with its own solver's ``cond``."""
+    dyxi = Y * xi
+    for j, (s, d) in enumerate(zip(solvers, dyxi)):
+        c[j], Kc[j] = s.apply(d)
+    resid = c / sigma
+    resid += Kc  # Kc + c/sigma - y*xi, in place
+    resid -= dyxi
+    resid = row_norms(resid)
+    bound = _SOLVE_RTOL * (1.0 + row_norms(xi))
+    return {j: NumericalError(
+        f"coefficient solve residual {resid[j]:.3e} exceeds {bound[j]:.3e}",
+        cond=solvers[j]._cond()) for j in np.flatnonzero(~(resid <= bound)).tolist()}
 
 
 def update_c(K, y, u_next, b, lam, sigma, strictly_pd_shortcut=None) -> np.ndarray:
@@ -400,7 +403,8 @@ def _run_admm(
 
     Cell ``i`` solves the ``kind`` problem with ``hps[i]`` from the warm
     start ``init`` (all zeros by default), using ``solvers[hps[i].sigma]``
-    from :func:`_coefficient_solvers` on the cells' common Gram.  ``kind``
+    from :func:`_coefficient_solvers` on the cells' common Gram; the rows
+    stay in cell order, each with its solver in ``row_solvers``.  ``kind``
     picks the prox of the slack step and of beta4 and the loss of the
     objective; the dual ascent is masked to the zeroed set for the
     zero-one loss only, and plain for the baselines.
@@ -413,31 +417,27 @@ def _run_admm(
     """
     m = len(y)
     results = [solvers[hp.sigma] for hp in hps]  # set-up errors stay
-    # ordered by sigma, so that the rows each solver serves are one slice
-    rows = sorted((i for i, s in enumerate(results)
-                   if not isinstance(s, ZeroOneError)), key=lambda i: hps[i].sigma)
+    rows = [i for i, s in enumerate(results) if not isinstance(s, ZeroOneError)]
     if not rows:
         return results
+    row_solvers = [results[i] for i in rows]
     traces = {i: SolveTrace(factor_rank=results[i].factor_rank,
                             setup_s=results[i].setup_s) for i in rows}
     start = init if init is not None else zeros_state(m)
 
-    def per_row(name):
-        return np.array([getattr(hps[i], name) for i in rows], dtype=float)
-
-    def full(values):
+    def full(name):
         # per-row constants are stored as whole rows: numpy broadcasts a
         # (rows, 1) column over a batch several times slower
-        return np.repeat(values[:, None], m, axis=1)
+        return np.repeat([[float(getattr(hps[i], name))] for i in rows], m, axis=1)
 
-    sigma, C = full(per_row("sigma")), full(per_row("C"))
-    step_size = full(per_row("iota")) * sigma  # iota * sigma
+    sigma, C = full("sigma"), full("C")
+    step_size = full("iota") * sigma  # iota * sigma
     p = ProxParams(gamma=1.0 / sigma, C=C)
     prox, loss = PROX[kind], LOSS[kind]
     Y = np.tile(y, (len(rows), 1))
     b = np.full((len(rows), 1), float(start.b))
     lam = np.tile(start.lam, (len(rows), 1))
-    Kc = np.array([results[i].K_times(start.c) for i in rows])  # carried
+    Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
     c = np.empty_like(Kc)
 
     def state(j, k):
@@ -446,16 +446,6 @@ def _run_admm(
                          eta=eta[j].copy(), xi=xi[j].copy(), r=r[j].copy(),
                          omega=omega[j].copy(), iter=k)
 
-    def grouped():
-        """Each solver in use with the slice of rows it serves."""
-        groups, j = [], 0
-        for s, run in itertools.groupby(hps[i].sigma for i in rows):
-            n = len(list(run))
-            groups.append((solvers[s], slice(j, j + n)))
-            j += n
-        return groups
-
-    groups = grouped()
     # y*Kc, b*y and lam/sigma of one iteration are the first operands of
     # the next one's eta and xi, so each is computed once
     yKc, by, scaled_lam = Y * Kc, b * Y, lam / sigma
@@ -470,10 +460,7 @@ def _run_admm(
         xi = np.subtract(1.0, u)
         xi -= by
         xi -= scaled_lam
-        failed = {}
-        for s, rs in groups:
-            for j, exc in s.solve_rows(xi[rs], Y[rs], c[rs], Kc[rs]):
-                failed[rs.start + j] = exc
+        failed = _solve_rows(row_solvers, xi, Y, sigma, c, Kc)
         yKc = Y * Kc
         r = np.subtract(1.0, u)
         r -= yKc
@@ -513,11 +500,11 @@ def _run_admm(
             if not keep.any():
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
+            row_solvers = [results[i] for i in rows]
             c, Kc, yKc, b, by, lam, scaled_lam, Y, sigma, C, step_size = (
                 a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, Y,
                                   sigma, C, step_size))
             p = ProxParams(gamma=1.0 / sigma, C=C)
-            groups = grouped()
     return results
 
 

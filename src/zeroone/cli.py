@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -108,10 +109,14 @@ def prepare_splits(cfg: RunConfig) -> tuple[data.Dataset, data.Dataset, data.Sta
     ds = load_or_generate(cfg)
     flip_seed, split_seed = cfg.seed + 1, cfg.seed + 2
     rate = cfg.noise_rate * cfg.noise_multiplier
-    if rate > 0 and cfg.noise_on == "all":
+    if not (cfg.noise_rate >= 0 and cfg.noise_multiplier >= 0 and rate < 0.5):
+        raise InputError(f"--noise-rate ({cfg.noise_rate}) and --noise-multiplier "
+                         f"({cfg.noise_multiplier}) must be >= 0, with a product "
+                         "below 0.5")
+    if cfg.noise_on == "all":
         ds = data.flip_labels(ds, rate, seed=flip_seed)
     train, test = data.split(ds, train_fraction=cfg.train_frac, seed=split_seed)
-    if rate > 0 and cfg.noise_on == "train":
+    if cfg.noise_on == "train":
         train = data.flip_labels(train, rate, seed=flip_seed)
     return data.standardize(train, test)
 
@@ -249,6 +254,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
+    if not (math.isfinite(cfg.eps) and cfg.eps > 0):
+        raise InputError(f"eps must be finite and > 0, got {cfg.eps}")
     mdl, ds = _load_model(cfg)
     if ds is not None and ds.fingerprint() != data_fingerprint(mdl.X):
         raise InputError(
@@ -384,6 +391,8 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def cmd_boundary(cfg: RunConfig) -> int:
+    if cfg.grid_size < 1:
+        raise InputError(f"--grid-size must be >= 1, got {cfg.grid_size}")
     mdl, ds = _load_model(cfg)
     if mdl.X.shape[1] != 2:
         raise InputError("boundary export needs a 2-D dataset")

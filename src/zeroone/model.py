@@ -169,25 +169,40 @@ def to_json(model: TrainedModel) -> str:
 
 
 def from_json(text: str) -> TrainedModel:
+    """The model :func:`to_json` wrote.  A missing field (only ``scaling``
+    and ``meta`` may be absent), a ``c``, ``lam``, ``u`` or ``train.y`` that
+    does not match the rows of ``train.X``, or a support index out of range
+    raises ``InputError``."""
     doc = json.loads(text)
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format version {version!r}")
     scaling = doc.get("scaling")
-    return TrainedModel(
-        c=np.asarray(doc["c"], dtype=float),
-        b=float(doc["b"]),
-        lam=np.asarray(doc["lam"], dtype=float),
-        u=np.asarray(doc["u"], dtype=float),
-        support=np.asarray(doc["support"], dtype=int),
-        kernel=KernelSpec.from_dict(doc["kernel"]),
-        X=np.asarray(doc["train"]["X"], dtype=float),
-        y=np.asarray(doc["train"]["y"], dtype=float),
-        gamma=float(doc["gamma"]),
-        C=float(doc["C"]),
-        scaling=StandardizeStats.from_dict(scaling) if scaling else None,
-        meta=dict(doc.get("meta", {})),
-    )
+    try:
+        mdl = TrainedModel(
+            c=np.asarray(doc["c"], dtype=float),
+            b=float(doc["b"]),
+            lam=np.asarray(doc["lam"], dtype=float),
+            u=np.asarray(doc["u"], dtype=float),
+            support=np.asarray(doc["support"], dtype=int),
+            kernel=KernelSpec.from_dict(doc["kernel"]),
+            X=np.asarray(doc["train"]["X"], dtype=float),
+            y=np.asarray(doc["train"]["y"], dtype=float),
+            gamma=float(doc["gamma"]),
+            C=float(doc["C"]),
+            scaling=StandardizeStats.from_dict(scaling) if scaling else None,
+            meta=dict(doc.get("meta", {})),
+        )
+    except KeyError as exc:  # a field of the file, at any depth
+        raise InputError(f"model file has no {exc.args[0]!r} field") from None
+    m = len(mdl.X)
+    for name, v in (("c", mdl.c), ("lam", mdl.lam), ("u", mdl.u), ("train.y", mdl.y)):
+        if v.shape != (m,):
+            raise InputError(f"model field {name!r} has shape {v.shape}, "
+                             f"but 'train.X' has {m} rows")
+    if np.any((mdl.support < 0) | (mdl.support >= m)):
+        raise InputError(f"model field 'support' has an index outside [0, {m})")
+    return mdl
 
 
 def save_model(model: TrainedModel, path: str):

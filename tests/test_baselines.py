@@ -5,7 +5,7 @@ import pytest
 
 from conftest import toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
-                     LossKind, NumericalError, ProxParams, accuracy,
+                     LossKind, NumericalError, ProxParams, accuracy, admm,
                      flip_labels, from_solution, gaussian_spec,
                      gen_double_circles, gen_double_moons, gram_matrix,
                      objective, predict, prox_hinge, solve, solve_baseline,
@@ -167,6 +167,43 @@ class TestSolveGrid:
             terminations.add((kind, trace.termination))
         assert len(terminations) == 6
         assert cells[1][1].iterations == 1  # l01, C=0.5, sigma=2
+
+    def test_each_row_keeps_its_own_solver(self, monkeypatch):
+        """Only sigma=2's stored inverse is corrupted.  Its cells, which
+        alternate with the sigma=1 cells in every batch, each fail with the
+        condition number of K + I/2; the sigma=1 cells are bitwise the
+        clean run."""
+        train, hps, gram = _moons_grid(max_iter=50)
+        # 2C >= sigma in every cell, so no sigma=2 cell starts at a fixed point
+        hps = [Hyperparams(C=C, sigma=sigma, max_iter=50, kernel=hps[0].kernel)
+               for C, sigma in itertools.product((1.0, 16.0), (1.0, 2.0))]
+        clean = solve_grid(train, hps, list(LossKind), gram=gram)
+        real = admm._coefficient_solvers
+
+        def corrupt_sigma_2(K, sigmas):
+            solvers = real(K, sigmas)
+            solvers[2.0].A_inv *= 2.0
+            return solvers
+
+        monkeypatch.setattr(admm, "_coefficient_solvers", corrupt_sigma_2)
+        cells = solve_grid(train, hps, list(LossKind), gram=gram)
+        K = gram.entries
+        cond_2 = np.linalg.cond(K + np.eye(len(K)) / 2.0)
+        assert cond_2 != pytest.approx(np.linalg.cond(K + np.eye(len(K))))
+        for (kind, hp), out, ref in zip(itertools.product(LossKind, hps),
+                                        cells, clean):
+            if hp.sigma == 2.0:
+                assert isinstance(out, NumericalError), (kind, hp.C)
+                assert out.cond == pytest.approx(cond_2, rel=1e-9)
+                continue
+            (state, trace, model, _), (want, want_trace, want_model, _) = out, ref
+            assert trace.records == want_trace.records
+            assert trace.termination == want_trace.termination
+            assert (state.b, state.iter) == (want.b, want.iter)
+            for name in ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega"):
+                assert getattr(state, name).tobytes() == \
+                    getattr(want, name).tobytes(), (kind, hp.C, name)
+            np.testing.assert_array_equal(model.support, want_model.support)
 
     def test_wall_shares_follow_iterations(self):
         train, hps, gram = _moons_grid(max_iter=50)

@@ -51,6 +51,16 @@ class TestSurface:
             run_cli(*argv)
         assert info.value.code == 2
 
+    def test_usage_error_exits_2_and_bad_value_4(self, tmp_path, capsys):
+        # argparse reads "-inf" as a flag, so only "--C=-inf" reaches the
+        # solver's own check
+        with pytest.raises(SystemExit) as info:
+            run_cli("train", "--bogus")
+        assert info.value.code == 2
+        assert run_cli("train", "--dataset", "circles", "--m", "40",
+                       "--max-iter", "5", "--C=-inf", "--out", str(tmp_path)) == 4
+        assert "C must be finite" in capsys.readouterr().err
+
     def test_gen_options(self, capsys):
         # gen generates; it takes no --data to convert
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -234,6 +244,92 @@ class TestEvalCertify:
                        "--data", str(other)) == 4
 
 
+class TestModelFile:
+    """A malformed model file exits 4 with a message, not a traceback."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, circles_run):
+        model_path, data_path = tmp_path / "model.json", tmp_path / "test.csv"
+        save_model(circles_run.model, str(model_path))
+        assert run_cli("gen", "--dataset", "circles", "--m", "20",
+                       "--seed", "11", "--out", str(data_path)) == 0
+        return model_path, data_path
+
+    def _eval(self, paths, edit):
+        model_path, data_path = paths
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        return run_cli("eval", "--model", str(model_path), "--data", str(data_path))
+
+    @pytest.mark.parametrize("name", ["kernel", "c", "b", "lam", "u", "support",
+                                      "gamma", "C", "train", "train.X",
+                                      "train.y", "kernel.family",
+                                      "scaling.mean"])
+    def test_missing_field_exits_4(self, paths, capsys, name):
+        *outer, key = name.split(".")
+
+        def delete(doc):
+            del (doc[outer[0]] if outer else doc)[key]
+        assert self._eval(paths, delete) == 4
+        assert f"no {key!r} field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["c", "lam", "u"])
+    def test_truncated_array_exits_4(self, paths, capsys, name):
+        assert self._eval(paths, lambda doc: doc[name].pop()) == 4
+        assert f"{name!r} has shape" in capsys.readouterr().err
+
+    def test_support_out_of_range_exits_4(self, paths, capsys):
+        def past_the_end(doc):
+            doc["support"].append(len(doc["c"]))
+        assert self._eval(paths, past_the_end) == 4
+        assert "'support' has an index outside" in capsys.readouterr().err
+
+    def test_intact_file_evaluates(self, paths, capsys):
+        assert self._eval(paths, lambda doc: None) == 0
+
+
+class TestCommandSettings:
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+    def test_certify_eps_exits_4(self, tmp_path, circles_run, capsys, eps):
+        path = tmp_path / "model.json"
+        save_model(circles_run.model, str(path))
+        out = tmp_path / "cert.json"
+        assert run_cli("certify", "--model", str(path), "--eps", eps,
+                       "--out", str(out)) == 4
+        assert "eps must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_grid_size_0_exits_4(self, tmp_path, circles_run, capsys):
+        path = tmp_path / "model.json"
+        save_model(circles_run.model, str(path))
+        out = tmp_path / "grid.csv"
+        assert run_cli("boundary", "--model", str(path), "--grid-size", "0",
+                       "--out", str(out)) == 4
+        assert "--grid-size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-rate", "-0.2"], ["--noise-rate", "nan"],
+        ["--noise-multiplier", "-1"],
+        ["--noise-rate", "0.1", "--noise-multiplier", "-1"],
+        ["--noise-rate", "inf", "--noise-multiplier", "0"],
+        ["--noise-rate", "0.3"],
+    ], ids=lambda f: " ".join(f))
+    def test_unusable_noise_rate_exits_4(self, tmp_path, capsys, flags):
+        assert run_cli("train", "--dataset", "circles", "--m", "40",
+                       "--max-iter", "5", *flags, "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert "--noise-rate" in err and "--noise-multiplier" in err
+        assert not (tmp_path / "model.json").exists()
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--dataset", "circles", "--m", "40",
+                       "--max-iter", "5", "--selection", "paper", *flags,
+                       "--format", "csv", "--out", str(out)) == 4
+        assert "--noise-multiplier" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBoundary:
     def test_grid_rows_and_sign_change(self, tmp_path, circles_run):
         model_path = tmp_path / "model.json"
@@ -400,20 +496,21 @@ class TestLockstepGrid:
 
     def test_failed_cell_keeps_its_error_only(self, monkeypatch):
         clean = bench_rows(RunConfig(**LOCKSTEP))
-        real = admm._CoefficientSolver.solve_rows
+        real = admm._solve_rows
         calls = []
 
-        def third_sigma1_call_fails_row_1(self, xi, y, c, Kc):
-            # the first batch is l01; its sigma=1 rows are, in grid order,
-            # the cells C = 0.5, 4, 64: row 1 is (C=4, sigma=1)
-            errors = real(self, xi, y, c, Kc)
-            calls.append(self.sigma)
-            if self.sigma == 1.0 and calls.count(1.0) == 3:
-                errors = errors + [(1, NumericalError("injected"))]
-            return errors
+        def third_call_fails_row_1(solvers, xi, Y, sigma, c, Kc):
+            # the first batch is l01, its rows in cell order: (C, sigma) =
+            # (0.5, 1), (0.5, 2), (4, 1), (4, 2), (64, 1), (64, 2).  After
+            # (0.5, 2) leaves at iteration 1, row 1 is (C=4, sigma=1)
+            failed = real(solvers, xi, Y, sigma, c, Kc)
+            calls.append(len(solvers))
+            if len(calls) == 3:
+                assert calls == [6, 5, 5] and sigma[1, 0] == 1.0
+                failed[1] = NumericalError("injected")
+            return failed
 
-        monkeypatch.setattr(admm._CoefficientSolver, "solve_rows",
-                            third_sigma1_call_fails_row_1)
+        monkeypatch.setattr(admm, "_solve_rows", third_call_fails_row_1)
         rows = bench_rows(RunConfig(**LOCKSTEP))
         failed = [r for r in rows if r["error"]]
         assert [(r["loss"], r["C"], r["sigma"], r["error"]) for r in failed] \
