@@ -182,9 +182,10 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
     ``K ~= L L^T``, or ``None`` when ``K`` has more than ``max_rank`` pivots.
 
     Each step takes the largest remaining diagonal entry as pivot and reads
-    that column of ``K`` in place, so ``K`` is never copied, and the work
-    buffer holds at most ``max_rank`` rows of length m; it and ``L`` are
-    cache-line aligned (see :func:`_aligned_empty`).  It stops
+    that column of ``K`` in place, so ``K`` is never copied, and writes its
+    column of ``L`` straight into one cache-line aligned m x ``max_rank``
+    buffer (see :func:`_aligned_empty`); ``L`` is a view of its first r
+    columns, and the columns never written are never touched.  It stops
     once every remaining diagonal entry is at most ``m * eps * max(diag K)``,
     LAPACK's default tolerance; for a positive semidefinite ``K`` the
     remainder ``K - L L^T`` is then positive semidefinite with trace at most
@@ -193,20 +194,18 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
     m = len(K)
     d = K.diagonal().copy()
     tol = m * np.finfo(float).eps * d.max()
-    Lt = _aligned_empty((max_rank, m), order="C")
+    L = _aligned_empty((m, max_rank))
     for j in range(max_rank + 1):
         i = int(np.argmax(d))
         if d[i] <= tol:
-            L = _aligned_empty((m, j))
-            L[...] = Lt[:j].T
-            return L
+            return L[:, :j]
         if j == max_rank:
             return None
         # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T,
         # in scipy's BLAS like the solves; at j = 0 there is no L yet
-        col = dgemv(-1.0, Lt[:j].T, Lt[:j, i], beta=1.0, y=K[:, i]) if j else K[:, i]
-        Lt[j] = col / np.sqrt(d[i])
-        d -= Lt[j] * Lt[j]
+        col = dgemv(-1.0, L[:, :j], L[i, :j], beta=1.0, y=K[:, i]) if j else K[:, i]
+        L[:, j] = col / np.sqrt(d[i])
+        d -= L[:, j] * L[:, j]
 
 
 class _GramFactor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,8 @@ class KernelSpec:
             )
         p = self.params
         for name, value in p.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"kernel parameter {name} must be finite, got {value}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"kernel parameter {name} must be finite, got {value!r}")
         if self.family in ("gaussian", "laplacian", "exponential"):
             if not p["rho"] > 0:
                 raise ConfigError("rho must be > 0")

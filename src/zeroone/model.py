@@ -12,10 +12,14 @@ import numpy as np
 
 from .admm import AdmmState, Hyperparams
 from .data import Dataset, StandardizeStats
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .kernels import KernelSpec, cross_matrix, data_fingerprint
 
 MODEL_FORMAT_VERSION = 1
+
+# Query rows per block of the decision function (``serve``'s batch size):
+# 256 queries against m expansion points hold one 256 x m kernel block.
+_PREDICT_ROWS = 256
 
 # Slack on the inclusive right endpoint of the support interval, absorbing
 # float rounding of the threshold itself.
@@ -101,6 +105,12 @@ def decision_function(model: TrainedModel, x, form: str = "primal"):
     and kernel); ``dual`` uses only the support set,
     ``-sum_{i in support} y_i lam_i K(x_i, .) + b``, which matches the
     primal form at a certified stationary point of a nonsingular kernel.
+
+    The queries are evaluated in blocks of ``_PREDICT_ROWS`` rows, so a
+    call holds one block of kernel values against the expansion points,
+    whatever the number of queries.  A block's rows get the bits the
+    whole-matrix product gives them wherever the BLAS library's rounding
+    does not depend on the row's place in its matrix.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -110,16 +120,20 @@ def decision_function(model: TrainedModel, x, form: str = "primal"):
             f"expected {model.X.shape[1]} features, got {Z.shape[1]}"
         )
     if form == "primal":
-        h = cross_matrix(model.kernel, Z, model.X) @ model.c + model.b
+        P, w = model.X, model.c
     elif form == "dual":
         sv = model.support
-        if len(sv) == 0:
-            h = np.full(Z.shape[0], model.b)
-        else:
-            Ksv = cross_matrix(model.kernel, Z, model.X[sv])
-            h = -Ksv @ (model.y[sv] * model.lam[sv]) + model.b
+        P, w = model.X[sv], -(model.y[sv] * model.lam[sv])
     else:
         raise InputError(f"unknown decision form {form!r}")
+    n = len(Z)
+    h = np.empty(n)
+    for i in range(0, max(n - 1, 1), _PREDICT_ROWS):
+        # a 1-row tail joins the block before it: numpy takes a 1-row
+        # product through ddot instead of dgemv, which rounds differently
+        j = i + _PREDICT_ROWS if i + _PREDICT_ROWS < n - 1 else n
+        h[i:j] = cross_matrix(model.kernel, Z[i:j], P) @ w
+    h += model.b
     return float(h[0]) if single else h
 
 
@@ -168,38 +182,67 @@ def to_json(model: TrainedModel) -> str:
     return json.dumps(doc)
 
 
+def _field(doc, path: str, convert):
+    """``convert`` of the field at the dotted ``path`` of a model file.  A
+    missing field, at any depth, or a value ``convert`` rejects raises
+    ``InputError`` naming it."""
+    value = doc
+    try:
+        for key in path.split("."):
+            if not isinstance(value, dict):
+                raise TypeError(f"expected an object, got {type(value).__name__}")
+            value = value[key]
+        return convert(value)
+    except KeyError as exc:
+        raise InputError(f"model file has no {exc.args[0]!r} field") from None
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise InputError(f"model field {path!r}: {exc}") from None
+
+
 def from_json(text: str) -> TrainedModel:
     """The model :func:`to_json` wrote.  A missing field (only ``scaling``
-    and ``meta`` may be absent), a ``c``, ``lam``, ``u`` or ``train.y`` that
-    does not match the rows of ``train.X``, or a support index out of range
-    raises ``InputError``."""
+    and ``meta`` may be absent) or one of the wrong type, a ``train.X`` that
+    is not a matrix, a ``c``, ``lam``, ``u`` or ``train.y`` that does not
+    match its rows, a ``scaling`` that does not match its columns, or a
+    support index out of range raises ``InputError``."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InputError(f"model file holds a JSON {type(doc).__name__}, "
+                         "not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format version {version!r}")
-    scaling = doc.get("scaling")
-    try:
-        mdl = TrainedModel(
-            c=np.asarray(doc["c"], dtype=float),
-            b=float(doc["b"]),
-            lam=np.asarray(doc["lam"], dtype=float),
-            u=np.asarray(doc["u"], dtype=float),
-            support=np.asarray(doc["support"], dtype=int),
-            kernel=KernelSpec.from_dict(doc["kernel"]),
-            X=np.asarray(doc["train"]["X"], dtype=float),
-            y=np.asarray(doc["train"]["y"], dtype=float),
-            gamma=float(doc["gamma"]),
-            C=float(doc["C"]),
-            scaling=StandardizeStats.from_dict(scaling) if scaling else None,
-            meta=dict(doc.get("meta", {})),
-        )
-    except KeyError as exc:  # a field of the file, at any depth
-        raise InputError(f"model file has no {exc.args[0]!r} field") from None
-    m = len(mdl.X)
+
+    def vector(v):
+        return np.asarray(v, dtype=float)
+    mdl = TrainedModel(
+        c=_field(doc, "c", vector),
+        b=_field(doc, "b", float),
+        lam=_field(doc, "lam", vector),
+        u=_field(doc, "u", vector),
+        support=_field(doc, "support", lambda v: np.asarray(v, dtype=int)),
+        kernel=_field(doc, "kernel", KernelSpec.from_dict),
+        X=_field(doc, "train.X", vector),
+        y=_field(doc, "train.y", vector),
+        gamma=_field(doc, "gamma", float),
+        C=_field(doc, "C", float),
+        scaling=(_field(doc, "scaling", StandardizeStats.from_dict)
+                 if doc.get("scaling") else None),
+        meta=_field(doc, "meta", dict) if "meta" in doc else {},
+    )
+    if mdl.X.ndim != 2:
+        raise InputError(f"model field 'train.X' has shape {mdl.X.shape}, "
+                         "not (rows, features)")
+    m, d = mdl.X.shape
     for name, v in (("c", mdl.c), ("lam", mdl.lam), ("u", mdl.u), ("train.y", mdl.y)):
         if v.shape != (m,):
             raise InputError(f"model field {name!r} has shape {v.shape}, "
                              f"but 'train.X' has {m} rows")
+    for name in ("mean", "std", "constant") if mdl.scaling else ():
+        v = getattr(mdl.scaling, name)
+        if v.shape != (d,):
+            raise InputError(f"model field 'scaling.{name}' has shape {v.shape}, "
+                             f"but 'train.X' has {d} columns")
     if np.any((mdl.support < 0) | (mdl.support >= m)):
         raise InputError(f"model field 'support' has an index outside [0, {m})")
     return mdl

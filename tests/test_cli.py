@@ -285,6 +285,32 @@ class TestModelFile:
         assert self._eval(paths, past_the_end) == 4
         assert "'support' has an index outside" in capsys.readouterr().err
 
+    def test_json_not_an_object_exits_4(self, paths, capsys):
+        model_path, data_path = paths
+        model_path.write_text("[]")
+        assert run_cli("eval", "--model", str(model_path), "--data", str(data_path)) == 4
+        assert "holds a JSON list, not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("kernel.params.rho", "x", "'kernel': kernel parameter rho must be finite"),
+        ("kernel.params", [1], "'kernel'"), ("b", "x", "'b'"), ("c", "abc", "'c'"),
+        ("train", [], "'train.X': expected an object"), ("scaling", "x", "'scaling'"),
+    ])
+    def test_field_of_wrong_type_exits_4(self, paths, capsys, name, value, message):
+        *outer, key = name.split(".")
+
+        def replace(doc):
+            for k in outer:
+                doc = doc[k]
+            doc[key] = value
+        assert self._eval(paths, replace) == 4
+        assert f"model field {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["mean", "std", "constant"])
+    def test_scaling_of_wrong_length_exits_4(self, paths, capsys, name):
+        assert self._eval(paths, lambda doc: doc["scaling"][name].pop()) == 4
+        assert f"'scaling.{name}' has shape (1,)" in capsys.readouterr().err
+
     def test_intact_file_evaluates(self, paths, capsys):
         assert self._eval(paths, lambda doc: None) == 0
 

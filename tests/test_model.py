@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zeroone import (InputError, KernelSpec, TrainedModel, accuracy,
-                     decision_function, from_json, predict, support_vectors,
-                     support_vectors_dual, to_json)
+                     cross_matrix, decision_function, from_json, gaussian_spec,
+                     predict, save_model, support_vectors, support_vectors_dual,
+                     to_json)
+from zeroone import model as model_mod
+from zeroone.cli import main
 
 
 def _linear_model(c, b, X, y, support=None, C=1.0, gamma=1.0):
@@ -17,6 +21,30 @@ def _linear_model(c, b, X, y, support=None, C=1.0, gamma=1.0):
         kernel=KernelSpec("linear", {}), X=np.asarray(X, dtype=float), y=y,
         gamma=gamma, C=C,
     )
+
+
+def _gaussian_model(m):
+    """A model over ``m`` random training rows in 2-D with random
+    coefficients and a support set of every third row."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(m, 2))
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    support = np.arange(0, m, 3)
+    lam = np.zeros(m)
+    lam[support] = -rng.random(len(support))
+    return TrainedModel(
+        c=rng.normal(size=m), b=0.1, lam=lam, u=np.zeros(m), support=support,
+        kernel=gaussian_spec(0.5), X=X, y=y, gamma=1.0, C=1.0,
+    )
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDecisionFunction:
@@ -56,6 +84,63 @@ class TestDecisionFunction:
         h = decision_function(mdl, run.train.X)
         margins = run.train.y[mdl.support] * h[mdl.support]
         assert np.all(np.abs(margins - 1.0) <= 1e-2)
+
+
+class TestBlockedDecision:
+    """Queries are evaluated in row blocks, so a call holds one block of
+    kernel values whatever the number of queries."""
+
+    @pytest.fixture(scope="class")
+    def mdl(self):
+        return _gaussian_model(1200)
+
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 800, 1369])
+    def test_matches_whole_matrix(self, mdl, n, form):
+        Z = np.random.default_rng(n).uniform(-3, 3, size=(n, 2))
+        if form == "primal":
+            whole = cross_matrix(mdl.kernel, Z, mdl.X) @ mdl.c + mdl.b
+        else:
+            sv = mdl.support
+            whole = (-cross_matrix(mdl.kernel, Z, mdl.X[sv])
+                     @ (mdl.y[sv] * mdl.lam[sv]) + mdl.b)
+        h = decision_function(mdl, Z, form=form)
+        np.testing.assert_allclose(h, whole, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(predict(mdl, Z, form=form),
+                                      np.where(whole >= 0.0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 258, 513, 800])
+    def test_blocks_cover_the_queries(self, mdl, monkeypatch, n):
+        rows = []
+
+        def counted(spec, X, Z):
+            rows.append(len(X))
+            return cross_matrix(spec, X, Z)
+        monkeypatch.setattr(model_mod, "cross_matrix", counted)
+        assert decision_function(mdl, np.zeros((n, 2))).shape == (n,)
+        # at most one block plus a 1-row tail, which joins the block before it
+        assert sum(rows) == n and max(rows) <= model_mod._PREDICT_ROWS + 1
+        assert n <= 1 or min(rows) >= 2
+
+    @pytest.mark.parametrize("form", ["primal", "dual"])
+    def test_peak_memory_is_one_block(self, mdl, form):
+        # 10 000 queries against 1200 rows: the whole primal kernel would
+        # be 92 MiB
+        Z = np.random.default_rng(3).uniform(-3, 3, size=(10_000, 2))
+        assert _peak_bytes(lambda: predict(mdl, Z, form=form)) <= 3 * 2**20
+
+    def test_boundary_peak_does_not_grow_with_grid(self, mdl, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(mdl, str(path))
+
+        def boundary(g):
+            assert main(["boundary", "--model", str(path), "--grid-size", str(g),
+                         "--out", str(tmp_path / f"grid{g}.csv")]) == 0
+        peak = {g: _peak_bytes(lambda: boundary(g)) for g in (100, 200)}
+        # the 200 x 200 grid's own arrays (points, decisions, labels) add
+        # under 2 MiB; its whole kernel would add 275 MiB
+        assert peak[200] <= peak[100] + 2 * 2**20
+        assert peak[200] <= 8 * 2**20
 
 
 class TestPredict:
