@@ -16,6 +16,10 @@ matrix-vector products, the guarded coefficient solves and the dot
 products run per row with the calls a single vector makes, so each cell's
 trace is bitwise the same whether it is solved alone or in a batch.  A
 single solve is a batch of one.
+
+A coefficient solver on a low-rank kernel factor computes every product
+with numpy; only a dense solver loads scipy, for its symmetric BLAS and
+LAPACK routines (see ``_CoefficientSolver``).
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsymv, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from .data import Dataset
 from .errors import InputError, NumericalError, ZeroOneError
@@ -201,9 +203,9 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
             return L[:, :j]
         if j == max_rank:
             return None
-        # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T,
-        # in scipy's BLAS like the solves; at j = 0 there is no L yet
-        col = dgemv(-1.0, L[:, :j], L[i, :j], beta=1.0, y=K[:, i]) if j else K[:, i]
+        # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T;
+        # at j = 0 there is no L yet
+        col = K[:, i] - L[:, :j].dot(L[i, :j]) if j else K[:, i]
         L[:, j] = col / np.sqrt(d[i])
         d -= L[:, j] * L[:, j]
 
@@ -212,23 +214,27 @@ class _GramFactor:
     """What the coefficient solvers of one Gram share, whatever their
     ``sigma``: ``K`` as a free F-ordered view, its pivoted-Cholesky factor
     ``L`` (``None`` above rank ``m // 4``; a zero column at rank 0, since
-    BLAS takes no empty operand) and the factor's error on a fixed probe
-    ``p``, ``||K p - L L^T p||``, which each solver compares with its own
-    tolerance.  ``setup_s`` is the wall time to build it."""
+    BLAS takes no empty operand), ``G = L^T L`` and the factor's error on
+    a fixed probe ``p``, ``||K p - L L^T p||``, which each solver compares
+    with its own tolerance.  Non-finite entries of ``K`` make that error
+    non-finite, which fails every tolerance, so numpy's floating-point
+    warnings are off while it is built.  ``setup_s`` is the wall time to
+    build it."""
 
     def __init__(self, K: np.ndarray):
         t0 = time.perf_counter()
         self.K = K = np.asfortranarray(K.T)
         m = len(K)
-        self.L = _pivoted_cholesky(K, m // 4)
-        self.rank = None if self.L is None else self.L.shape[1]
-        if self.rank == 0:
-            self.L = np.zeros((m, 1), order="F")
-        if self.L is not None:
-            p = np.random.default_rng(0).standard_normal(m)
-            LLp = dgemv(1.0, self.L, dgemv(1.0, self.L, p, trans=1))
-            self.probe_err = float(np.linalg.norm(dsymv(1.0, K, p, lower=1) - LLp))
-            self.probe_norm = float(np.linalg.norm(p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.L = L = _pivoted_cholesky(K, m // 4)
+            self.rank = None if L is None else L.shape[1]
+            if self.rank == 0:
+                self.L = L = np.zeros((m, 1), order="F")
+            if L is not None:
+                self.G = L.T.dot(L)
+                p = np.random.default_rng(0).standard_normal(m)
+                self.probe_err = float(np.linalg.norm(K.dot(p) - L.dot(L.T.dot(p))))
+                self.probe_norm = float(np.linalg.norm(p))
         self.setup_s = time.perf_counter() - t0
 
 
@@ -252,13 +258,14 @@ class _CoefficientSolver:
     * ``r <= m // 4`` (gaussian kernels on low-dimensional data, linear,
       low-degree polynomial): ``K = L L^T`` with ``L`` m x r, and Woodbury
       gives ``A^-1 = sigma [I - L M^-1 L^T]`` with ``M = I/sigma + L^T L``
-      (r x r).  A solve and ``K c = L (L^T c)`` are four ``dgemv`` over
-      ``L``.  That reads ``4 m r`` entries, against ``m^2`` for the two
-      half-matrix ``dsymv`` below, hence the cutoff.  ``factor_rank`` is
-      ``r``.  Before use, the factor is checked once against ``K`` itself:
-      on a fixed probe vector ``p``, ``||K p - L L^T p|| <= 1e-8 ||p|| /
-      sigma``, the residual guard's tolerance for ``c = p``.  A symmetric
-      indefinite ``K``, whose pivots can look low-rank, fails this check.
+      (r x r).  A solve and ``K c = L (L^T c)`` are four matrix-vector
+      products over ``L``.  That reads ``4 m r`` entries, against ``m^2``
+      for the two half-matrix ``dsymv`` below, hence the cutoff.  ``M^-1``
+      is held in full.  ``factor_rank`` is ``r``.  Before use, the factor
+      is checked once against ``K`` itself: on a fixed probe vector ``p``,
+      ``||K p - L L^T p|| <= 1e-8 ||p|| / sigma``, the residual guard's
+      tolerance for ``c = p``.  A symmetric indefinite ``K``, whose pivots
+      can look low-rank, fails this check.
     * otherwise, or when the check fails: ``A^-1`` is held explicitly, so
       a solve is one ``dsymv``, and ``K c`` a second one on ``K``.  Forming
       the inverse is safe, because ``cond(A) <= 1 + sigma *
@@ -266,11 +273,15 @@ class _CoefficientSolver:
       in the lower triangle of the F-ordered buffer they wrote; the stale
       upper triangle is never read.  ``factor_rank`` is ``None``.
 
-    Every matrix product, at set-up and in each iteration, is a scipy BLAS
-    call, and every m-row operand is F-ordered, so nothing is copied.  numpy's and scipy's BLAS may be
-    separate libraries whose thread pools make switching between them
-    cost more than the products.  ``K`` is symmetric to the bit, so its
-    free F-ordered transpose view stands in.
+    The low-rank representation computes every product with numpy
+    (``ndarray.dot``).  The dense one takes ``dsymv``, ``dpotrf`` and
+    ``dpotri`` from scipy, imported when such a solver is built, because
+    numpy has no product that reads half of a symmetric matrix; so a
+    low-rank solve never loads ``scipy.linalg``, and each iteration wakes
+    one BLAS library's thread pool, not numpy's and scipy's in turn.
+    Every matrix an iteration reads is F-ordered, so nothing is copied;
+    ``K`` is symmetric to the bit, so its free F-ordered transpose view
+    stands in.
 
     Every solve is checked: ``||K c + c/sigma - diag(y) xi|| <=
     1e-8 (1 + ||xi||)`` with ``K c`` computed from the representation in
@@ -279,35 +290,53 @@ class _CoefficientSolver:
     which rounding can cause when ``sigma * |lambda_min(K)|`` reaches 1.
 
     ``setup_s`` is the wall time, in seconds, to build the solver,
-    including its Gram factor's.
+    including its Gram factor's, and not the load of ``scipy.linalg``.
     """
 
     def __init__(self, f: _GramFactor, sigma: float):
-        t0 = time.perf_counter()
         self.K, self.sigma = f.K, sigma
         self.L = self.factor_rank = None
-        if f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma:
+        low_rank = f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma
+        if not low_rank:
+            # the first dense solver of a process loads scipy.linalg;
+            # setup_s leaves that one-time cost out
+            from scipy.linalg.blas import dsymv
+            from scipy.linalg.lapack import dpotrf, dpotri
+            self._dsymv = dsymv
+        t0 = time.perf_counter()
+        if low_rank:
             self.L, self.factor_rank = f.L, f.rank
-            self.M_inv = self._inverse(dsyrk(1.0, self.L, trans=1, lower=1))
+            # numpy's Cholesky factorization is the positive-definiteness
+            # check; its LU inverse took less time than inverting the factor
+            M = self._plus_identity(f.G)
+            try:
+                np.linalg.cholesky(M)
+                M[...] = np.linalg.inv(M)
+            except np.linalg.LinAlgError as exc:
+                raise self._breakdown(str(exc)) from None
+            self.M_inv = M
         else:
-            self.A_inv = self._inverse(self.K)
+            A = self._plus_identity(self.K)
+            A_inv, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
+            if info == 0:
+                A_inv, info = dpotri(A_inv, lower=True, overwrite_c=True)
+            if info != 0:
+                raise self._breakdown(f"info={info}")
+            self.A_inv = A_inv
         self.setup_s = f.setup_s + time.perf_counter() - t0
 
-    def _inverse(self, A: np.ndarray) -> np.ndarray:
-        """Lower triangle of ``(A + I/sigma)^-1``, written over a cache-line
-        aligned F-ordered copy of ``A`` (see :func:`_aligned_empty`)."""
-        A_copy = _aligned_empty(A.shape)
-        A_copy[...] = A
-        A_copy.flat[::len(A) + 1] += 1.0 / self.sigma
-        L, info = dpotrf(A_copy, lower=True, clean=False, overwrite_a=True)
-        if info == 0:
-            A_inv, info = dpotri(L, lower=True, overwrite_c=True)
-        if info != 0:
-            raise NumericalError(
-                f"Cholesky factorization of K + I/sigma failed (info={info})",
-                cond=self._cond(),
-            )
-        return A_inv
+    def _plus_identity(self, A: np.ndarray) -> np.ndarray:
+        """``A + I/sigma`` in a cache-line aligned F-ordered buffer (see
+        :func:`_aligned_empty`)."""
+        out = _aligned_empty(A.shape)
+        out[...] = A
+        out.flat[::len(A) + 1] += 1.0 / self.sigma
+        return out
+
+    def _breakdown(self, why: str) -> NumericalError:
+        return NumericalError(
+            f"Cholesky factorization of K + I/sigma failed ({why})",
+            cond=self._cond())
 
     def _cond(self) -> float:
         A = self.K + np.eye(len(self.K)) / self.sigma
@@ -319,17 +348,17 @@ class _CoefficientSolver:
     def K_times(self, c: np.ndarray) -> np.ndarray:
         """``K c`` through the representation the solves use."""
         if self.L is None:
-            return dsymv(1.0, self.K, c, lower=1)
-        return dgemv(1.0, self.L, dgemv(1.0, self.L, c, trans=1))
+            return self._dsymv(1.0, self.K, c, lower=1)
+        return self.L.dot(self.L.T.dot(c))
 
     def apply(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked ``c = A^-1 d`` and ``K c`` for one right-hand side
         ``d = diag(y) xi``; :func:`_solve_rows` checks them."""
         if self.L is None:
-            c = dsymv(1.0, self.A_inv, d, lower=1)
+            c = self._dsymv(1.0, self.A_inv, d, lower=1)
         else:
-            z = dsymv(1.0, self.M_inv, dgemv(1.0, self.L, d, trans=1), lower=1)
-            c = dgemv(-self.sigma, self.L, z, beta=self.sigma, y=d)
+            z = self.M_inv.dot(self.L.T.dot(d))
+            c = self.sigma * (d - self.L.dot(z))
         return c, self.K_times(c)
 
     def solve(self, xi: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

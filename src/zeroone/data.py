@@ -8,6 +8,7 @@ increasing indices) and a dense CSV with header ``x1,...,xd,label``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,15 @@ def split(dataset: Dataset, train_fraction: float = 0.6, seed: int = 0) -> tuple
     return tr, te
 
 
+def _check_generator(m: int, noise_std: float):
+    """Reject a sample count below 2 and a noise level that is not a
+    finite number >= 0 (NaN would skip the noise silently)."""
+    if m < 2:
+        raise InputError(f"need m >= 2, got {m}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
+
+
 def gen_double_moons(m: int, noise_std: float = 0.15, seed: int = 0) -> Dataset:
     """Two interleaving half-circle arcs with additive gaussian noise.
 
@@ -240,8 +250,7 @@ def gen_double_moons(m: int, noise_std: float = 0.15, seed: int = 0) -> Dataset:
     mirror shifted to interleave.  Points sit on uniform parameter grids,
     ceil(m/2) on the +1 arc.
     """
-    if m < 2 or noise_std < 0:
-        raise InputError("need m >= 2 and noise_std >= 0")
+    _check_generator(m, noise_std)
     n_out = (m + 1) // 2
     n_in = m // 2
     t_out = np.linspace(0.0, np.pi, n_out)
@@ -261,8 +270,7 @@ def gen_double_circles(m: int, factor: float = 0.5, noise_std: float = 0.05,
                        seed: int = 0) -> Dataset:
     """Concentric circles: unit radius labeled +1, inner radius ``factor``
     labeled -1, uniform angles, additive gaussian noise."""
-    if m < 2 or noise_std < 0:
-        raise InputError("need m >= 2 and noise_std >= 0")
+    _check_generator(m, noise_std)
     if not 0.0 < factor < 1.0:
         raise InputError("factor must be in (0, 1)")
     n_out = (m + 1) // 2

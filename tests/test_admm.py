@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg.blas import dsymv
+import scipy.linalg.blas
 
 from conftest import make_kkt_fixture, toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
@@ -292,14 +298,16 @@ class TestCoefficientSolver:
 
     def test_every_dsymv_operand_is_f_contiguous(self, monkeypatch):
         # f2py copies a C-ordered matrix on every call; F-ordered goes
-        # through.  Dense-path solves only: their products are all dsymv.
+        # through.  Dense-path solves only: their products are all dsymv,
+        # which the solver takes from scipy when it is built.
         seen = []
+        real = scipy.linalg.blas.dsymv
 
         def recording_dsymv(alpha, a, x, **kw):
             seen.append(a.flags["F_CONTIGUOUS"])
-            return dsymv(alpha, a, x, **kw)
+            return real(alpha, a, x, **kw)
 
-        monkeypatch.setattr(admm, "dsymv", recording_dsymv)
+        monkeypatch.setattr(scipy.linalg.blas, "dsymv", recording_dsymv)
         ds = gen_double_circles(60, noise_std=0.1, seed=3)
         for kernel in (gaussian_spec(0.5), KernelSpec("laplacian", {"rho": 0.5}),
                        KernelSpec("exponential", {"rho": 0.5})):
@@ -381,6 +389,15 @@ class TestLowRankFactor:
         K = gram.entries
         assert info.value.cond == pytest.approx(np.linalg.cond(K + np.eye(len(K))))
 
+    def test_breakdown_of_small_system_raises(self):
+        # M = G + I/sigma with G = L^T L is positive definite unless G is
+        # corrupt; a corrupt G raises at set-up like a dense breakdown
+        _, _, gram = _circles_gram(160, POLY3)
+        factor = _GramFactor(gram.entries)
+        factor.G = -4.0 * np.eye(factor.rank)
+        with pytest.raises(NumericalError, match="Cholesky"):
+            _CoefficientSolver(factor, 1.0)
+
     def test_zero_gram_solves_with_rank_zero(self):
         K = np.zeros((8, 8))
         y = np.array([1.0, -1.0] * 4)
@@ -421,20 +438,57 @@ class TestLowRankFactor:
         assert admm._pivoted_cholesky(K, 2) is None
         assert admm._pivoted_cholesky(np.asfortranarray(np.eye(40)), 10) is None
 
-    def test_every_dgemv_operand_is_f_contiguous(self, monkeypatch):
-        seen = []
-        real = admm.dgemv
+    def test_iteration_products_copy_no_factor(self):
+        # numpy copies an operand whose layout its BLAS call cannot take;
+        # one solve and K c must allocate nothing near the size of L
+        train, _, gram = _circles_gram(1200)
+        solver = _CoefficientSolver(_GramFactor(gram.entries), 1.0)
+        m, r = solver.L.shape
+        assert r >= 100
+        d = np.random.default_rng(4).normal(size=m)
+        solver.apply(d)
+        tracemalloc.start()
+        try:
+            c, _ = solver.apply(d)
+            solver.K_times(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * r * 8 / 2
 
-        def recording_dgemv(alpha, a, x, **kw):
-            seen.append(a.flags["F_CONTIGUOUS"])
-            return real(alpha, a, x, **kw)
-
-        monkeypatch.setattr(admm, "dgemv", recording_dgemv)
-        ds = gen_double_circles(60, noise_std=0.1, seed=3)
-        for kernel in (LINEAR, KernelSpec("polynomial", {"degree": 2, "offset": 1.0})):
-            _, trace = solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
-            assert trace.factor_rank is not None, kernel.family
-        assert len(seen) > 20 and all(seen)
+    def test_low_rank_solve_never_loads_scipy_linalg(self):
+        # a fresh interpreter: the low-rank solve, prediction and the three
+        # certificates run on numpy alone; a dense solver loads scipy
+        script = textwrap.dedent("""
+            import sys
+            import zeroone as z
+            train, _ = z.split(z.gen_double_circles(1200, seed=7), seed=9)
+            train, _, _ = z.standardize(train, train)
+            hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=50,
+                               kernel=z.gaussian_spec(1.0 / train.d))
+            gram = z.gram_matrix(hp.kernel, train.X)
+            state, trace = z.solve(train, hp, gram=gram)
+            assert trace.factor_rank is not None
+            mdl = z.from_solution(state, train, hp)
+            z.predict(mdl, train.X)
+            K = gram.entries
+            z.check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            z.check_prox_stationary(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
+                                    mdl.C, mdl.gamma)
+            z.equivalence_roundtrip(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            print("scipy.linalg" in sys.modules)
+            hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=5,
+                               kernel=z.KernelSpec("laplacian", {"rho": 0.5}))
+            _, trace = z.solve(train, hp)
+            assert trace.factor_rank is None
+            print("scipy.linalg" in sys.modules)
+        """)
+        src = str(Path(admm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestUpdateB:

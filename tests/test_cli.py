@@ -188,6 +188,24 @@ class TestNonFiniteSolverSetting:
         assert not out.exists()
 
 
+class TestNoiseStd:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_unusable_noise_std_exits_4(self, tmp_path, capsys, value):
+        data = ["--dataset", "circles", "--m", "50", "--noise-std", value]
+        out = tmp_path / "gen.csv"
+        assert run_cli("gen", *data, "--out", str(out)) == 4
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("train", *data, "--max-iter", "5", "--out", str(tmp_path)) == 4
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", *data, "--max-iter", "5", "--selection", "paper",
+                       "--format", "csv", "--out", str(out)) == 4
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvalCertify:
     @pytest.fixture()
     def trained(self, tmp_path, circles_run):

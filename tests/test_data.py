@@ -147,6 +147,13 @@ class TestGenerators:
         with pytest.raises(InputError):
             gen_double_moons(1)
 
+    @pytest.mark.parametrize("gen", [gen_double_moons, gen_double_circles])
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -1.0])
+    def test_unusable_noise_std(self, gen, noise_std):
+        # NaN passed the old "< 0" test and then skipped the noise silently
+        with pytest.raises(InputError, match="noise_std must be finite"):
+            gen(50, noise_std=noise_std)
+
 
 class TestFlipLabels:
     def test_zero_rate_identity(self):
