@@ -31,8 +31,8 @@ FAMILIES = (
 # Alignment, in bytes, of the matrices BLAS reads: one cache line.
 _ALIGN = 64
 
-# Entries per row block of the in-place kernel evaluation: a block and its
-# scratch, 256 KiB each, stay in L2.
+# Entries per row block of the in-place kernel evaluation: a block, and for
+# the laplacian its scratch, 256 KiB each, stay in L2.
 _BLOCK = 1 << 15
 
 _REQUIRED_PARAMS = {
@@ -174,16 +174,6 @@ def _aligned_empty(shape: tuple, order: str = "F") -> np.ndarray:
     return buf[start:start + n].reshape(shape, order=order)
 
 
-def _sq_dists(B: np.ndarray, S: np.ndarray, sx: np.ndarray, sz: np.ndarray):
-    """Overwrite the block ``B`` of inner products with the squared
-    distances ``(sx_i + sz_j) - 2 B_ij``, clipped at 0; ``S`` is scratch of
-    ``B``'s shape."""
-    np.add(sx[:, None], sz[None, :], out=S)
-    B *= 2.0
-    np.subtract(S, B, out=B)
-    np.maximum(B, 0.0, out=B)  # clip rounding noise below zero
-
-
 def _l1_dists(B: np.ndarray, S: np.ndarray, X: np.ndarray, Z: np.ndarray):
     """Overwrite the block ``B`` with the L1 distances between the rows of
     ``X`` and ``Z``, summed one feature at a time through the scratch ``S``."""
@@ -198,37 +188,45 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
     """The ``|X|``-by-``|Z|`` kernel matrix, built in one cache-line aligned
     C-ordered buffer.
 
-    The inner products come from one whole ``X @ Z^T`` written into the
-    buffer (row-blocked products round differently at some shapes).  The
-    family's elementwise steps then run in place over row blocks of about
-    ``_BLOCK`` entries, in the order of the whole-matrix formulas, so every
-    entry is bitwise what those formulas give.  With ``upper`` (``Z`` is
-    ``X``) a block skips the columns left of its first row: those entries
-    lie below the diagonal, where the caller mirrors the upper triangle.
+    One whole-matrix product is written into the buffer: ``X @ Z^T`` for
+    the linear and polynomial families, and for the gaussian, exponential
+    and inverse multiquadric the squared distances
+    ``[X, ||x||^2, 1] @ [-2Z, 1, ||z||^2]^T``, which round like
+    ``||x||^2 + ||z||^2 - 2<x, z>`` to about ``eps (||x||^2 + ||z||^2)``.
+    The family's elementwise steps then run in place over row blocks of
+    about ``_BLOCK`` entries; only the laplacian, which sums its L1
+    distances feature by feature, needs a scratch block.  With ``upper``
+    (``Z`` is ``X``) a block skips the columns left of its first row: those
+    entries lie below the diagonal, where the caller mirrors the upper
+    triangle.
     """
     n, m = len(X), len(Z)
     K = _aligned_empty((n, m), order="C")
     fam, p = spec.family, spec.params
-    if fam != "laplacian":
+    if fam in ("gaussian", "exponential", "inverse_multiquadric"):
+        d = X.shape[1]
+        Xa, Za = np.ones((n, d + 2)), np.ones((m, d + 2))
+        Xa[:, :d], Xa[:, d] = X, np.sum(X * X, axis=1)
+        Za[:, :d], Za[:, d + 1] = -2.0 * Z, np.sum(Z * Z, axis=1)
+        np.matmul(Xa, Za.T, out=K)
+    elif fam != "laplacian":
         np.matmul(X, Z.T, out=K)
     if fam == "linear":
         return K
-    if fam in ("gaussian", "exponential", "inverse_multiquadric"):
-        sx, sz = np.sum(X * X, axis=1), np.sum(Z * Z, axis=1)
     rows = max(1, _BLOCK // max(m, 1))
-    scratch = np.empty(min(n, rows) * m)
+    if fam == "laplacian":
+        scratch = np.empty(min(n, rows) * m)
     for r0 in range(0, n, rows):
         r1, c0 = min(r0 + rows, n), r0 if upper else 0
         B = K[r0:r1, c0:]
-        S = scratch[:B.size].reshape(B.shape)
         if fam == "polynomial":
             B += p["offset"]
             B **= p["degree"]
             continue
         if fam == "laplacian":
-            _l1_dists(B, S, X[r0:r1], Z[c0:])
+            _l1_dists(B, scratch[:B.size].reshape(B.shape), X[r0:r1], Z[c0:])
         else:
-            _sq_dists(B, S, sx[r0:r1], sz[c0:])
+            np.maximum(B, 0.0, out=B)  # clip rounding noise below zero
         if fam == "inverse_multiquadric":
             B += p["c"] ** 2
             B **= -p["beta"]
@@ -245,8 +243,8 @@ def cross_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
 
     Returns the |X|-by-|Z| matrix with entry (i, j) equal to
     ``eval_kernel(spec, X[i], Z[j])``, C-ordered and starting on a 64-byte
-    boundary.  Apart from the output it holds one block of about
-    ``_BLOCK`` entries.
+    boundary.  Apart from the output it holds the inputs' augmented rows
+    or, for the laplacian, one block of about ``_BLOCK`` entries.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ STRICT_SPECS = [s for s in ALL_SPECS if s.family in
 
 
 def _reference_cross(spec, X, Z):
-    """Out-of-place assembly: each formula over whole-matrix temporaries."""
+    """Out-of-place assembly: each formula over whole-matrix temporaries,
+    the squared distances from one product of augmented operands."""
     p = spec.params
-    sq = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :] - 2.0 * (X @ Z.T)
-    sq = np.maximum(sq, 0.0)
+    ones_x, ones_z = np.ones((len(X), 1)), np.ones((len(Z), 1))
+    Xa = np.hstack([X, np.sum(X * X, axis=1)[:, None], ones_x])
+    Za = np.hstack([-2.0 * Z, ones_z, np.sum(Z * Z, axis=1)[:, None]])
+    sq = np.maximum(Xa @ Za.T, 0.0)
     l1 = sum(np.abs(X[:, k][:, None] - Z[:, k][None, :]) for k in range(X.shape[1]))
     return {
         "gaussian": lambda: np.exp(-p["rho"] * sq),
@@ -223,3 +227,61 @@ def test_cross_matrix_consistency():
         np.testing.assert_allclose(Kxz, table, rtol=1e-12, atol=1e-15)
     with pytest.raises(InputError):
         cross_matrix(gaussian_spec(1.0), X, rng.normal(size=(4, 2)))
+
+
+SQ_DIST_SPECS = [s for s in ALL_SPECS
+                 if s.family in ("gaussian", "exponential", "inverse_multiquadric")]
+
+
+def _cancellation_rows(offset=1e3):
+    """Rows whose squared distances cancel: a cloud offset from the origin,
+    and the same cloud with exact and near duplicates of its rows."""
+    rng = np.random.default_rng(13)
+    far = rng.normal(size=(24, 3)) + offset
+    dup = np.vstack([far[:8], far[:8], far[:8] + 1e-9, far[:8] * (1 + 1e-13)])
+    return {"offset": far, "duplicates": dup}
+
+
+def _kernel_error_bound(spec, X, Z, table):
+    """Entrywise bound on |K - eval_kernel| when each squared distance is
+    off by at most 2 (d + 2) eps (||x||^2 + ||z||^2), the rounding of a
+    length-(d + 2) product whose terms sum in magnitude to at most twice
+    that norm sum."""
+    eps = np.finfo(float).eps
+    norms = np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1)[None, :]
+    delta = 2 * (X.shape[1] + 2) * eps * norms
+    p = spec.params
+    if spec.family == "gaussian":  # exp(-rho s) is rho-Lipschitz in s >= 0
+        slack = p["rho"] * delta
+    elif spec.family == "exponential":  # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|)
+        slack = p["rho"] * np.sqrt(delta)
+    else:  # (c^2 + s)^-beta is beta c^(-2 beta - 2)-Lipschitz in s >= 0
+        slack = p["beta"] * p["c"] ** (-2 * p["beta"] - 2) * delta
+    return slack + 8 * eps * np.abs(table)
+
+
+@pytest.mark.parametrize("case", ["offset", "duplicates"])
+@pytest.mark.parametrize("spec", SQ_DIST_SPECS, ids=lambda s: s.family)
+def test_cancellation_within_norm_scaled_bound(spec, case):
+    X = _cancellation_rows()[case]
+    Z = X[::-1][:10]
+    p = spec.params
+    top = p["c"] ** (-2 * p["beta"]) if spec.family == "inverse_multiquadric" else 1.0
+    for got, A, B in ((cross_matrix(spec, X, Z), X, Z),
+                      (gram_matrix(spec, X).entries, X, X)):
+        table = np.array([[eval_kernel(spec, a, b) for b in B] for a in A])
+        assert np.all(np.abs(got - table) <= _kernel_error_bound(spec, A, B, table))
+        assert np.all((got >= 0.0) & (got <= top))
+
+
+def test_huge_rho_gives_finite_entries_without_warning():
+    # rho ||x||^2 overflows at offset 1e4, rho ||x - z||^2 does not
+    spec = gaussian_spec(1e300)
+    rows = _cancellation_rows(offset=1e4)
+    X = np.vstack([rows["offset"], rows["duplicates"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K, G = cross_matrix(spec, X, X[:7]), gram_matrix(spec, X).entries
+    for got in (K, G):
+        assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+    np.testing.assert_array_equal(np.diag(G), np.ones(len(X)))
