@@ -11,7 +11,7 @@ the ``zeroone`` command line (:mod:`zeroone.cli`).
 
 from .admm import (AdmmState, Hyperparams, SolveTrace, TraceRecord, solve,
                    update_c, update_u, zeros_state)
-from .baselines import objective, solve_baseline
+from .baselines import solve_baseline
 from .data import (Dataset, StandardizeStats, flip_labels, format_csv,
                    format_libsvm, gen_double_circles, gen_double_moons,
                    load_dataset, parse_csv, parse_libsvm, split, standardize)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmState", "Hyperparams", "SolveTrace", "TraceRecord", "solve",
     "update_c", "update_u", "zeros_state",
-    "LossKind", "objective", "solve_baseline",
+    "LossKind", "solve_baseline",
     "Dataset", "StandardizeStats", "flip_labels", "format_csv",
     "format_libsvm", "gen_double_circles", "gen_double_moons",
     "load_dataset", "parse_csv", "parse_libsvm", "split", "standardize",

@@ -7,7 +7,8 @@ coefficients ``c``, (3) a closed-form bias update and (4) a dual ascent on
 rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 :func:`zeroone.stationarity.scaled_residuals` (stationarity, dual balance,
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
-stops once ``max(beta1, |beta2|, beta3, beta4) < eps``.
+stops once ``max(beta1, |beta2|, beta3, beta4) < eps``, or when
+:func:`finish` polishes a stalled iterate to an exact KKT point.
 
 One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
 ``(C, sigma)`` per cell, one Gram) in lockstep: the state is ``(cells, m)``
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,11 +37,26 @@ from .data import Dataset
 from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import (GramMatrix, KernelSpec, _aligned_empty, gaussian_spec,
                       gram_matrix)
-from .prox import LOSS, PROX, LossKind, ProxParams, prox_l01_zeroed
-from .stationarity import row_norms, scaled_residuals
+from .prox import LOSS, PROX, LossKind, ProxParams, objective, prox_l01_zeroed
+from .stationarity import (check_kkt, construct_gamma, equivalence_roundtrip,
+                           row_norms, scaled_residuals)
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
+
+# The polish (see :func:`finish`): a zero-one row is polished at every
+# _POLISH_EVERY-th iteration while its working set gamma_k has flipped at
+# most _SETTLED_FLIPS indices over the last _POLISH_EVERY iterations and
+# its residual stalls: the least max(beta1, |beta2|, beta3, beta4) of the
+# last _STALL_WINDOW iterations is above _STALL_RATIO times the least of
+# the _STALL_WINDOW before.  A row stops trying after _POLISH_TRIES failed
+# attempts.  A polished point must be KKT within _EXACT_TOL.
+_POLISH_EVERY = 10
+_SETTLED_FLIPS = 10
+_STALL_WINDOW = 50
+_STALL_RATIO = 0.5
+_POLISH_TRIES = 3
+_EXACT_TOL = 1e-8
 
 
 @dataclass
@@ -91,6 +107,13 @@ class AdmmState:
     set ``{i : 0 < eta[i] <= sqrt(2C/sigma)}`` for the ``eta`` recorded
     here.  (The baseline solvers reuse this container but skip the dual
     masking, so only the first invariant applies there.)
+
+    A point from :func:`finish` has ``gamma_k`` its active set, ``c`` zero
+    off it and ``lam == -y * c``; its ``eta``, ``xi``, ``r``, ``omega`` and
+    ``iter`` are those of the iterate it was polished from, and
+    ``prox_step`` is the step at which it is prox-stationary, from
+    :func:`~zeroone.stationarity.construct_gamma`.  An ADMM iterate has no
+    ``prox_step``: its step is ``1/sigma``.
     """
 
     c: np.ndarray
@@ -103,6 +126,7 @@ class AdmmState:
     r: np.ndarray
     omega: np.ndarray
     iter: int = 0
+    prox_step: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -123,18 +147,27 @@ _RECORD_WIDTH = len(fields(TraceRecord)) - 1
 @dataclass
 class SolveTrace:
     """Per-iteration residual/objective records, the termination reason,
-    and how the coefficient solver was built: ``factor_rank`` is the rank
-    of its low-rank kernel factor (``None`` for the dense inverse) and
-    ``setup_s`` the wall time, in seconds, to build it.
+    how the coefficient solver was built and what the polish did:
+    ``factor_rank`` is the rank of its low-rank kernel factor (``None`` for
+    the dense inverse), ``setup_s`` the wall time, in seconds, to build it,
+    ``polish_attempts`` the number of calls to :func:`finish` and
+    ``polish_s`` their wall time, in seconds.
+
+    The termination is ``"tolerance_met"`` (all four scaled residuals
+    below ``eps``), ``"polished"`` (a zero-one row whose :func:`finish`
+    point was accepted; the iterations are those run before it) or
+    ``"max_iter"``.
 
     ``flat`` holds each iteration's record values as doubles, one after
     another; a lockstep grid keeps every cell's trace until the batch
     ends, and 48 bytes an iteration is a sixth of what record objects
     cost.  :attr:`records` rebuilds the records from it."""
 
-    termination: str = "max_iter"  # "tolerance_met" | "max_iter"
+    termination: str = "max_iter"  # "tolerance_met" | "polished" | "max_iter"
     factor_rank: Optional[int] = None
     setup_s: float = 0.0
+    polish_attempts: int = 0
+    polish_s: float = 0.0
     flat: array = field(default_factory=lambda: array("d"), repr=False)
 
     @property
@@ -418,6 +451,90 @@ def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
     return solvers
 
 
+def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
+           sigma: float) -> Optional[AdmmState]:
+    """Polish a zero-one iterate to an exact KKT point by an active-set
+    search; ``None`` when the point it reaches is not accepted.
+
+    The active set ``T`` starts as ``row_state.gamma_k``.  Each step solves
+    the bordered system for the coefficients on ``T`` and the bias,
+    ``K_TT c_T + b 1 = y_T`` and ``sum(c_T) = 0``: with ``c`` zero off
+    ``T`` and ``lam = -y * c``, that is ``y_i (K_i c + b) = 1`` on ``T`` and
+    ``<y, lam> = 0``.  It sets ``u = 1 - y * (K c + b)`` with ``u_T = 0``,
+    then drops from ``T`` the largest positive ``lam_i``, or, when no
+    ``lam_i`` is positive, adds the largest ``u_i`` in
+    ``(0, sqrt(2C/sigma)]``; when there is neither, the point is final.
+    Every step solves its system afresh with ``np.linalg.solve`` (an
+    inverse of ``K_TT`` kept up to date by bordering drifted until no
+    point passed the checks below) and forms ``K c`` from the columns of
+    ``T`` alone.  After ``2 |gamma_k| + 10`` steps it gives up.
+
+    The final point is accepted only if it is KKT, ``check_kkt`` and
+    ``equivalence_roundtrip`` both passing at ``_EXACT_TOL``, and if its
+    objective ``c' K c / 2 + C * count(u > 0)`` is not above the
+    iterate's.  The iterate's is taken at its own ``(c, b)`` with the
+    slack they give, ``u = 1 - y * (K c + b)``, not with its ``u``, which
+    is zero on ``gamma_k`` where they do not put it.  On noisy data the
+    working set's KKT point can hold mislabelled points on the margin at
+    a far higher objective; the second test rejects it.  The accepted
+    point carries its ``construct_gamma`` step as ``prox_step`` (see
+    :class:`AdmmState`).
+    """
+    m = len(y)
+    tau = math.sqrt(2.0 * C / sigma)
+    active = np.zeros(m, dtype=bool)
+    active[row_state.gamma_k] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2 * len(row_state.gamma_k) + 10):
+            T = np.flatnonzero(active)
+            n = len(T)
+            if n == 0:
+                return None
+            A = np.ones((n + 1, n + 1))
+            A[:n, :n] = K[np.ix_(T, T)]
+            A[n, n] = 0.0
+            try:
+                sol = np.linalg.solve(A, np.append(y[T], 0.0))
+            except np.linalg.LinAlgError:
+                return None
+            c = np.zeros(m)
+            c[T] = sol[:n]
+            b = float(sol[n])
+            u = 1.0 - y * (K[:, T].dot(sol[:n]) + b)
+            u[T] = 0.0
+            lam = -y * c
+            if lam.max() > 0.0:
+                active[np.argmax(lam)] = False
+                continue
+            near = (u > 0.0) & (u <= tau)
+            if not near.any():
+                break
+            active[np.argmax(np.where(near, u, 0.0))] = True
+        else:
+            return None
+        if not (check_kkt(c, b, u, lam, K, y, C, tol=_EXACT_TOL).is_kkt
+                and equivalence_roundtrip(c, b, u, lam, K, y, C, tol=_EXACT_TOL)):
+            return None
+        u_iterate = 1.0 - y * (K.dot(row_state.c) + row_state.b)
+        if not (objective(LossKind.L01, K, c, u, C)
+                <= objective(LossKind.L01, K, row_state.c, u_iterate, C)):
+            return None
+    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T,
+                   prox_step=construct_gamma(u, lam, C, tol=_EXACT_TOL))
+
+
+def _stalled(flat: array) -> bool:
+    """Whether the least ``max(beta1, |beta2|, beta3, beta4)`` of the last
+    ``_STALL_WINDOW`` records of a trace's ``flat`` values is above
+    ``_STALL_RATIO`` times the least of the ``_STALL_WINDOW`` before them;
+    ``False`` with fewer records."""
+    w, n = _RECORD_WIDTH, 2 * _STALL_WINDOW
+    if len(flat) < n * w:
+        return False
+    res = np.abs(np.reshape(flat[-n * w:], (n, w))[:, :4]).max(axis=1)
+    return bool(res[_STALL_WINDOW:].min() > _STALL_RATIO * res[:_STALL_WINDOW].min())
+
+
 def _run_admm(
     solvers: dict,
     y: np.ndarray,
@@ -437,8 +554,10 @@ def _run_admm(
     objective; the dual ascent is masked to the zeroed set for the
     zero-one loss only, and plain for the baselines.
 
-    A cell leaves the batch when it meets its tolerance, reaches its
-    ``max_iter``, or its solver's set-up or a solve raises a
+    A cell leaves the batch when it meets its tolerance, when a zero-one
+    row's :func:`finish` point is accepted (termination ``"polished"``; see
+    ``_POLISH_EVERY`` for when it is tried), when it reaches its
+    ``max_iter``, or when its solver's set-up or a solve raises a
     ``ZeroOneError``.  ``on_iteration(state)`` receives a snapshot of
     every cell still in the batch after each iteration.  Returns, per
     cell, ``(AdmmState, SolveTrace)`` or the error that removed it.
@@ -467,6 +586,12 @@ def _run_admm(
     lam = np.tile(start.lam, (len(rows), 1))
     Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
     c = np.empty_like(Kc)
+    polish = kind == LossKind.L01
+    # per row: gamma_k of the last iteration and the number of indices
+    # gamma_k flipped in each of the last _POLISH_EVERY iterations
+    last_zeroed = np.zeros((len(rows), m), dtype=bool)
+    last_zeroed[:, start.gamma_k] = True
+    flips = np.zeros((len(rows), _POLISH_EVERY), dtype=int)
 
     def state(j, k):
         return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
@@ -485,6 +610,10 @@ def _run_admm(
         eta -= by
         eta -= scaled_lam
         u, zeroed = _slack_step(eta, p, kind)
+        if polish:
+            flips[:, k % _POLISH_EVERY] = np.count_nonzero(
+                zeroed != last_zeroed, axis=1)
+            last_zeroed = zeroed
         xi = np.subtract(1.0, u)
         xi -= by
         xi -= scaled_lam
@@ -505,9 +634,9 @@ def _run_admm(
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
             c, u, lam, omega, Y, prox(u - scaled_lam, p))
-        objective = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
+        objectives = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
         records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
-                      beta4.tolist(), objective.tolist(),
+                      beta4.tolist(), objectives.tolist(),
                       zeroed.sum(axis=1).tolist())
         leave = dict(failed)
         for j, (i, rec) in enumerate(zip(rows, records)):
@@ -517,6 +646,19 @@ def _run_admm(
             if on_iteration is not None:
                 on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
+            if (polish and not met and k % _POLISH_EVERY == 0
+                    and traces[i].polish_attempts < _POLISH_TRIES
+                    and flips[j].sum() <= _SETTLED_FLIPS
+                    and _stalled(traces[i].flat)):
+                t0 = time.perf_counter()
+                polished = finish(row_solvers[j].K, y, state(j, k),
+                                  hps[i].C, hps[i].sigma)
+                traces[i].polish_attempts += 1
+                traces[i].polish_s += time.perf_counter() - t0
+                if polished is not None:
+                    traces[i].termination = "polished"
+                    leave[j] = (polished, traces[i])
+                    continue
             if met or k == hps[i].max_iter:
                 traces[i].termination = "tolerance_met" if met else "max_iter"
                 leave[j] = (state(j, k), traces[i])
@@ -529,9 +671,10 @@ def _run_admm(
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
             row_solvers = [results[i] for i in rows]
-            c, Kc, yKc, b, by, lam, scaled_lam, Y, sigma, C, step_size = (
+            (c, Kc, yKc, b, by, lam, scaled_lam, Y, sigma, C, step_size,
+             last_zeroed, flips) = (
                 a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, Y,
-                                  sigma, C, step_size))
+                                  sigma, C, step_size, last_zeroed, flips))
             p = ProxParams(gamma=1.0 / sigma, C=C)
     return results
 
@@ -582,9 +725,11 @@ def solve(
     Returns
     -------
     (AdmmState, SolveTrace)
-        The final iterate and the per-iteration residual trace.  The
-        trace terminates either with ``"tolerance_met"`` (all four scaled
-        residuals below ``hp.eps``) or ``"max_iter"``.
+        The final point and the per-iteration residual trace.  The trace
+        terminates with ``"tolerance_met"`` (all four scaled residuals
+        below ``hp.eps``), ``"polished"`` (the state is the exact KKT
+        point :func:`finish` reached from a stalled iterate, with its
+        ``prox_step``) or ``"max_iter"``.
 
     Identical dataset, hyperparameters and warm start produce bitwise
     identical traces.

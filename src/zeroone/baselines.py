@@ -24,20 +24,10 @@ from .data import Dataset, StandardizeStats
 from .errors import InputError, ZeroOneError
 from .kernels import GramMatrix
 from .model import TrainedModel, from_solution
-from .prox import LOSS, LossKind
+from .prox import LossKind
 
 # Multipliers below this magnitude count as zero for baseline support sets.
 BASELINE_SV_TOL = 1e-6
-
-
-def objective(kind: LossKind, K, c, u, C) -> float:
-    """Regularized objective ``c' K c / 2 + C * loss(u)`` where the loss is
-    the positive count, the positive-part sum, or the squared positive-part
-    sum by kind."""
-    kind = LossKind(kind)
-    c = np.asarray(c, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return 0.5 * float(c @ (K @ c)) + C * LOSS[kind](u)
 
 
 def solve_baseline(

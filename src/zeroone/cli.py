@@ -223,7 +223,8 @@ def cmd_train(cfg: RunConfig) -> int:
     rank = "dense" if trace.factor_rank is None else trace.factor_rank
     print(f"train_acc={row['train_acc']:.6f} test_acc={row['test_acc']:.6f} "
           f"nsv={row['nsv']} wall_seconds={row['wall_s']:.3f} "
-          f"setup_seconds={trace.setup_s:.3f} factor_rank={rank} iters={row['iters']}")
+          f"setup_seconds={trace.setup_s:.3f} factor_rank={rank} iters={row['iters']} "
+          f"termination={trace.termination}")
     print(f"model: {model_path}")
     print(f"trace: {trace_path}")
     return 0

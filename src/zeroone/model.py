@@ -54,7 +54,9 @@ class TrainedModel:
     """A trained classifier: coefficients, bias, dual multipliers, slack,
     support set, the kernel, and the training sample it expands over.
 
-    ``gamma`` is the prox step the solver certifies with (1/sigma);
+    ``gamma`` is the prox step at which the solution is certified: the
+    stored ``construct_gamma`` step of a polished solve (see
+    :func:`zeroone.admm.finish`), otherwise ``1/sigma``;
     ``scaling`` carries the standardization applied to the training inputs
     so new raw inputs can be transformed identically.
     """
@@ -82,10 +84,12 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
                   support: Optional[np.ndarray] = None) -> TrainedModel:
     """Package a solver state as a deployable model.
 
-    The support set defaults to the threshold-interval rule on
-    ``(u, lam)``; baseline solvers pass their own set instead.
+    ``gamma`` is the state's ``prox_step`` when it has one (a polished
+    point), and ``1/sigma`` otherwise.  The support set defaults to the
+    threshold-interval rule on ``(u, lam)`` at that step; baseline solvers
+    pass their own set instead.
     """
-    gamma = 1.0 / hp.sigma
+    gamma = 1.0 / hp.sigma if state.prox_step is None else state.prox_step
     if support is None:
         support = support_vectors(state.u, state.lam, hp.C, gamma)
     return TrainedModel(

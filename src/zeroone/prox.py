@@ -1,5 +1,6 @@
 """Closed-form proximal operators for the three loss kinds, each next to
-its unweighted loss, and the tables mapping a :class:`LossKind` to both.
+its unweighted loss, the tables mapping a :class:`LossKind` to both, and
+the regularized :func:`objective` of a kind.
 
 Each operator maps ``eta`` to the coordinatewise minimizer of
 ``C * loss(v) + (v - eta)^2 / (2 * gamma)``.  ``eta`` may be one vector or
@@ -112,3 +113,13 @@ LOSS = {
     LossKind.HINGE: loss_hinge,
     LossKind.SQHINGE: loss_sqhinge,
 }
+
+
+def objective(kind: LossKind, K, c, u, C) -> float:
+    """Regularized objective ``c' K c / 2 + C * loss(u)`` where the loss is
+    the positive count, the positive-part sum, or the squared positive-part
+    sum by kind."""
+    kind = LossKind(kind)
+    c = np.asarray(c, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return 0.5 * float(c @ (K @ c)) + C * LOSS[kind](u)

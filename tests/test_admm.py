@@ -13,12 +13,17 @@ import scipy.linalg.blas
 from conftest import make_kkt_fixture, toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      LossKind, NumericalError, accuracy, check_kkt,
-                     check_prox_stationary, construct_gamma, from_solution,
-                     gaussian_spec, gen_double_circles, gram_matrix, predict,
-                     prox_l01, ProxParams, solve, solve_baseline, split,
-                     standardize, update_c, update_u, zeros_state)
+                     check_prox_stationary, construct_gamma,
+                     decision_function, equivalence_roundtrip, flip_labels,
+                     from_solution, gaussian_spec, gen_double_circles,
+                     gram_matrix, predict, prox_l01, ProxParams, solve,
+                     solve_baseline, split, standardize, support_vectors,
+                     update_c, update_u, zeros_state)
 from zeroone import admm
 from zeroone.admm import _CoefficientSolver, _GramFactor
+from zeroone.baselines import solve_grid
+from zeroone.cli import RunConfig, prepare_splits
+from zeroone.prox import objective
 from zeroone.stationarity import feasibility, scaled_residuals
 
 LINEAR = KernelSpec("linear", {})
@@ -706,15 +711,23 @@ class TestSolve:
                                     gamma=1.0 / hp.sigma, tol=10 * hp.eps)
         assert rep.is_prox_stationary
 
-    def test_polynomial_solve_certifies(self):
+    def test_polynomial_solve_certifies(self, monkeypatch):
         # the normal-equations solve of K + sigma K K picked up a component
-        # in the null space of K here that kept beta1 from vanishing
+        # in the null space of K here that kept beta1 from vanishing.  The
+        # polish ends this solve at iteration 100, so the ADMM's own
+        # convergence is checked with every polish rejected
         ds = gen_double_circles(300, noise_std=0.1, seed=7)
         train, test = split(ds, seed=9)
         train, test, _ = standardize(train, test)
         hp = Hyperparams(C=16.0, sigma=1.0,
                          kernel=KernelSpec("polynomial", {"degree": 3, "offset": 1.0}))
         gram = gram_matrix(hp.kernel, train.X)
+        state, trace = solve(train, hp, gram=gram)
+        assert trace.termination == "polished"
+        assert check_prox_stationary(state.c, state.b, state.u, state.lam,
+                                     gram.entries, train.y, hp.C,
+                                     gamma=state.prox_step).is_prox_stationary
+        monkeypatch.setattr(admm, "finish", lambda *args: None)
         state, trace = solve(train, hp, gram=gram)
         assert trace.termination == "tolerance_met"
         rep = check_prox_stationary(state.c, state.b, state.u, state.lam,
@@ -729,3 +742,114 @@ class TestSolve:
             hp.strictly_pd_shortcut = False
         with pytest.raises(TypeError):
             Hyperparams(C=1.0, sigma=1.0, strictly_pd_shortcut=False)
+
+
+def _circles_train_example():
+    """The README's ``train`` example: circles m=500, seed 7, C=16,
+    sigma=1, gaussian rho = 1/d."""
+    train, test, _ = prepare_splits(RunConfig(command="train", generator="circles",
+                                              m=500, seed=7))
+    hp = Hyperparams(C=16.0, sigma=1.0, kernel=gaussian_spec(1.0 / train.d))
+    return train, test, hp, gram_matrix(hp.kernel, train.X)
+
+
+class TestFinish:
+    """The active-set polish of stalled zero-one rows, ``admm.finish``."""
+
+    @pytest.fixture(scope="class")
+    def polished(self):
+        train, test, hp, gram = _circles_train_example()
+        state, trace = solve(train, hp, gram=gram)
+        return train, test, hp, gram, state, trace
+
+    def test_polished_row_is_exact_kkt_at_stored_gamma(self, polished):
+        train, _, hp, gram, state, trace = polished
+        assert (trace.termination, trace.iterations, trace.polish_attempts) == \
+            ("polished", 110, 1)
+        assert 0.0 < trace.polish_s
+        model = from_solution(state, train, hp)
+        assert model.gamma == state.prox_step < 1.0 / hp.sigma
+        args = (state.c, state.b, state.u, state.lam, gram.entries, train.y, hp.C)
+        assert check_kkt(*args, tol=1e-8).is_kkt
+        assert equivalence_roundtrip(*args, tol=1e-8)
+        assert check_prox_stationary(*args, model.gamma, tol=1e-8).is_prox_stationary
+        # the support is the active set, every row with a multiplier; the
+        # 1/sigma rule would drop one of them
+        np.testing.assert_array_equal(model.support, state.gamma_k)
+        np.testing.assert_array_equal(model.support, np.flatnonzero(state.lam))
+        assert len(support_vectors(state.u, state.lam, hp.C, 1.0 / hp.sigma)) \
+            < model.nsv
+
+    def test_dual_agrees_with_primal(self, polished):
+        train, test, hp, _, state, _ = polished
+        model = from_solution(state, train, hp)
+        queries = np.vstack([test.X, np.random.default_rng(0).uniform(
+            -3.0, 3.0, size=(2000, train.d))])
+        np.testing.assert_allclose(decision_function(model, queries, form="dual"),
+                                   decision_function(model, queries), atol=1e-12)
+        np.testing.assert_array_equal(predict(model, queries, form="dual"),
+                                      predict(model, queries))
+        assert accuracy(predict(model, test.X), test.y) == 1.0
+
+    def test_lockstep_polished_cell_is_the_cell_alone(self):
+        train, _, _, gram = _circles_train_example()
+        hps = [Hyperparams(C=C, sigma=s, kernel=gram.spec)
+               for C in (4.0, 16.0) for s in (1.0, 2.0)]
+        for hp, (state, trace, model, _) in zip(
+                hps, solve_grid(train, hps, [LossKind.L01], gram=gram)):
+            alone, alone_trace = solve(train, hp, gram=gram)
+            assert trace.termination == alone_trace.termination == "polished"
+            assert trace.flat == alone_trace.flat
+            assert trace.polish_attempts == alone_trace.polish_attempts
+            assert (state.b, state.iter, state.prox_step) == \
+                (alone.b, alone.iter, alone.prox_step)
+            for name in ("c", "u", "lam", "gamma_k"):
+                assert getattr(state, name).tobytes() == getattr(alone, name).tobytes()
+            assert model.gamma == alone.prox_step
+
+    def test_worse_kkt_point_is_rejected_and_row_continues(self, monkeypatch):
+        ds = flip_labels(gen_double_circles(150, seed=3), 0.05, seed=4)
+        train, test = split(ds, seed=5)
+        train, test, _ = standardize(train, test)
+        hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
+        K = gram_matrix(hp.kernel, train.X).entries
+        tried = []
+        real = admm.finish
+
+        def spy(K, y, row_state, C, sigma):
+            out = real(K, y, row_state, C, sigma)
+            tried.append((row_state, out))
+            return out
+
+        monkeypatch.setattr(admm, "finish", spy)
+        _, trace = solve(train, hp)
+        assert (trace.termination, trace.iterations) == ("max_iter", 2000)
+        assert trace.polish_attempts == len(tried) == 3
+        assert [out for _, out in tried] == [None] * 3
+        # without the objective test, the first attempt's point is exact
+        # KKT and about 20 times worse than the iterate it came from
+        iterate = tried[0][0]
+        monkeypatch.setattr(admm, "objective", lambda *args: 0.0)
+        point = real(K, train.y, iterate, hp.C, hp.sigma)
+        assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y, hp.C,
+                         tol=1e-8).is_kkt
+        u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
+        assert objective(LossKind.L01, K, point.c, point.u, hp.C) > \
+            10.0 * objective(LossKind.L01, K, iterate.c, u_iterate, hp.C)
+
+    def test_noisy_configurations_make_no_attempt(self):
+        # the C8 run (circles, labels flipped at 0.2) and the grid-small
+        # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2):
+        # their working sets never settle
+        ds = flip_labels(gen_double_circles(150, seed=41), 0.2, seed=42)
+        train, test = split(ds, seed=43)
+        train, _, _ = standardize(train, test)
+        hp = Hyperparams(C=8.0, sigma=1.0, eps=1e-15,
+                         kernel=gaussian_spec(1.0 / train.d))
+        _, trace = solve(train, hp)
+        assert (trace.iterations, trace.polish_attempts) == (2000, 0)
+        train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
+                                               m=500, seed=7, noise_rate=0.05))
+        hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
+        _, trace = solve(train, hp)
+        assert (trace.termination, trace.polish_attempts) == ("max_iter", 0)

@@ -8,9 +8,10 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      LossKind, NumericalError, ProxParams, accuracy, admm,
                      flip_labels, from_solution, gaussian_spec,
                      gen_double_circles, gen_double_moons, gram_matrix,
-                     objective, predict, prox_hinge, solve, solve_baseline,
+                     predict, prox_hinge, solve, solve_baseline,
                      split, standardize)
 from zeroone.baselines import solve_grid
+from zeroone.prox import objective
 
 
 class TestObjective:

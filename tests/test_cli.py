@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +205,35 @@ class TestNoiseStd:
                        "--format", "csv", "--out", str(out)) == 4
         assert "noise_std must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_TRAIN = ("zeroone train --dataset circles --m 500 --seed 7 --C 16 "
+                "--sigma 1 --out run/")
+
+
+def _summary(line):
+    """The ``key=value`` fields of a ``train`` summary line."""
+    return dict(field.split("=", 1) for field in line.split())
+
+
+class TestReadmeExample:
+    def test_train_line_reproduces_and_certifies(self, tmp_path, capsys):
+        text = README.read_text(encoding="utf-8")
+        documented = _summary(text.split(README_TRAIN + "\n# -> ", 1)[1]
+                              .splitlines()[0])
+        argv = README_TRAIN.split()[1:-1]
+        assert run_cli(*argv, str(tmp_path)) == 0
+        got = _summary(capsys.readouterr().out.splitlines()[0])
+        assert set(got) == set(documented)
+        for key in ("train_acc", "test_acc", "nsv", "factor_rank", "iters",
+                    "termination"):
+            assert got[key] == documented[key], key
+        assert run_cli("certify", "--model", str(tmp_path / "model.json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["kkt"]["is_kkt"] is True
+        assert report["prox_stationary"]["is_prox_stationary"] is True
+        assert report["equivalence_roundtrip"] is True
 
 
 class TestEvalCertify:
