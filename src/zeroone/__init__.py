@@ -10,7 +10,7 @@ the ``zeroone`` command line (:mod:`zeroone.cli`).
 """
 
 from .admm import (AdmmState, Hyperparams, SolveTrace, TraceRecord, solve,
-                   update_c, update_u, zeros_state)
+                   update_c, zeros_state)
 from .baselines import solve_baseline
 from .data import (Dataset, StandardizeStats, flip_labels, format_csv,
                    format_libsvm, gen_double_circles, gen_double_moons,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmState", "Hyperparams", "SolveTrace", "TraceRecord", "solve",
-    "update_c", "update_u", "zeros_state",
+    "update_c", "zeros_state",
     "LossKind", "solve_baseline",
     "Dataset", "StandardizeStats", "flip_labels", "format_csv",
     "format_libsvm", "gen_double_circles", "gen_double_moons",

@@ -38,8 +38,8 @@ from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import (GramMatrix, KernelSpec, _aligned_empty, gaussian_spec,
                       gram_matrix)
 from .prox import LOSS, PROX, LossKind, ProxParams, objective, prox_l01_zeroed
-from .stationarity import (check_kkt, construct_gamma, equivalence_roundtrip,
-                           row_norms, scaled_residuals)
+from .stationarity import (check_prox_stationary, construct_gamma, row_norms,
+                           scaled_residuals)
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
@@ -50,7 +50,8 @@ _SOLVE_RTOL = 1e-8
 # its residual stalls: the least max(beta1, |beta2|, beta3, beta4) of the
 # last _STALL_WINDOW iterations is above _STALL_RATIO times the least of
 # the _STALL_WINDOW before.  A row stops trying after _POLISH_TRIES failed
-# attempts.  A polished point must be KKT within _EXACT_TOL.
+# attempts.  A polished point must be prox-stationary within _EXACT_TOL at
+# the step construct_gamma builds for it.
 _POLISH_EVERY = 10
 _SETTLED_FLIPS = 10
 _STALL_WINDOW = 50
@@ -191,21 +192,12 @@ def zeros_state(m: int) -> AdmmState:
     )
 
 
-def update_u(eta, C, sigma, kind=LossKind.L01) -> tuple[np.ndarray, np.ndarray]:
-    """Slack step: the ``kind`` prox of ``eta`` at step ``1/sigma``.
-
-    Returns the new slack vector and the (sorted, 0-based) index set that
-    was zeroed.  For the zero-one loss that set is the coordinates of
-    ``eta`` in ``(0, sqrt(2C/sigma)]``; for the baselines it is the zeros
-    of the new slack vector.
-    """
-    u, zeroed = _slack_step(eta, ProxParams(gamma=1.0 / sigma, C=C), kind)
-    return u, np.flatnonzero(zeroed)
-
-
 def _slack_step(eta, p: ProxParams, kind: LossKind) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`update_u` on a vector or a batch, with the zeroed set as a
-    boolean mask."""
+    """Slack step: the ``kind`` prox of ``eta`` (a vector or a batch) at
+    step ``p.gamma = 1/sigma``, and the zeroed set as a boolean mask.  For
+    the zero-one loss that set is the coordinates of ``eta`` in
+    ``(0, sqrt(2C/sigma)]``; for the baselines it is the zeros of the new
+    slack vector."""
     if kind == LossKind.L01:
         return prox_l01_zeroed(eta, p)
     u = PROX[kind](eta, p)
@@ -398,18 +390,19 @@ class _CoefficientSolver:
         """``c`` and ``K c`` for one right-hand side; raises the
         ``NumericalError`` of a failed check."""
         c, Kc = np.empty((2, 1, len(xi)))
-        for exc in _solve_rows([self], xi[None], y[None], self.sigma, c, Kc).values():
+        for exc in _solve_rows([self], xi[None], y, self.sigma, c, Kc).values():
             raise exc
         return c[0], Kc[0]
 
 
-def _solve_rows(solvers: list, xi: np.ndarray, Y: np.ndarray, sigma,
+def _solve_rows(solvers: list, xi: np.ndarray, y: np.ndarray, sigma,
                 c: np.ndarray, Kc: np.ndarray) -> dict:
-    """Solve row ``j`` of ``xi`` with ``solvers[j]`` into row ``j`` of ``c``
-    and ``Kc``, then check all rows at once, each at its own ``sigma`` (a
-    scalar, or shaped like ``xi``).  Returns ``{row: NumericalError}`` for
-    the rows whose check failed, each with its own solver's ``cond``."""
-    dyxi = Y * xi
+    """Solve row ``j`` of ``xi`` with ``solvers[j]`` and the labels ``y``
+    into row ``j`` of ``c`` and ``Kc``, then check all rows at once, each
+    at its own ``sigma`` (a scalar, or shaped like ``xi``).  Returns
+    ``{row: NumericalError}`` for the rows whose check failed, each with
+    its own solver's ``cond``."""
+    dyxi = y * xi
     for j, (s, d) in enumerate(zip(solvers, dyxi)):
         c[j], Kc[j] = s.apply(d)
     resid = c / sigma
@@ -469,16 +462,18 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     point passed the checks below) and forms ``K c`` from the columns of
     ``T`` alone.  After ``2 |gamma_k| + 10`` steps it gives up.
 
-    The final point is accepted only if it is KKT, ``check_kkt`` and
-    ``equivalence_roundtrip`` both passing at ``_EXACT_TOL``, and if its
-    objective ``c' K c / 2 + C * count(u > 0)`` is not above the
+    The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
+    KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
+    builds its step.  The point is accepted only if it is
+    prox-stationary at that step, ``check_prox_stationary`` passing at
+    ``_EXACT_TOL`` (which, by the paper's equivalence, makes it KKT), and
+    if its objective ``c' K c / 2 + C * count(u > 0)`` is not above the
     iterate's.  The iterate's is taken at its own ``(c, b)`` with the
     slack they give, ``u = 1 - y * (K c + b)``, not with its ``u``, which
     is zero on ``gamma_k`` where they do not put it.  On noisy data the
     working set's KKT point can hold mislabelled points on the margin at
     a far higher objective; the second test rejects it.  The accepted
-    point carries its ``construct_gamma`` step as ``prox_step`` (see
-    :class:`AdmmState`).
+    point carries the step as ``prox_step`` (see :class:`AdmmState`).
     """
     m = len(y)
     tau = math.sqrt(2.0 * C / sigma)
@@ -512,15 +507,15 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
             active[np.argmax(np.where(near, u, 0.0))] = True
         else:
             return None
-        if not (check_kkt(c, b, u, lam, K, y, C, tol=_EXACT_TOL).is_kkt
-                and equivalence_roundtrip(c, b, u, lam, K, y, C, tol=_EXACT_TOL)):
+        gamma = construct_gamma(u, lam, C, tol=_EXACT_TOL)
+        if not check_prox_stationary(c, b, u, lam, K, y, C, gamma,
+                                     tol=_EXACT_TOL).is_prox_stationary:
             return None
         u_iterate = 1.0 - y * (K.dot(row_state.c) + row_state.b)
         if not (objective(LossKind.L01, K, c, u, C)
                 <= objective(LossKind.L01, K, row_state.c, u_iterate, C)):
             return None
-    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T,
-                   prox_step=construct_gamma(u, lam, C, tol=_EXACT_TOL))
+    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T, prox_step=gamma)
 
 
 def _stalled(flat: array) -> bool:
@@ -581,17 +576,16 @@ def _run_admm(
     step_size = full("iota") * sigma  # iota * sigma
     p = ProxParams(gamma=1.0 / sigma, C=C)
     prox, loss = PROX[kind], LOSS[kind]
-    Y = np.tile(y, (len(rows), 1))
     b = np.full((len(rows), 1), float(start.b))
     lam = np.tile(start.lam, (len(rows), 1))
     Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
     c = np.empty_like(Kc)
     polish = kind == LossKind.L01
     # per row: gamma_k of the last iteration and the number of indices
-    # gamma_k flipped in each of the last _POLISH_EVERY iterations
+    # gamma_k flipped so far in this window of _POLISH_EVERY iterations
     last_zeroed = np.zeros((len(rows), m), dtype=bool)
     last_zeroed[:, start.gamma_k] = True
-    flips = np.zeros((len(rows), _POLISH_EVERY), dtype=int)
+    churn = np.zeros(len(rows), dtype=int)
 
     def state(j, k):
         return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
@@ -601,7 +595,7 @@ def _run_admm(
 
     # y*Kc, b*y and lam/sigma of one iteration are the first operands of
     # the next one's eta and xi, so each is computed once
-    yKc, by, scaled_lam = Y * Kc, b * Y, lam / sigma
+    yKc, by, scaled_lam = y * Kc, b * y, lam / sigma
     for k in range(1, max(hps[i].max_iter for i in rows) + 1):
         # the in-place steps keep the operation order of the plain
         # expressions (eta = 1 - y*Kc - b*y - lam/sigma, ...), and so their
@@ -611,20 +605,20 @@ def _run_admm(
         eta -= scaled_lam
         u, zeroed = _slack_step(eta, p, kind)
         if polish:
-            flips[:, k % _POLISH_EVERY] = np.count_nonzero(
-                zeroed != last_zeroed, axis=1)
+            flipped = np.count_nonzero(zeroed != last_zeroed, axis=1)
+            churn = flipped if (k - 1) % _POLISH_EVERY == 0 else churn + flipped
             last_zeroed = zeroed
         xi = np.subtract(1.0, u)
         xi -= by
         xi -= scaled_lam
-        failed = _solve_rows(row_solvers, xi, Y, sigma, c, Kc)
-        yKc = Y * Kc
+        failed = _solve_rows(row_solvers, xi, y, sigma, c, Kc)
+        yKc = y * Kc
         r = np.subtract(1.0, u)
         r -= yKc
         r -= scaled_lam
-        b = np.vecdot(r, Y)[:, None] / m
-        by = b * Y
-        omega = u + yKc  # feasibility(u, Kc, b, Y), from the products above
+        b = np.vecdot(r, y)[:, None] / m
+        by = b * y
+        omega = u + yKc  # feasibility(u, Kc, b, y), from the products above
         omega += by
         omega -= 1.0
         step = step_size * omega
@@ -633,7 +627,7 @@ def _run_admm(
         scaled_lam = lam / sigma
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, Y, prox(u - scaled_lam, p))
+            c, u, lam, omega, y, prox(u - scaled_lam, p))
         objectives = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
         records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
                       beta4.tolist(), objectives.tolist(),
@@ -648,7 +642,7 @@ def _run_admm(
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if (polish and not met and k % _POLISH_EVERY == 0
                     and traces[i].polish_attempts < _POLISH_TRIES
-                    and flips[j].sum() <= _SETTLED_FLIPS
+                    and churn[j] <= _SETTLED_FLIPS
                     and _stalled(traces[i].flat)):
                 t0 = time.perf_counter()
                 polished = finish(row_solvers[j].K, y, state(j, k),
@@ -671,10 +665,10 @@ def _run_admm(
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
             row_solvers = [results[i] for i in rows]
-            (c, Kc, yKc, b, by, lam, scaled_lam, Y, sigma, C, step_size,
-             last_zeroed, flips) = (
-                a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, Y,
-                                  sigma, C, step_size, last_zeroed, flips))
+            (c, Kc, yKc, b, by, lam, scaled_lam, sigma, C, step_size,
+             last_zeroed, churn) = (
+                a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, sigma,
+                                  C, step_size, last_zeroed, churn))
             p = ProxParams(gamma=1.0 / sigma, C=C)
     return results
 

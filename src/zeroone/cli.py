@@ -28,7 +28,8 @@ from . import baselines, data, model as model_mod
 from .admm import Hyperparams, SolveTrace, TraceRecord
 from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
-from .kernels import FAMILIES, KernelSpec, data_fingerprint, gram_matrix
+from .kernels import (_REQUIRED_PARAMS, FAMILIES, KernelSpec, data_fingerprint,
+                      gram_matrix)
 from .prox import LossKind
 from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtrip
 
@@ -79,15 +80,14 @@ class RunConfig:
 
 
 def make_kernel(cfg: RunConfig, d: int) -> KernelSpec:
-    fam = cfg.kernel_family
-    if fam in ("gaussian", "laplacian", "exponential"):
-        rho = cfg.rho if cfg.rho is not None else 1.0 / d
-        return KernelSpec(fam, {"rho": rho})
-    if fam == "linear":
-        return KernelSpec(fam, {})
-    if fam == "polynomial":
-        return KernelSpec(fam, {"degree": cfg.degree, "offset": cfg.offset})
-    return KernelSpec(fam, {"c": cfg.imq_c, "beta": cfg.imq_beta})
+    """The ``--kernel`` family with the parameters it requires, read from
+    their flags; ``rho`` defaults to ``1/d``."""
+    flags = {"rho": cfg.rho, "degree": cfg.degree, "offset": cfg.offset,
+             "c": cfg.imq_c, "beta": cfg.imq_beta}
+    params = {n: flags[n] for n in _REQUIRED_PARAMS.get(cfg.kernel_family, ())}
+    if "rho" in params and cfg.rho is None:
+        params["rho"] = 1.0 / d
+    return KernelSpec(cfg.kernel_family, params)
 
 
 def load_or_generate(cfg: RunConfig) -> data.Dataset:
@@ -328,7 +328,6 @@ def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
 
     cv_pairs = _cv_folds(train, cfg.cv_folds, cfg.seed + 3) \
         if cfg.selection == "cv" else []
-    cv_grams = [gram_matrix(kernel, tr.X) for tr, _ in cv_pairs]
 
     cells = list(itertools.product(cfg.grid_c, cfg.grid_sigma))
     hps = [_hyperparams(cfg, kernel, C, sigma) for C, sigma in cells]
@@ -345,7 +344,8 @@ def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
 
     scores = [[] for _ in rows]
     cv_walls = [0.0] * len(rows)
-    for (ftr, fte), fgram in zip(cv_pairs, cv_grams):
+    for ftr, fte in cv_pairs:  # one fold's Gram at a time
+        fgram = gram_matrix(kernel, ftr.X)
         for i, out in enumerate(baselines.solve_grid(ftr, hps, kinds, gram=fgram)):
             if isinstance(out, ZeroOneError):
                 rows[i]["error"] = rows[i]["error"] or str(out)

@@ -61,7 +61,7 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
     # Single class: only pass through if already in the target alphabet.
     if values[0] in (-1.0, 1.0):
         return raw.astype(float)
-    raise InputError(f"single non-binary label value {values[0]!r}")
+    raise InputError(f"single non-binary label value {values[0].item()!r}")
 
 
 def parse_libsvm(text: str, name: str = "") -> Dataset:
@@ -243,6 +243,17 @@ def _check_generator(m: int, noise_std: float):
         raise InputError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
+def _two_class(pos: np.ndarray, neg: np.ndarray, noise_std: float, seed: int,
+               name: str) -> Dataset:
+    """The points ``pos`` labeled +1 stacked over ``neg`` labeled -1, plus
+    gaussian noise of std ``noise_std`` drawn with ``seed``."""
+    X = np.vstack([pos, neg])
+    y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+    if noise_std > 0:
+        X = X + np.random.default_rng(seed).normal(0.0, noise_std, X.shape)
+    return Dataset(X=X, y=y, name=name)
+
+
 def gen_double_moons(m: int, noise_std: float = 0.15, seed: int = 0) -> Dataset:
     """Two interleaving half-circle arcs with additive gaussian noise.
 
@@ -251,19 +262,11 @@ def gen_double_moons(m: int, noise_std: float = 0.15, seed: int = 0) -> Dataset:
     ceil(m/2) on the +1 arc.
     """
     _check_generator(m, noise_std)
-    n_out = (m + 1) // 2
-    n_in = m // 2
-    t_out = np.linspace(0.0, np.pi, n_out)
-    t_in = np.linspace(0.0, np.pi, n_in)
-    X = np.vstack([
-        np.column_stack([np.cos(t_out), np.sin(t_out)]),
-        np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)]),
-    ])
-    y = np.concatenate([np.ones(n_out), -np.ones(n_in)])
-    rng = np.random.default_rng(seed)
-    if noise_std > 0:
-        X = X + rng.normal(0.0, noise_std, X.shape)
-    return Dataset(X=X, y=y, name="moons")
+    t_out = np.linspace(0.0, np.pi, (m + 1) // 2)
+    t_in = np.linspace(0.0, np.pi, m // 2)
+    return _two_class(np.column_stack([np.cos(t_out), np.sin(t_out)]),
+                      np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)]),
+                      noise_std, seed, "moons")
 
 
 def gen_double_circles(m: int, factor: float = 0.5, noise_std: float = 0.05,
@@ -273,19 +276,11 @@ def gen_double_circles(m: int, factor: float = 0.5, noise_std: float = 0.05,
     _check_generator(m, noise_std)
     if not 0.0 < factor < 1.0:
         raise InputError("factor must be in (0, 1)")
-    n_out = (m + 1) // 2
-    n_in = m // 2
-    t_out = np.linspace(0.0, 2.0 * np.pi, n_out, endpoint=False)
-    t_in = np.linspace(0.0, 2.0 * np.pi, n_in, endpoint=False)
-    X = np.vstack([
-        np.column_stack([np.cos(t_out), np.sin(t_out)]),
-        factor * np.column_stack([np.cos(t_in), np.sin(t_in)]),
-    ])
-    y = np.concatenate([np.ones(n_out), -np.ones(n_in)])
-    rng = np.random.default_rng(seed)
-    if noise_std > 0:
-        X = X + rng.normal(0.0, noise_std, X.shape)
-    return Dataset(X=X, y=y, name="circles")
+    t_out = np.linspace(0.0, 2.0 * np.pi, (m + 1) // 2, endpoint=False)
+    t_in = np.linspace(0.0, 2.0 * np.pi, m // 2, endpoint=False)
+    return _two_class(np.column_stack([np.cos(t_out), np.sin(t_out)]),
+                      factor * np.column_stack([np.cos(t_in), np.sin(t_in)]),
+                      noise_std, seed, "circles")
 
 
 def flip_labels(dataset: Dataset, rate: float, seed: int = 0) -> Dataset:

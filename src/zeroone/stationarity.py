@@ -103,10 +103,10 @@ def scaled_residuals(c, u, lam, omega, y, u_prox=None):
     image ``prox(u - gamma*lam)``; ``beta4`` is ``None`` without it.
     ``beta2`` is returned signed; the stopping rule and the certificates
     take its absolute value.  Each residual is a float for vector inputs,
-    and an array with one entry per row for ``(rows, m)`` batches, for
-    which ``y`` may be the label vector or one copy of it per row.
+    and an array with one entry per row for ``(rows, m)`` batches, whose
+    rows share the label vector ``y``.
     """
-    m = np.shape(y)[-1]
+    m = len(y)
     beta1 = row_norms(c + y * lam) / (1.0 + row_norms(c) + row_norms(lam))
     beta2 = np.vecdot(lam, y) / m
     beta3 = row_norms(omega) / math.sqrt(m)

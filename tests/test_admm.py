@@ -18,7 +18,7 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      from_solution, gaussian_spec, gen_double_circles,
                      gram_matrix, predict, prox_l01, ProxParams, solve,
                      solve_baseline, split, standardize, support_vectors,
-                     update_c, update_u, zeros_state)
+                     update_c, zeros_state)
 from zeroone import admm
 from zeroone.admm import _CoefficientSolver, _GramFactor
 from zeroone.baselines import solve_grid
@@ -79,29 +79,34 @@ class TestComputeEta:
 
 
 class TestUpdateU:
+    """The slack step ``admm._slack_step`` at ``ProxParams(1/sigma, C)``."""
+
     def test_threshold_and_index_set(self):
         # C=2, sigma=1 -> tau=2
-        u, gk = update_u(np.array([0.1, -0.2, 5.0]), 2.0, 1.0)
+        u, zeroed = admm._slack_step(np.array([0.1, -0.2, 5.0]),
+                                     ProxParams(1.0, 2.0), LossKind.L01)
         np.testing.assert_array_equal(u, [0.0, -0.2, 5.0])
-        np.testing.assert_array_equal(gk, [0])
+        np.testing.assert_array_equal(zeroed, [True, False, False])
 
     def test_all_negative(self):
         eta = np.array([-0.5, -3.0])
-        u, gk = update_u(eta, 1.0, 1.0)
+        u, zeroed = admm._slack_step(eta, ProxParams(1.0, 1.0), LossKind.L01)
         np.testing.assert_array_equal(u, eta)
-        assert len(gk) == 0
+        assert not zeroed.any()
 
     def test_right_endpoint_included(self):
         C, sigma = 3.0, 2.0
         tau = math.sqrt(2.0 * C / sigma)
-        u, gk = update_u(np.array([tau]), C, sigma)
-        assert u[0] == 0.0 and list(gk) == [0]
+        u, zeroed = admm._slack_step(np.array([tau]), ProxParams(1.0 / sigma, C),
+                                     LossKind.L01)
+        assert u[0] == 0.0 and zeroed.tolist() == [True]
 
     def test_zero_one_excludes_exact_zero(self):
         # prox_l01 leaves eta == 0 at zero, but it is not in (0, tau].
-        u, gk = update_u(np.array([0.0, 0.5, -0.0]), 1.0, 1.0)
+        u, zeroed = admm._slack_step(np.array([0.0, 0.5, -0.0]),
+                                     ProxParams(1.0, 1.0), LossKind.L01)
         np.testing.assert_array_equal(u, [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(gk, [1])
+        np.testing.assert_array_equal(zeroed, [False, True, False])
 
     @pytest.mark.parametrize("kind, u_expected", [
         # C=1, sigma=2 -> gamma*C = 0.5; squared hinge shrinks by 1/(1+1)
@@ -110,18 +115,18 @@ class TestUpdateU:
     ])
     def test_baseline_zeroed_set_is_zeros_of_u(self, kind, u_expected):
         eta = np.array([0.0, 0.3, 1.5, -0.2, 0.5])
-        u, gk = update_u(eta, 1.0, 2.0, kind)
+        u, zeroed = admm._slack_step(eta, ProxParams(0.5, 1.0), kind)
         np.testing.assert_allclose(u, u_expected, rtol=1e-15)
-        np.testing.assert_array_equal(gk, np.flatnonzero(u == 0.0))
-        assert 0 in gk
+        np.testing.assert_array_equal(zeroed, u == 0.0)
+        assert zeroed[0]
 
     def test_hinge_zeroes_half_open_interval(self):
         C, sigma = 3.0, 2.0
         gc = C / sigma
         eta = np.array([np.nextafter(0.0, 1.0), gc, np.nextafter(gc, np.inf),
                         np.nextafter(0.0, -1.0)])
-        u, gk = update_u(eta, C, sigma, LossKind.HINGE)
-        np.testing.assert_array_equal(gk, [0, 1])
+        u, zeroed = admm._slack_step(eta, ProxParams(1.0 / sigma, C), LossKind.HINGE)
+        np.testing.assert_array_equal(zeroed, [True, True, False, False])
         assert u[2] > 0.0 and u[3] == eta[3]
 
 
@@ -612,6 +617,11 @@ class TestHyperparams:
         with pytest.raises(InputError, match=f"^{name} must be finite and > 0"):
             Hyperparams(**{"C": 1.0, "sigma": 1.0, name: value})
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(InputError, match="^max_iter must be >= 1"):
+            Hyperparams(C=1.0, sigma=1.0, max_iter=max_iter)
+
 
 class TestSolve:
     def test_toy_separable(self):
@@ -633,6 +643,11 @@ class TestSolve:
     def test_single_class_rejected(self):
         ds = Dataset(X=np.zeros((3, 2)), y=np.ones(3))
         with pytest.raises(InputError):
+            solve(ds, Hyperparams(C=1.0, sigma=1.0, kernel=gaussian_spec(1.0)))
+
+    def test_one_sample_rejected(self):
+        ds = Dataset(X=np.zeros((1, 2)), y=np.ones(1))
+        with pytest.raises(InputError, match="at least 2 samples"):
             solve(ds, Hyperparams(C=1.0, sigma=1.0, kernel=gaussian_spec(1.0)))
 
     def test_foreign_gram_rejected(self):
@@ -836,6 +851,16 @@ class TestFinish:
         u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
         assert objective(LossKind.L01, K, point.c, point.u, hp.C) > \
             10.0 * objective(LossKind.L01, K, iterate.c, u_iterate, hp.C)
+
+    @pytest.mark.parametrize("K, gamma_k", [
+        (np.eye(3), []),
+        # rows 0 and 1 of K are equal, so the bordered system on T is singular
+        (np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), [0, 1]),
+    ], ids=["empty", "singular"])
+    def test_unsolvable_working_set_gives_none(self, K, gamma_k):
+        state = zeros_state(3)
+        state.gamma_k = np.array(gamma_k, dtype=int)
+        assert admm.finish(K, np.array([1.0, 1.0, -1.0]), state, 1.0, 1.0) is None
 
     def test_noisy_configurations_make_no_attempt(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small

@@ -1,14 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zeroone import (NumericalError, TraceRecord, admm, parse_csv, parse_libsvm,
-                     save_model)
+from zeroone import (FAMILIES, NumericalError, TraceRecord, admm, cli, parse_csv,
+                     parse_libsvm, save_model)
 from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
                          config_from_args, main, make_kernel, prepare_splits,
                          rows_to_csv, run_single)
@@ -142,6 +145,46 @@ class TestTrain:
         assert run_cli("train", "--data", path) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train"], "either --data or --dataset is required"),
+        (["gen"], "gen requires --dataset"),
+        (["eval", "--model", "model.json"], "eval requires --data"),
+    ], ids=["train", "gen", "eval"])
+    def test_missing_data_source_exits_4(self, capsys, argv, message):
+        assert run_cli(*argv) == 4
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_cholesky_breakdown_exits_3(self, tmp_path, capsys):
+        # I/sigma = 1e-300 leaves K + I/sigma numerically singular
+        assert run_cli("train", "--dataset", "circles", "--m", "500", "--seed", "1",
+                       "--sigma", "1e300", "--out", str(tmp_path)) == 3
+        assert "numerical error: Cholesky" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestMakeKernel:
+    @pytest.mark.parametrize("family, params", [
+        ("gaussian", {"rho": 0.25}), ("laplacian", {"rho": 0.25}),
+        ("exponential", {"rho": 0.25}), ("linear", {}),
+        ("polynomial", {"degree": 2, "offset": 0.5}),
+        ("inverse_multiquadric", {"c": 2.0, "beta": 0.25}),
+    ])
+    def test_family_reads_its_own_flags(self, family, params):
+        cfg = RunConfig(command="train", kernel_family=family, degree=2,
+                        offset=0.5, imq_c=2.0, imq_beta=0.25)
+        assert make_kernel(cfg, 4).to_dict() == {"family": family, "params": params}
+        if "rho" in params:
+            cfg.rho = 3.0
+            assert make_kernel(cfg, 4).params == {"rho": 3.0}
+
+    def test_unknown_family_exits_4(self, monkeypatch, tmp_path, capsys):
+        # the parser takes only known families; widen its choices
+        monkeypatch.setattr(cli, "FAMILIES", FAMILIES + ("sigmoid",))
+        assert run_cli("train", "--dataset", "circles", "--m", "40", "--kernel",
+                       "sigmoid", "--out", str(tmp_path)) == 4
+        assert "error: unknown kernel family 'sigmoid'" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestNonFiniteKernelParameter:
     @pytest.mark.parametrize("flags", [
@@ -234,6 +277,17 @@ class TestReadmeExample:
         assert report["kkt"]["is_kkt"] is True
         assert report["prox_stationary"]["is_prox_stationary"] is True
         assert report["equivalence_roundtrip"] is True
+
+    def test_library_quick_start_prints_documented_lines(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        documented = section.split("```text\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == documented
 
 
 class TestEvalCertify:
@@ -343,6 +397,7 @@ class TestModelFile:
         ("kernel.params.rho", "x", "'kernel': kernel parameter rho must be finite"),
         ("kernel.params", [1], "'kernel'"), ("b", "x", "'b'"), ("c", "abc", "'c'"),
         ("train", [], "'train.X': expected an object"), ("scaling", "x", "'scaling'"),
+        ("train.X", [1.0, 2.0], "'train.X' has shape (2,), not (rows, features)"),
     ])
     def test_field_of_wrong_type_exits_4(self, paths, capsys, name, value, message):
         *outer, key = name.split(".")
@@ -504,6 +559,17 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["loss"] == "l01"
 
+    def test_cli_json_format(self, tmp_path):
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--dataset", "circles", "--m", "80",
+                       "--seed", "3", "--grid-c", "4", "--grid-sigma", "1,2",
+                       "--max-iter", "200", "--selection", "paper",
+                       "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())
+        assert [(r["loss"], r["C"], r["sigma"]) for r in rows] == \
+            [("l01", 4.0, 1.0), ("l01", 4.0, 2.0)]
+        assert all(set(r) == set(cli.BENCH_COLUMNS) for r in rows)
+
     def test_cv_wall_s_column(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--dataset", "circles", "--m", "80",
@@ -573,11 +639,11 @@ class TestLockstepGrid:
         real = admm._solve_rows
         calls = []
 
-        def third_call_fails_row_1(solvers, xi, Y, sigma, c, Kc):
+        def third_call_fails_row_1(solvers, xi, y, sigma, c, Kc):
             # the first batch is l01, its rows in cell order: (C, sigma) =
             # (0.5, 1), (0.5, 2), (4, 1), (4, 2), (64, 1), (64, 2).  After
             # (0.5, 2) leaves at iteration 1, row 1 is (C=4, sigma=1)
-            failed = real(solvers, xi, Y, sigma, c, Kc)
+            failed = real(solvers, xi, y, sigma, c, Kc)
             calls.append(len(solvers))
             if len(calls) == 3:
                 assert calls == [6, 5, 5] and sigma[1, 0] == 1.0

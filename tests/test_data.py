@@ -3,7 +3,7 @@ import pytest
 
 from zeroone import (Dataset, InputError, ParseError, flip_labels, format_csv,
                      format_libsvm, gen_double_circles, gen_double_moons,
-                     parse_csv, parse_libsvm, split, standardize)
+                     load_dataset, parse_csv, parse_libsvm, split, standardize)
 
 
 class TestDatasetValidation:
@@ -44,6 +44,28 @@ class TestParseLibsvm:
         with pytest.raises(InputError):
             parse_libsvm("1 1:1\n2 1:1\n3 1:1\n")
 
+    def test_single_class_kept_only_if_binary(self):
+        np.testing.assert_array_equal(parse_libsvm("-1 1:1\n-1 1:2\n").y, [-1.0, -1.0])
+        with pytest.raises(InputError, match="single non-binary label value 3.0"):
+            parse_libsvm("3 1:1\n3 1:2\n")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("x 1:1.0\n", ParseError, "line 1: bad label 'x'"),
+        ("", InputError, "empty dataset"),
+        ("# a comment\n\n", InputError, "empty dataset"),
+    ], ids=["label", "empty", "comments"])
+    def test_unreadable_text_rejected(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_libsvm(text)
+
+    def test_load_dataset_reads_other_extensions_as_libsvm(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("+1 1:0.5\n-1 2:1.0\n")
+        ds = load_dataset(str(path))
+        np.testing.assert_array_equal(ds.X, [[0.5, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(ds.y, [1.0, -1.0])
+        assert ds.name == str(path)
+
     def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(12, 4))
@@ -66,6 +88,15 @@ class TestCsv:
         with pytest.raises(ParseError):
             parse_csv("x1,x2,target\n1,2,1\n")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("x1,x2,label\n1,2,1\n1,2\n", ParseError, "line 3: expected 3 columns, got 2"),
+        ("x1,label\n1,1\nabc,-1\n", ParseError, "line 3: non-numeric value"),
+        ("", InputError, "empty dataset"),
+    ], ids=["columns", "nonnumeric", "empty"])
+    def test_unreadable_text_rejected(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_csv(text)
+
 
 class TestStandardize:
     def test_train_statistics(self):
@@ -87,6 +118,11 @@ class TestStandardize:
         assert np.all(np.abs(out.X.mean(axis=0)) <= 1e-12)
         assert np.all(np.abs(out.X.std(axis=0) - 1.0) <= 1e-12)
 
+    def test_empty_training_set_rejected(self):
+        empty = Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
+        with pytest.raises(InputError, match="empty training set"):
+            standardize(empty, empty)
+
 
 class TestSplit:
     def test_fraction(self):
@@ -105,6 +141,11 @@ class TestSplit:
         ds = gen_double_circles(500, seed=0)
         tr, te = split(ds, 0.6, seed=2)
         assert tr.n == 300 and te.n == 200
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(InputError, match=r"train_fraction must be in \(0, 1\)"):
+            split(gen_double_circles(10, seed=0), fraction)
 
     def test_class_collapse(self):
         X = np.arange(8, dtype=float).reshape(4, 2)

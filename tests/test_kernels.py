@@ -72,6 +72,16 @@ def test_non_finite_parameter_rejected(family, params):
         KernelSpec(family, params)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    ("polynomial", {"degree": 3, "offset": -1.0}, "offset must be >= 0"),
+    ("inverse_multiquadric", {"c": 0.0, "beta": 0.5}, "c and beta must be > 0"),
+    ("inverse_multiquadric", {"c": 1.0, "beta": -0.5}, "c and beta must be > 0"),
+], ids=["offset<0", "c=0", "beta<0"])
+def test_out_of_range_parameter_rejected(family, params, message):
+    with pytest.raises(ConfigError, match=message):
+        KernelSpec(family, params)
+
+
 class TestEvalKernel:
     def test_zero_distance(self):
         z = np.array([0.3, -0.7])

@@ -91,6 +91,11 @@ class TestConstructGamma:
         with pytest.raises(InputError):
             construct_gamma(np.array([0.0]), np.array([1.0]), C=1.0)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_nonpositive_C_rejected(self, C):
+        with pytest.raises(InputError, match="C must be > 0"):
+            construct_gamma(np.array([0.0]), np.array([-1.0]), C=C)
+
 
 class TestCheckProxStationary:
     def _trivial_point(self):
