@@ -228,23 +228,20 @@ def _pivoted_cholesky(K: np.ndarray, max_rank: int) -> Optional[np.ndarray]:
             return L[:, :j]
         if j == max_rank:
             return None
-        # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T;
-        # at j = 0 there is no L yet
-        col = K[:, i] - L[:, :j].dot(L[i, :j]) if j else K[:, i]
-        L[:, j] = col / np.sqrt(d[i])
+        # column i of the Schur complement, K[:, i] - L[:, :j] L[i, :j]^T
+        L[:, j] = (K[:, i] - L[:, :j].dot(L[i, :j])) / np.sqrt(d[i])
         d -= L[:, j] * L[:, j]
 
 
 class _GramFactor:
     """What the coefficient solvers of one Gram share, whatever their
     ``sigma``: ``K`` as a free F-ordered view, its pivoted-Cholesky factor
-    ``L`` (``None`` above rank ``m // 4``; a zero column at rank 0, since
-    BLAS takes no empty operand), ``G = L^T L`` and the factor's error on
-    a fixed probe ``p``, ``||K p - L L^T p||``, which each solver compares
-    with its own tolerance.  Non-finite entries of ``K`` make that error
-    non-finite, which fails every tolerance, so numpy's floating-point
-    warnings are off while it is built.  ``setup_s`` is the wall time to
-    build it."""
+    ``L`` (``None`` above rank ``m // 4``), ``G = L^T L`` and the factor's
+    error on a fixed probe ``p``, ``||K p - L L^T p||``, which each solver
+    compares with its own tolerance.  Non-finite entries of ``K`` make that
+    error non-finite, which fails every tolerance, so numpy's
+    floating-point warnings are off while it is built.  ``setup_s`` is the
+    wall time to build it."""
 
     def __init__(self, K: np.ndarray):
         t0 = time.perf_counter()
@@ -253,8 +250,6 @@ class _GramFactor:
         with np.errstate(over="ignore", invalid="ignore"):
             self.L = L = _pivoted_cholesky(K, m // 4)
             self.rank = None if L is None else L.shape[1]
-            if self.rank == 0:
-                self.L = L = np.zeros((m, 1), order="F")
             if L is not None:
                 self.G = L.T.dot(L)
                 p = np.random.default_rng(0).standard_normal(m)
@@ -321,15 +316,8 @@ class _CoefficientSolver:
     def __init__(self, f: _GramFactor, sigma: float):
         self.K, self.sigma = f.K, sigma
         self.L = self.factor_rank = None
-        low_rank = f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma
-        if not low_rank:
-            # the first dense solver of a process loads scipy.linalg;
-            # setup_s leaves that one-time cost out
-            from scipy.linalg.blas import dsymv
-            from scipy.linalg.lapack import dpotrf, dpotri
-            self._dsymv = dsymv
         t0 = time.perf_counter()
-        if low_rank:
+        if f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma:
             self.L, self.factor_rank = f.L, f.rank
             # numpy's Cholesky factorization is the positive-definiteness
             # check; its LU inverse took less time than inverting the factor
@@ -341,6 +329,12 @@ class _CoefficientSolver:
                 raise self._breakdown(str(exc)) from None
             self.M_inv = M
         else:
+            # the first dense solver of a process loads scipy.linalg;
+            # setup_s leaves that one-time cost out
+            from scipy.linalg.blas import dsymv
+            from scipy.linalg.lapack import dpotrf, dpotri
+            self._dsymv = dsymv
+            t0 = time.perf_counter()
             A = self._plus_identity(self.K)
             A_inv, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
             if info == 0:
@@ -364,9 +358,8 @@ class _CoefficientSolver:
             cond=self._cond())
 
     def _cond(self) -> float:
-        A = self.K + np.eye(len(self.K)) / self.sigma
         try:
-            return float(np.linalg.cond(A))
+            return float(np.linalg.cond(self._plus_identity(self.K)))
         except np.linalg.LinAlgError:  # the SVD fails on non-finite entries
             return float("inf")
 

@@ -148,16 +148,20 @@ def _metrics(train, test, mdl, trace: SolveTrace, wall_s: float) -> dict:
 # ---------------------------------------------------------------------------
 # trace / table serialization
 
+def _write_table(path: str, header: list, table) -> None:
+    """``table``'s rows as CSV under ``header``: every value in ``%.17g``
+    (an integral value prints as an integer), CRLF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
 def write_trace_csv(trace: SolveTrace, path: str):
     """One row per :class:`TraceRecord`, headed by its field names; floats
     keep all 17 significant digits."""
     names = [f.name for f in fields(TraceRecord)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for rec in trace.records:
-            w.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                        for v in (getattr(rec, n) for n in names)])
+    flat = np.reshape(trace.flat, (-1, len(names) - 1))
+    _write_table(path, names, np.column_stack((np.arange(1, len(flat) + 1), flat)))
 
 
 def rows_to_csv(rows, columns) -> str:
@@ -407,24 +411,16 @@ def cmd_boundary(cfg: RunConfig) -> int:
     XX, YY = np.meshgrid(xs, ys)
     pts = np.column_stack([XX.ravel(), YY.ravel()])
     dec = np.atleast_1d(model_mod.decision_function(mdl, pts))
-    lab = np.where(dec >= 0.0, 1, -1)
 
     out = cfg.out or "boundary.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "decision", "label"])
-        for p, d_, l in zip(pts, dec, lab):
-            w.writerow([f"{p[0]:.17g}", f"{p[1]:.17g}", f"{d_:.17g}", l])
+    _write_table(out, ["x1", "x2", "decision", "label"],
+                 np.column_stack((pts, dec, np.where(dec >= 0.0, 1, -1))))
     stem, ext = os.path.splitext(out)
     points_path = f"{stem}_points{ext or '.csv'}"
-    support = np.zeros(mdl.X.shape[0], dtype=int)
+    support = np.zeros(mdl.X.shape[0])
     support[mdl.support] = 1
-    with open(points_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "label", "support"])
-        for i in range(mdl.X.shape[0]):
-            w.writerow([f"{mdl.X[i, 0]:.17g}", f"{mdl.X[i, 1]:.17g}",
-                        int(mdl.y[i]), support[i]])
+    _write_table(points_path, ["x1", "x2", "label", "support"],
+                 np.column_stack((mdl.X, mdl.y, support)))
     print(f"grid: {out}")
     print(f"points: {points_path}")
     return 0

@@ -19,7 +19,7 @@ from .kernels import data_fingerprint
 
 @dataclass(frozen=True)
 class Dataset:
-    """A labeled sample matrix with labels in {-1, +1}."""
+    """A labeled sample matrix of at least one feature, labels in {-1, +1}."""
 
     X: np.ndarray
     y: np.ndarray
@@ -32,6 +32,8 @@ class Dataset:
             raise InputError(
                 f"{X.shape[0]} rows but {y.shape[0]} labels"
             )
+        if X.shape[1] == 0:
+            raise InputError("dataset has no feature column")
         if not np.all(np.isfinite(X)):
             raise InputError("samples contain NaN or Inf")
         if not np.all(np.isin(y, (-1.0, 1.0))):

@@ -19,15 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
-FAMILIES = (
-    "gaussian",
-    "linear",
-    "laplacian",
-    "exponential",
-    "polynomial",
-    "inverse_multiquadric",
-)
-
 # Alignment, in bytes, of the matrices BLAS reads: one cache line.
 _ALIGN = 64
 
@@ -37,12 +28,13 @@ _BLOCK = 1 << 15
 
 _REQUIRED_PARAMS = {
     "gaussian": ("rho",),
+    "linear": (),
     "laplacian": ("rho",),
     "exponential": ("rho",),
-    "linear": (),
     "polynomial": ("degree", "offset"),
     "inverse_multiquadric": ("c", "beta"),
 }
+FAMILIES = tuple(_REQUIRED_PARAMS)
 
 
 def data_fingerprint(X) -> str:
@@ -85,10 +77,9 @@ class KernelSpec:
         for name, value in p.items():
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(f"kernel parameter {name} must be finite, got {value!r}")
-        if self.family in ("gaussian", "laplacian", "exponential"):
-            if not p["rho"] > 0:
-                raise ConfigError("rho must be > 0")
-        elif self.family == "polynomial":
+        if "rho" in p and not p["rho"] > 0:
+            raise ConfigError("rho must be > 0")
+        if self.family == "polynomial":
             if p["degree"] < 1 or int(p["degree"]) != p["degree"]:
                 raise ConfigError("degree must be an integer >= 1")
             if p["offset"] < 0:
@@ -268,7 +259,7 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
     if m < 1:
         raise InputError("need at least one sample")
     K = _evaluate(spec, X, X, upper=True)
-    if spec.family in ("gaussian", "laplacian", "exponential"):
+    if "rho" in spec.params:  # exp(-rho * 0)
         np.fill_diagonal(K, 1.0)
     for i in range(1, m):  # mirror row by row: no m-by-m temporary
         K[i, :i] = K[:i, i]

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -851,6 +852,47 @@ class TestFinish:
         u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
         assert objective(LossKind.L01, K, point.c, point.u, hp.C) > \
             10.0 * objective(LossKind.L01, K, iterate.c, u_iterate, hp.C)
+
+    def test_point_failing_its_certificate_is_rejected_and_row_continues(
+            self, monkeypatch):
+        # the README example is polished at iteration 110; with the
+        # certificate failing, each attempt returns None and is counted
+        train, _, hp, gram = _circles_train_example()
+        checked, tried = [], []
+        real = admm.finish
+
+        def failing_check(*args, **kw):
+            checked.append(1)
+            return SimpleNamespace(is_prox_stationary=False)
+
+        def spy(K, y, row_state, C, sigma):
+            out = real(K, y, row_state, C, sigma)
+            tried.append((row_state.iter, out))
+            return out
+
+        monkeypatch.setattr(admm, "check_prox_stationary", failing_check)
+        monkeypatch.setattr(admm, "finish", spy)
+        _, trace = solve(train, hp, gram=gram)
+        assert (trace.termination, trace.iterations) == ("max_iter", 2000)
+        assert trace.polish_attempts == len(tried) == len(checked) == 3
+        assert tried == [(110, None), (120, None), (130, None)]
+
+    @pytest.mark.parametrize("m, finished", [(15, True), (16, False)])
+    def test_gives_up_after_its_step_budget(self, monkeypatch, m, finished):
+        # K = I, alternating labels, T = {0, 1}: every step's slack off T
+        # lies in [2/3, 4/3], inside (0, sqrt(2)], and every multiplier is
+        # negative, so each step adds one index: T holds all m indices, and
+        # is final, at step m - 1.  The budget is 2 |gamma_k| + 10 = 14 steps
+        built = []
+        real = admm.construct_gamma
+        monkeypatch.setattr(admm, "construct_gamma",
+                            lambda *args, **kw: built.append(1) or real(*args, **kw))
+        state = zeros_state(m)
+        state.gamma_k = np.array([0, 1])
+        point = admm.finish(np.eye(m), np.resize([1.0, -1.0], m), state, 1.0, 1.0)
+        assert (point is not None) == finished == bool(built)
+        if finished:
+            assert len(point.gamma_k) == m
 
     @pytest.mark.parametrize("K, gamma_k", [
         (np.eye(3), []),

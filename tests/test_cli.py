@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroone import (FAMILIES, NumericalError, TraceRecord, admm, cli, parse_csv,
-                     parse_libsvm, save_model)
+from zeroone import (FAMILIES, NumericalError, TraceRecord, admm, baselines, cli,
+                     decision_function, load_model, parse_csv, parse_libsvm,
+                     save_model)
 from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
                          config_from_args, main, make_kernel, prepare_splits,
                          rows_to_csv, run_single)
@@ -145,6 +148,29 @@ class TestTrain:
         assert run_cli("train", "--data", path) == 2
         assert path in capsys.readouterr().err
 
+    def test_other_os_error_exits_1(self, tmp_path, capsys):
+        # --out names a directory: IsADirectoryError, not a missing file
+        assert run_cli("gen", "--dataset", "circles", "--m", "10",
+                       "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("name, text", [
+        ("labels.txt", "+1\n-1\n+1\n-1\n+1\n-1\n"),
+        ("labels.csv", "label\n1\n-1\n1\n-1\n1\n-1\n"),
+    ], ids=["libsvm", "csv"])
+    @pytest.mark.parametrize("kernel", ["gaussian", "linear"])
+    def test_file_without_features_exits_4(self, tmp_path, capsys, command,
+                                           name, text, kernel):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(command, "--data", str(path), "--kernel", kernel,
+                       "--max-iter", "5", "--out", str(out)) == 4
+        assert "error: dataset has no feature column" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["train"], "either --data or --dataset is required"),
         (["gen"], "gen requires --dataset"),
@@ -277,6 +303,25 @@ class TestReadmeExample:
         assert report["kkt"]["is_kkt"] is True
         assert report["prox_stationary"]["is_prox_stationary"] is True
         assert report["equivalence_roundtrip"] is True
+
+    def test_cli_block_runs_in_order(self, tmp_path, monkeypatch, capsys):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+                 if ln.startswith("zeroone ")]
+        assert [ln.split()[1] for ln in lines] == \
+            ["gen", "train", "certify", "eval", "bench", "boundary"]
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            assert run_cli(*argv) == 0, line
+            # the --out target, and each "name: path" line's path
+            written = [argv[argv.index("--out") + 1]] if "--out" in argv else []
+            written += re.findall(r"^\w+: (\S+)$", capsys.readouterr().out, re.M)
+            for path in written:
+                assert os.path.exists(path), (line, path)
+        assert sorted(os.listdir("run")) == ["model.json", "trace.csv"]
+        assert os.path.exists("grid_points.csv")
 
     def test_library_quick_start_prints_documented_lines(self, tmp_path):
         text = README.read_text(encoding="utf-8")
@@ -477,6 +522,29 @@ class TestBoundary:
         assert len(prows) == circles_run.train.n
         assert sum(int(r["support"]) for r in prows) == circles_run.model.nsv
 
+    def test_csv_values_read_back_exactly(self, tmp_path, circles_run):
+        trace_path = tmp_path / "trace.csv"
+        cli.write_trace_csv(circles_run.trace, str(trace_path))
+        names, rows = trace_rows(trace_path)
+        assert len(rows) == circles_run.trace.iterations > 1
+        for row, rec in zip(rows, circles_run.trace.records):
+            assert all(float(row[n]) == getattr(rec, n) for n in names)
+        model_path = tmp_path / "model.json"
+        save_model(circles_run.model, str(model_path))
+        mdl = load_model(str(model_path))
+        out = tmp_path / "grid.csv"
+        assert run_cli("boundary", "--model", str(model_path),
+                       "--grid-size", "7", "--out", str(out)) == 0
+        grid = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert grid.shape == (49, 4)
+        dec = decision_function(mdl, grid[:, :2])
+        np.testing.assert_array_equal(grid[:, 2], dec)
+        np.testing.assert_array_equal(grid[:, 3], np.where(dec >= 0.0, 1, -1))
+        points = np.loadtxt(tmp_path / "grid_points.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(points[:, :2], mdl.X)
+        np.testing.assert_array_equal(points[:, 2], mdl.y)
+        np.testing.assert_array_equal(np.flatnonzero(points[:, 3]), mdl.support)
+
     def test_constant_model(self, tmp_path):
         import zeroone
         mdl = zeroone.TrainedModel(
@@ -660,6 +728,56 @@ class TestLockstepGrid:
         want = [r for r in clean if (r["loss"], r["C"], r["sigma"])
                 != ("l01", 4.0, 1.0)]
         assert _without_wall(others) == _without_wall(want)
+
+    @pytest.mark.parametrize("fail_calls, error", [
+        ({2, 3}, "injected 2"),  # two folds: the first fold's error is kept
+        ({0, 1}, "injected 0"),  # the training grid and a fold: the training one
+    ], ids=["folds", "training-and-fold"])
+    def test_cv_fold_error_reaches_its_row(self, monkeypatch, fail_calls, error):
+        cfg = RunConfig(**{**LOCKSTEP, "max_iter": 20, "selection": "cv",
+                           "cv_folds": 3})
+        clean = bench_rows(cfg)
+        real = baselines.solve_grid
+        calls = []
+
+        def failing(*args, **kw):
+            # call 0 solves the training grid, calls 1-3 the folds; the
+            # cell (hinge_l1, C=4, sigma=1) is entry 8 of each
+            out = real(*args, **kw)
+            if len(calls) in fail_calls:
+                out[8] = NumericalError(f"injected {len(calls)}")
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(baselines, "solve_grid", failing)
+        rows = bench_rows(cfg)
+        assert len(calls) == 4
+        failed = [r for r in rows if r["error"]]
+        assert [(r["loss"], r["C"], r["sigma"], r["error"]) for r in failed] \
+            == [("hinge_l1", 4.0, 1.0, error)]
+        assert "cv_acc" not in failed[0] and failed[0]["selection"] == ""
+
+        def strip(r):  # a mark can move to another row of the loss
+            return {k: v for k, v in r.items() if k not in ("wall_s", "selection")}
+
+        assert [strip(r) for r in rows if not r["error"]] == \
+            [strip(r) for r in clean if (r["loss"], r["C"], r["sigma"])
+             != ("hinge_l1", 4.0, 1.0)]
+
+    def test_loss_whose_every_cell_fails_gets_no_mark(self, tmp_path, monkeypatch):
+        def failing_set_up(f, sigma):
+            raise NumericalError(f"injected set-up failure at sigma={sigma}")
+
+        monkeypatch.setattr(admm, "_CoefficientSolver", failing_set_up)
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--dataset", "circles", "--m", "40", "--seed", "1",
+                       "--loss", "l01,hinge_l1", "--grid-c", "1,4",
+                       "--grid-sigma", "1,2", "--cv-folds", "3",
+                       "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 8
+        assert all(r["error"] == f"injected set-up failure at sigma={r['sigma']}"
+                   and r["selection"] == "" and "cv_acc" not in r for r in rows)
 
     @pytest.mark.parametrize("selection, folds, grams", [
         ("paper", 5, 1), ("cv", 3, 4)])
