@@ -453,7 +453,12 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     Every step solves its system afresh with ``np.linalg.solve`` (an
     inverse of ``K_TT`` kept up to date by bordering drifted until no
     point passed the checks below) and forms ``K c`` from the columns of
-    ``T`` alone.  After ``2 |gamma_k| + 10`` steps it gives up.
+    ``T`` alone.  Each step depends on ``T`` alone, so a ``T`` met before
+    means the search cycles, and it gives up there: on a rank-deficient
+    Gram a numerically singular system (condition 1e16 and more) gives
+    multipliers of rounding noise, of order 1e14, and ``T`` can flip
+    between two sets for good.  It also gives up on an empty ``T``, on an
+    exactly singular system and after ``2 |gamma_k| + 10`` steps.
 
     The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
     KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
@@ -472,12 +477,14 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     tau = math.sqrt(2.0 * C / sigma)
     active = np.zeros(m, dtype=bool)
     active[row_state.gamma_k] = True
+    seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 * len(row_state.gamma_k) + 10):
             T = np.flatnonzero(active)
             n = len(T)
-            if n == 0:
+            if n == 0 or T.tobytes() in seen:
                 return None
+            seen.add(T.tobytes())
             A = np.ones((n + 1, n + 1))
             A[:n, :n] = K[np.ix_(T, T)]
             A[n, n] = 0.0

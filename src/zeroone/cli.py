@@ -408,8 +408,7 @@ def cmd_boundary(cfg: RunConfig) -> int:
     g = cfg.grid_size
     xs = np.linspace(lo[0], hi[0], g)
     ys = np.linspace(lo[1], hi[1], g)
-    XX, YY = np.meshgrid(xs, ys)
-    pts = np.column_stack([XX.ravel(), YY.ravel()])
+    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     dec = np.atleast_1d(model_mod.decision_function(mdl, pts))
 
     out = cfg.out or "boundary.csv"

@@ -22,8 +22,9 @@ from .errors import ConfigError, InputError
 # Alignment, in bytes, of the matrices BLAS reads: one cache line.
 _ALIGN = 64
 
-# Entries per row block of the in-place kernel evaluation: a block, and for
-# the laplacian its scratch, 256 KiB each, stay in L2.
+# Entries per row block of the in-place kernel evaluation and of the
+# weighted product K(X, Z) w: a block, and for the laplacian its scratch,
+# 256 KiB each, stay in L2.
 _BLOCK = 1 << 15
 
 _REQUIRED_PARAMS = {
@@ -174,14 +175,67 @@ def _l1_dists(B: np.ndarray, S: np.ndarray, X: np.ndarray, Z: np.ndarray):
         B += np.abs(S, out=S)
 
 
-def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
-              upper: bool) -> np.ndarray:
-    """The ``|X|``-by-``|Z|`` kernel matrix, built in one cache-line aligned
-    C-ordered buffer.
+# Families whose entries are functions of the squared distance, taken from
+# one product of augmented rows (see ``_evaluate``).
+_SQ_DIST = ("gaussian", "exponential", "inverse_multiquadric")
 
-    One whole-matrix product is written into the buffer: ``X @ Z^T`` for
-    the linear and polynomial families, and for the gaussian, exponential
-    and inverse multiquadric the squared distances
+
+def _query_rows(fam: str, X: np.ndarray) -> np.ndarray:
+    """The query side of the family's product: ``[X, ||x||^2, 1]`` for the
+    squared-distance families, ``X`` itself for the others."""
+    if fam not in _SQ_DIST:
+        return X
+    n, d = X.shape
+    Xa = np.ones((n, d + 2))
+    Xa[:, :d], Xa[:, d] = X, np.sum(X * X, axis=1)
+    return Xa
+
+
+def _expansion_rows(fam: str, Z: np.ndarray) -> np.ndarray:
+    """The expansion side of the family's product: ``[-2Z, 1, ||z||^2]``
+    for the squared-distance families, ``Z`` itself for the others."""
+    if fam not in _SQ_DIST:
+        return Z
+    m, d = Z.shape
+    Za = np.ones((m, d + 2))
+    Za[:, :d], Za[:, d + 1] = -2.0 * Z, np.sum(Z * Z, axis=1)
+    return Za
+
+
+def _finish_block(spec: KernelSpec, B: np.ndarray, X: np.ndarray,
+                  Z: np.ndarray, scratch):
+    """Turn the block ``B`` of products between the rows of ``X`` and ``Z``
+    into kernel values, in place; the laplacian fills ``B`` itself, through
+    ``scratch``."""
+    fam, p = spec.family, spec.params
+    if fam == "linear":
+        return
+    if fam == "polynomial":
+        B += p["offset"]
+        B **= p["degree"]
+        return
+    if fam == "laplacian":
+        _l1_dists(B, scratch[:B.size].reshape(B.shape), X, Z)
+    else:
+        np.maximum(B, 0.0, out=B)  # clip rounding noise below zero
+    if fam == "inverse_multiquadric":
+        B += p["c"] ** 2
+        B **= -p["beta"]
+        return
+    if fam == "exponential":
+        np.sqrt(B, out=B)
+    B *= -p["rho"]
+    np.exp(B, out=B)
+
+
+def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
+              upper: bool = False, w=None) -> np.ndarray:
+    """The ``|X|``-by-``|Z|`` kernel matrix, built in one cache-line aligned
+    C-ordered buffer, or, given ``w``, its product with ``w``.
+
+    The matrix is one whole-matrix product, ``X @ Z^T`` for the linear and
+    polynomial families and for the gaussian, exponential and inverse
+    multiquadric the squared distances
     ``[X, ||x||^2, 1] @ [-2Z, 1, ||z||^2]^T``, which round like
     ``||x||^2 + ||z||^2 - 2<x, z>`` to about ``eps (||x||^2 + ||z||^2)``.
     The family's elementwise steps then run in place over row blocks of
@@ -190,58 +244,63 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
     (``Z`` is ``X``) a block skips the columns left of its first row: those
     entries lie below the diagonal, where the caller mirrors the upper
     triangle.
+
+    With ``w`` no matrix is built: each row block takes its own product
+    against the C-ordered transposed expansion rows, built once, runs the
+    family's steps and writes ``B @ w`` into the output, so one block of
+    about ``_BLOCK`` entries is all the call holds.
     """
     n, m = len(X), len(Z)
-    K = _aligned_empty((n, m), order="C")
-    fam, p = spec.family, spec.params
-    if fam in ("gaussian", "exponential", "inverse_multiquadric"):
-        d = X.shape[1]
-        Xa, Za = np.ones((n, d + 2)), np.ones((m, d + 2))
-        Xa[:, :d], Xa[:, d] = X, np.sum(X * X, axis=1)
-        Za[:, :d], Za[:, d + 1] = -2.0 * Z, np.sum(Z * Z, axis=1)
-        np.matmul(Xa, Za.T, out=K)
-    elif fam != "laplacian":
-        np.matmul(X, Z.T, out=K)
-    if fam == "linear":
-        return K
+    fam = spec.family
     rows = max(1, _BLOCK // max(m, 1))
-    if fam == "laplacian":
-        scratch = np.empty(min(n, rows) * m)
+    scratch = np.empty(min(n, rows) * m) if fam == "laplacian" else None
+    if w is None:
+        K = _aligned_empty((n, m), order="C")
+        if fam != "laplacian":
+            np.matmul(_query_rows(fam, X), _expansion_rows(fam, Z).T, out=K)
+    else:
+        h, Zt = np.empty(n), np.ascontiguousarray(_expansion_rows(fam, Z).T)
+        block = _aligned_empty((min(n, rows), m), order="C")
     for r0 in range(0, n, rows):
         r1, c0 = min(r0 + rows, n), r0 if upper else 0
-        B = K[r0:r1, c0:]
-        if fam == "polynomial":
-            B += p["offset"]
-            B **= p["degree"]
-            continue
-        if fam == "laplacian":
-            _l1_dists(B, scratch[:B.size].reshape(B.shape), X[r0:r1], Z[c0:])
+        if w is None:
+            B = K[r0:r1, c0:]
         else:
-            np.maximum(B, 0.0, out=B)  # clip rounding noise below zero
-        if fam == "inverse_multiquadric":
-            B += p["c"] ** 2
-            B **= -p["beta"]
-            continue
-        if fam == "exponential":
-            np.sqrt(B, out=B)
-        B *= -p["rho"]
-        np.exp(B, out=B)
-    return K
+            B = block[:r1 - r0]
+            if fam != "laplacian":
+                np.matmul(_query_rows(fam, X[r0:r1]), Zt, out=B)
+        _finish_block(spec, B, X[r0:r1], Z[c0:], scratch)
+        if w is not None:
+            np.matmul(B, w, out=h[r0:r1])
+    return K if w is None else h
 
 
-def cross_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Kernel evaluations between the rows of ``X`` and the rows of ``Z``.
+def cross_matrix(spec: KernelSpec, X, Z, w=None) -> np.ndarray:
+    """Kernel evaluations between the rows of ``X`` and the rows of ``Z``,
+    or, given a coefficient vector ``w`` over the rows of ``Z``, the
+    expansions ``sum_j w_j K(X[i], Z[j])``.
 
-    Returns the |X|-by-|Z| matrix with entry (i, j) equal to
-    ``eval_kernel(spec, X[i], Z[j])``, C-ordered and starting on a 64-byte
-    boundary.  Apart from the output it holds the inputs' augmented rows
-    or, for the laplacian, one block of about ``_BLOCK`` entries.
+    Without ``w`` it returns the |X|-by-|Z| matrix with entry (i, j) equal
+    to ``eval_kernel(spec, X[i], Z[j])``, C-ordered and starting on a
+    64-byte boundary; apart from the output it holds the inputs' augmented
+    rows or, for the laplacian, one block of about ``_BLOCK`` entries.
+
+    With ``w`` it returns ``cross_matrix(spec, X, Z) @ w`` without building
+    the matrix: the rows of ``X`` go through in blocks of ``_BLOCK // |Z|``
+    rows (at least one), each block's kernel values are formed and reduced
+    against ``w`` while they sit in L2, and the call holds one such block.
+    A value agrees with the matrix product to rounding, but its bits can
+    change at the 1e-14 level with the row's position in its block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if X.shape[1] != Z.shape[1]:
         raise InputError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    return _evaluate(spec, X, Z, upper=False)
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (len(Z),):
+            raise InputError(f"expected {len(Z)} coefficients, got shape {w.shape}")
+    return _evaluate(spec, X, Z, w=w)
 
 
 def gram_matrix(spec: KernelSpec, X) -> GramMatrix:

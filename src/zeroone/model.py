@@ -17,10 +17,6 @@ from .kernels import KernelSpec, cross_matrix, data_fingerprint
 
 MODEL_FORMAT_VERSION = 1
 
-# Query rows per block of the decision function (``serve``'s batch size):
-# 256 queries against m expansion points hold one 256 x m kernel block.
-_PREDICT_ROWS = 256
-
 # Slack on the inclusive right endpoint of the support interval, absorbing
 # float rounding of the threshold itself.
 _SUPPORT_TOL = 1e-9
@@ -110,11 +106,12 @@ def decision_function(model: TrainedModel, x, form: str = "primal"):
     ``-sum_{i in support} y_i lam_i K(x_i, .) + b``, which matches the
     primal form at a certified stationary point of a nonsingular kernel.
 
-    The queries are evaluated in blocks of ``_PREDICT_ROWS`` rows, so a
-    call holds one block of kernel values against the expansion points,
-    whatever the number of queries.  A block's rows get the bits the
-    whole-matrix product gives them wherever the BLAS library's rounding
-    does not depend on the row's place in its matrix.
+    Either sum is one ``cross_matrix`` call with the coefficients, which
+    holds one block of about ``kernels._BLOCK`` = 2^15 kernel values (27
+    queries against 1200 expansion points) whatever the number of
+    queries.  A value can change at the 1e-14 level with its row's
+    position among the queries, as BLAS rounds a block's edge rows
+    differently.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -130,14 +127,7 @@ def decision_function(model: TrainedModel, x, form: str = "primal"):
         P, w = model.X[sv], -(model.y[sv] * model.lam[sv])
     else:
         raise InputError(f"unknown decision form {form!r}")
-    n = len(Z)
-    h = np.empty(n)
-    for i in range(0, max(n - 1, 1), _PREDICT_ROWS):
-        # a 1-row tail joins the block before it: numpy takes a 1-row
-        # product through ddot instead of dgemv, which rounds differently
-        j = i + _PREDICT_ROWS if i + _PREDICT_ROWS < n - 1 else n
-        h[i:j] = cross_matrix(model.kernel, Z[i:j], P) @ w
-    h += model.b
+    h = cross_matrix(model.kernel, Z, P, w) + model.b
     return float(h[0]) if single else h
 
 

@@ -904,6 +904,24 @@ class TestFinish:
         state.gamma_k = np.array(gamma_k, dtype=int)
         assert admm.finish(K, np.array([1.0, 1.0, -1.0]), state, 1.0, 1.0) is None
 
+    def test_search_stops_when_a_singular_system_sends_it_back(self, monkeypatch):
+        # linear kernel on four points of the plane: the bordered system on
+        # all four is singular but for rounding (condition 2.4e16), its
+        # multipliers are of order 1e14 and drop index 1 again, so T would
+        # flip between {0, 2, 3} and {0, 1, 2, 3} for the whole 14-step
+        # budget
+        X = np.array([[-1.0, -3.0], [3.0, -2.0], [-2.0, 2.0], [3.0, 0.0]])
+        solved = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: solved.append(len(A) - 1) or real(A, b))
+        state = zeros_state(4)
+        state.gamma_k = np.array([2, 3])
+        assert admm.finish(X @ X.T, np.array([-1.0, -1.0, 1.0, 1.0]), state,
+                           8.0, 1.0) is None
+        # T = {2, 3}, {0, 2, 3}, then the singular {0, 1, 2, 3} once
+        assert solved == [2, 3, 4]
+
     def test_noisy_configurations_make_no_attempt(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small
         # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2):

@@ -239,6 +239,79 @@ def test_cross_matrix_consistency():
         cross_matrix(gaussian_spec(1.0), X, rng.normal(size=(4, 2)))
 
 
+def _block_rows(m):
+    """Rows per block of the weighted product against ``m`` points."""
+    return max(1, kernels._BLOCK // max(m, 1))
+
+
+def _weighted_cases():
+    """(m, n): m from empty to above one block, each with n from empty
+    over a block boundary to many blocks; above ``_BLOCK`` points each
+    block is one row, so only a few are taken."""
+    for m in (0, 1, 17, 300, 1200):
+        rows = _block_rows(m)
+        for n in sorted({0, 1, 2, rows - 1, rows + 1, 1369}):
+            yield m, n
+    for n in (0, 1, 2, 3):
+        yield kernels._BLOCK + 5, n
+
+
+class TestWeightedCross:
+    """``cross_matrix(spec, X, Z, w)``: ``K(X, Z) w`` one row block at a
+    time, without the matrix."""
+
+    @pytest.mark.parametrize("m,n", list(_weighted_cases()))
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_matches_matrix_product(self, spec, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        X, Z, w = rng.normal(size=(n, 3)), rng.normal(size=(m, 3)), rng.normal(size=m)
+        K = cross_matrix(spec, X, Z)
+        got = cross_matrix(spec, X, Z, w)
+        assert got.shape == (n,)
+        # 1e-12 relative to the size of the terms summed, |K| |w|
+        np.testing.assert_array_less(np.abs(got - K @ w),
+                                     1e-12 * (1.0 + np.abs(K) @ np.abs(w)))
+
+    @pytest.mark.parametrize("m", [17, 1200, kernels._BLOCK + 5])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_blocks_cover_the_rows(self, spec, m, monkeypatch):
+        blocks = []
+        finish = kernels._finish_block
+
+        def counted(spec, B, X, Z, scratch):
+            blocks.append((B.shape, X[:, 0].copy()))
+            finish(spec, B, X, Z, scratch)
+        monkeypatch.setattr(kernels, "_finish_block", counted)
+        n = 2 * _block_rows(m) + 1
+        X = np.zeros((n, 3))
+        X[:, 0] = np.arange(n)  # row i shows itself in its block
+        cross_matrix(spec, X, np.ones((m, 3)), np.ones(m))
+        covered = [r for _, rows in blocks for r in rows]
+        np.testing.assert_array_equal(covered, np.arange(n))
+        for (r, cols), rows in blocks:
+            assert r == len(rows) and cols == m
+            assert r * cols <= kernels._BLOCK or r == 1
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_peak_memory_is_one_block(self, spec):
+        # 10 000 rows against 1200: the matrix would be 92 MiB
+        rng = np.random.default_rng(14)
+        X, Z, w = rng.normal(size=(10_000, 3)), rng.normal(size=(1200, 3)), rng.normal(size=1200)
+        tracemalloc.start()
+        try:
+            cross_matrix(spec, X, Z, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_000 * 8 + 2**20
+
+    def test_coefficients_must_match_the_points(self):
+        X = np.zeros((4, 2))
+        for w in (np.ones(3), np.ones(5), np.ones((4, 1))):
+            with pytest.raises(InputError):
+                cross_matrix(gaussian_spec(1.0), X, X, w)
+
+
 SQ_DIST_SPECS = [s for s in ALL_SPECS
                  if s.family in ("gaussian", "exponential", "inverse_multiquadric")]
 

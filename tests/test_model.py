@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from zeroone import (InputError, KernelSpec, TrainedModel, accuracy,
                      cross_matrix, decision_function, from_json, gaussian_spec,
                      predict, save_model, support_vectors, support_vectors_dual,
                      to_json)
-from zeroone import model as model_mod
+from zeroone import kernels as kernels_mod
 from zeroone.cli import main
 
 
@@ -109,18 +110,33 @@ class TestBlockedDecision:
         np.testing.assert_array_equal(predict(mdl, Z, form=form),
                                       np.where(whole >= 0.0, 1.0, -1.0))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 258, 513, 800])
+    @pytest.mark.parametrize("n", [0, 1, 2, 26, 27, 28, 255, 256, 257, 258, 513, 800])
     def test_blocks_cover_the_queries(self, mdl, monkeypatch, n):
-        rows = []
+        # query i has first coordinate i, so a block's rows show which it is
+        blocks = []
+        finish = kernels_mod._finish_block
 
-        def counted(spec, X, Z):
-            rows.append(len(X))
-            return cross_matrix(spec, X, Z)
-        monkeypatch.setattr(model_mod, "cross_matrix", counted)
-        assert decision_function(mdl, np.zeros((n, 2))).shape == (n,)
-        # at most one block plus a 1-row tail, which joins the block before it
-        assert sum(rows) == n and max(rows) <= model_mod._PREDICT_ROWS + 1
-        assert n <= 1 or min(rows) >= 2
+        def counted(spec, B, X, Z, scratch):
+            blocks.append((B.shape, X[:, 0].copy()))
+            finish(spec, B, X, Z, scratch)
+        monkeypatch.setattr(kernels_mod, "_finish_block", counted)
+        Z = np.zeros((n, 2))
+        Z[:, 0] = np.arange(n)
+        assert decision_function(mdl, Z).shape == (n,)
+        # every query in exactly one block, in order, and no block above
+        # _BLOCK entries (27 rows against 1200)
+        covered = [r for _, rows in blocks for r in rows]
+        np.testing.assert_array_equal(covered, np.arange(n))
+        for (r, m), rows in blocks:
+            assert r == len(rows) and m == len(mdl.X)
+            assert r * m <= kernels_mod._BLOCK
+
+    @pytest.mark.parametrize("n", [0, 1, 1369])
+    def test_empty_support_gives_bias(self, mdl, n):
+        bare = dataclasses.replace(mdl, support=np.zeros(0, dtype=int))
+        Z = np.random.default_rng(n).uniform(-3, 3, size=(n, 2))
+        np.testing.assert_array_equal(decision_function(bare, Z, form="dual"),
+                                      np.full(n, mdl.b))
 
     @pytest.mark.parametrize("form", ["primal", "dual"])
     def test_peak_memory_is_one_block(self, mdl, form):
