@@ -22,7 +22,7 @@ from .kernels import (FAMILIES, GramMatrix, KernelSpec, cross_matrix,
                       gram_matrix)
 from .model import (TrainedModel, accuracy, decision_function, from_json,
                     from_solution, load_model, predict, save_model,
-                    support_vectors, support_vectors_dual, to_json)
+                    support_vectors, to_json)
 from .prox import LossKind, ProxParams, prox_hinge, prox_l01, prox_sqhinge
 from .stationarity import (StationarityReport, check_kkt,
                            check_prox_stationary, construct_gamma,
@@ -43,7 +43,7 @@ __all__ = [
     "data_fingerprint", "eval_kernel", "gaussian_spec", "gram_matrix",
     "TrainedModel", "accuracy", "decision_function", "from_json",
     "from_solution", "load_model", "predict", "save_model",
-    "support_vectors", "support_vectors_dual", "to_json",
+    "support_vectors", "to_json",
     "ProxParams", "prox_hinge", "prox_l01", "prox_sqhinge",
     "StationarityReport", "check_kkt", "check_prox_stationary",
     "construct_gamma", "equivalence_roundtrip", "subdiff_l01_contains",

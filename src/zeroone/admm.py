@@ -37,7 +37,7 @@ from .data import Dataset
 from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import (GramMatrix, KernelSpec, _aligned_empty, gaussian_spec,
                       gram_matrix)
-from .prox import LOSS, PROX, LossKind, ProxParams, objective, prox_l01_zeroed
+from .prox import PROX, LossKind, ProxParams, objective, prox_l01_zeroed
 from .stationarity import (check_prox_stationary, construct_gamma, row_norms,
                            scaled_residuals)
 
@@ -448,8 +448,8 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     ``T`` and ``lam = -y * c``, that is ``y_i (K_i c + b) = 1`` on ``T`` and
     ``<y, lam> = 0``.  It sets ``u = 1 - y * (K c + b)`` with ``u_T = 0``,
     then drops from ``T`` the largest positive ``lam_i``, or, when no
-    ``lam_i`` is positive, adds the largest ``u_i`` in
-    ``(0, sqrt(2C/sigma)]``; when there is neither, the point is final.
+    ``lam_i`` is positive, adds the largest ``u_i`` that the slack step at
+    ``1/sigma`` would zero; when there is neither, the point is final.
     Every step solves its system afresh with ``np.linalg.solve`` (an
     inverse of ``K_TT`` kept up to date by bordering drifted until no
     point passed the checks below) and forms ``K c`` from the columns of
@@ -462,19 +462,19 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
 
     The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
     KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
-    builds its step.  The point is accepted only if it is
-    prox-stationary at that step, ``check_prox_stationary`` passing at
-    ``_EXACT_TOL`` (which, by the paper's equivalence, makes it KKT), and
-    if its objective ``c' K c / 2 + C * count(u > 0)`` is not above the
-    iterate's.  The iterate's is taken at its own ``(c, b)`` with the
-    slack they give, ``u = 1 - y * (K c + b)``, not with its ``u``, which
-    is zero on ``gamma_k`` where they do not put it.  On noisy data the
-    working set's KKT point can hold mislabelled points on the margin at
-    a far higher objective; the second test rejects it.  The accepted
-    point carries the step as ``prox_step`` (see :class:`AdmmState`).
+    builds its step.  The point is accepted only if it is prox-stationary
+    at that step, ``check_prox_stationary`` passing at ``_EXACT_TOL``
+    (which, by the paper's equivalence, makes it KKT), and if its
+    :func:`~zeroone.prox.objective` is not above the iterate's.  The
+    iterate's is taken at its own ``(c, b)`` with the slack they give,
+    ``u = 1 - y * (K c + b)``, not with its ``u``, which is zero on
+    ``gamma_k`` where they do not put it.  On noisy data the working set's
+    KKT point can hold mislabelled points on the margin at a far higher
+    objective; the second test rejects it.  The accepted point carries the
+    step as ``prox_step`` (see :class:`AdmmState`).
     """
     m = len(y)
-    tau = math.sqrt(2.0 * C / sigma)
+    p = ProxParams(1.0 / sigma, C)
     active = np.zeros(m, dtype=bool)
     active[row_state.gamma_k] = True
     seen = set()
@@ -495,13 +495,14 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
             c = np.zeros(m)
             c[T] = sol[:n]
             b = float(sol[n])
-            u = 1.0 - y * (K[:, T].dot(sol[:n]) + b)
+            Kc = K[:, T].dot(sol[:n])
+            u = 1.0 - y * (Kc + b)
             u[T] = 0.0
             lam = -y * c
             if lam.max() > 0.0:
                 active[np.argmax(lam)] = False
                 continue
-            near = (u > 0.0) & (u <= tau)
+            near = prox_l01_zeroed(u, p)[1]
             if not near.any():
                 break
             active[np.argmax(np.where(near, u, 0.0))] = True
@@ -511,9 +512,10 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
         if not check_prox_stationary(c, b, u, lam, K, y, C, gamma,
                                      tol=_EXACT_TOL).is_prox_stationary:
             return None
-        u_iterate = 1.0 - y * (K.dot(row_state.c) + row_state.b)
-        if not (objective(LossKind.L01, K, c, u, C)
-                <= objective(LossKind.L01, K, row_state.c, u_iterate, C)):
+        Kc_iterate = K.dot(row_state.c)
+        u_iterate = 1.0 - y * (Kc_iterate + row_state.b)
+        if not (objective(LossKind.L01, Kc, c, u, C)
+                <= objective(LossKind.L01, Kc_iterate, row_state.c, u_iterate, C)):
             return None
     return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T, prox_step=gamma)
 
@@ -575,7 +577,6 @@ def _run_admm(
     sigma, C = full("sigma"), full("C")
     step_size = full("iota") * sigma  # iota * sigma
     p = ProxParams(gamma=1.0 / sigma, C=C)
-    prox, loss = PROX[kind], LOSS[kind]
     b = np.full((len(rows), 1), float(start.b))
     lam = np.tile(start.lam, (len(rows), 1))
     Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
@@ -627,8 +628,8 @@ def _run_admm(
         scaled_lam = lam / sigma
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, y, prox(u - scaled_lam, p))
-        objectives = 0.5 * np.vecdot(c, Kc) + C[:, 0] * loss(u)
+            c, u, lam, omega, y, PROX[kind](u - scaled_lam, p))
+        objectives = objective(kind, Kc, c, u, C[:, 0])
         records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
                       beta4.tolist(), objectives.tolist(),
                       zeroed.sum(axis=1).tolist())

@@ -35,6 +35,7 @@ from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtri
 
 DEFAULT_GRID_C = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_GRID_SIGMA = (1.0, 2.0)
+_BOUNDARY_CHUNK = 4096  # grid rows per block of the boundary CSV
 
 BENCH_COLUMNS = ("dataset", "r", "loss", "C", "sigma", "train_acc",
                  "test_acc", "nsv", "wall_s", "iters", "termination",
@@ -148,12 +149,13 @@ def _metrics(train, test, mdl, trace: SolveTrace, wall_s: float) -> dict:
 # ---------------------------------------------------------------------------
 # trace / table serialization
 
-def _write_table(path: str, header: list, table) -> None:
-    """``table``'s rows as CSV under ``header``: every value in ``%.17g``
-    (an integral value prints as an integer), CRLF line ends."""
+def _write_table(path: str, header: list, tables) -> None:
+    """The rows of ``tables``, one table after another, as CSV under ``header``:
+    every value in ``%.17g`` (an integral value as an integer), CRLF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        for i, table in enumerate(tables):  # savetxt writes no line for header=""
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n",
+                       header="" if i else ",".join(header), comments="")
 
 
 def write_trace_csv(trace: SolveTrace, path: str):
@@ -161,7 +163,7 @@ def write_trace_csv(trace: SolveTrace, path: str):
     keep all 17 significant digits."""
     names = [f.name for f in fields(TraceRecord)]
     flat = np.reshape(trace.flat, (-1, len(names) - 1))
-    _write_table(path, names, np.column_stack((np.arange(1, len(flat) + 1), flat)))
+    _write_table(path, names, [np.column_stack((np.arange(1, len(flat) + 1), flat))])
 
 
 def rows_to_csv(rows, columns) -> str:
@@ -362,19 +364,13 @@ def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
         if cv_pairs and not row["error"]:
             row["cv_acc"] = float(np.mean(fold_scores))
 
-    for kind in kinds:
+    marks = {"paper": "test_acc", "cv": "cv_acc"} if cv_pairs else {"paper": "test_acc"}
+    for kind, (mark, score) in itertools.product(kinds, marks.items()):
         ok = [(i, r) for i, r in enumerate(rows)
               if r["loss"] == kind.value and not r["error"]]
-        if not ok:
-            continue
-        best_i = max(ok, key=lambda ir: (ir[1]["test_acc"], -ir[1]["nsv"],
-                                         -ir[0]))[0]
-        rows[best_i]["selection"] = "paper"
-        if cfg.selection == "cv":
-            cv_i = max(ok, key=lambda ir: (ir[1]["cv_acc"], -ir[1]["nsv"],
-                                           -ir[0]))[0]
-            mark = rows[cv_i]["selection"]
-            rows[cv_i]["selection"] = (mark + "+cv") if mark else "cv"
+        if ok:
+            i = max(ok, key=lambda ir: (ir[1][score], -ir[1]["nsv"], -ir[0]))[0]
+            rows[i]["selection"] = "+".join(filter(None, (rows[i]["selection"], mark)))
     return rows, cv_walls
 
 
@@ -412,14 +408,15 @@ def cmd_boundary(cfg: RunConfig) -> int:
     dec = np.atleast_1d(model_mod.decision_function(mdl, pts))
 
     out = cfg.out or "boundary.csv"
+    at = range(_BOUNDARY_CHUNK, len(dec), _BOUNDARY_CHUNK)
     _write_table(out, ["x1", "x2", "decision", "label"],
-                 np.column_stack((pts, dec, np.where(dec >= 0.0, 1, -1))))
+                 (np.column_stack((p, d, np.where(d >= 0.0, 1, -1)))
+                  for p, d in zip(np.split(pts, at), np.split(dec, at))))
     stem, ext = os.path.splitext(out)
     points_path = f"{stem}_points{ext or '.csv'}"
-    support = np.zeros(mdl.X.shape[0])
-    support[mdl.support] = 1
+    support = np.isin(np.arange(len(mdl.y)), mdl.support)
     _write_table(points_path, ["x1", "x2", "label", "support"],
-                 np.column_stack((mdl.X, mdl.y, support)))
+                 [np.column_stack((mdl.X, mdl.y, support))])
     print(f"grid: {out}")
     print(f"points: {points_path}")
     return 0

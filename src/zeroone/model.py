@@ -4,7 +4,6 @@ prediction, support-vector extraction, accuracy, JSON persistence."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -14,6 +13,7 @@ from .admm import AdmmState, Hyperparams
 from .data import Dataset, StandardizeStats
 from .errors import ConfigError, InputError
 from .kernels import KernelSpec, cross_matrix, data_fingerprint
+from .prox import ProxParams
 
 MODEL_FORMAT_VERSION = 1
 
@@ -22,27 +22,13 @@ MODEL_FORMAT_VERSION = 1
 _SUPPORT_TOL = 1e-9
 
 
-def support_vectors(u, lam, C, gamma, tol: float = _SUPPORT_TOL) -> np.ndarray:
-    """Support set of a solution: indices with
-    ``u_i - gamma*lam_i`` in ``(0, sqrt(2*gamma*C)]``.
-
-    The right endpoint is inclusive with ``tol`` slack.  At a certified
-    stationary point this agrees with the multiplier characterization of
-    :func:`support_vectors_dual`.
-    """
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    v = u - gamma * lam
-    tau = math.sqrt(2.0 * gamma * C)
-    return np.flatnonzero((v > 0.0) & (v <= tau + tol))
-
-
-def support_vectors_dual(lam, C, gamma, tol: float = _SUPPORT_TOL) -> np.ndarray:
-    """Multiplier form of the support set:
-    ``lam_i`` in ``[-sqrt(2C/gamma) - tol, -tol)``."""
-    lam = np.asarray(lam, dtype=float)
-    bound = math.sqrt(2.0 * C / gamma)
-    return np.flatnonzero((lam >= -bound - tol) & (lam < -tol))
+def support_vectors(u, lam, C, gamma) -> np.ndarray:
+    """Support set of a solution: indices with ``u_i - gamma*lam_i`` in
+    ``(0, tau]``, where ``tau`` is the zeroing threshold of the zero-one
+    prox at step ``gamma`` (:attr:`~zeroone.prox.ProxParams.tau`); the
+    right endpoint is inclusive with ``_SUPPORT_TOL`` slack."""
+    v = np.asarray(u, dtype=float) - gamma * np.asarray(lam, dtype=float)
+    return np.flatnonzero((v > 0.0) & (v <= ProxParams(gamma, C).tau + _SUPPORT_TOL))
 
 
 @dataclass(frozen=True)

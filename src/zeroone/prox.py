@@ -33,7 +33,8 @@ class LossKind(str, Enum):
 @dataclass(frozen=True)
 class ProxParams:
     """Step size ``gamma`` and loss weight ``C``, both strictly positive:
-    floats, or ``(rows, 1)`` columns giving each row of a batch its own."""
+    floats, or arrays that broadcast against ``eta`` (the batch solver
+    passes whole ``(rows, m)`` rows) giving each row of a batch its own."""
 
     gamma: float | np.ndarray
     C: float | np.ndarray
@@ -115,11 +116,10 @@ LOSS = {
 }
 
 
-def objective(kind: LossKind, K, c, u, C) -> float:
-    """Regularized objective ``c' K c / 2 + C * loss(u)`` where the loss is
-    the positive count, the positive-part sum, or the squared positive-part
-    sum by kind."""
-    kind = LossKind(kind)
-    c = np.asarray(c, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return 0.5 * float(c @ (K @ c)) + C * LOSS[kind](u)
+def objective(kind: LossKind, Kc, c, u, C) -> float | np.ndarray:
+    """Regularized objective ``c' K c / 2 + C * loss(u)`` from the product
+    ``Kc = K c``, where the loss is the positive count, the positive-part
+    sum, or the squared positive-part sum by kind.  ``c``, ``Kc`` and ``u``
+    may be ``(rows, m)`` batches with ``C`` one value per row; the result
+    is then one objective per row."""
+    return 0.5 * np.vecdot(c, Kc) + C * LOSS[LossKind(kind)](u)

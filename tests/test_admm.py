@@ -713,6 +713,19 @@ class TestSolve:
         assert rec.objective == pytest.approx(expected, rel=1e-12)
         assert rec.gamma_size == len(state.gamma_k)
 
+    @pytest.mark.parametrize("kind", [LossKind.L01, LossKind.HINGE])
+    def test_trace_objective_is_prox_objective(self, kind):
+        # the trace line is prox.objective on the K c of the solver's own
+        # representation, so the two agree to the bit
+        ds = gen_double_circles(60, noise_std=0.15, seed=5)
+        hp = Hyperparams(C=4.0, sigma=3.0, max_iter=40, kernel=gaussian_spec(0.5))
+        state, trace, _ = solve_baseline(ds, hp, kind)
+        assert trace.termination == "max_iter"
+        K = gram_matrix(hp.kernel, ds.X).entries
+        solver = admm._coefficient_solvers(K, [hp.sigma])[hp.sigma]
+        assert trace.records[-1].objective == objective(
+            kind, solver.K_times(state.c), state.c, state.u, hp.C)
+
     def test_certificate_on_convergence(self):
         from zeroone import check_prox_stationary
         ds = gen_double_circles(120, seed=14)
@@ -850,8 +863,8 @@ class TestFinish:
         assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y, hp.C,
                          tol=1e-8).is_kkt
         u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
-        assert objective(LossKind.L01, K, point.c, point.u, hp.C) > \
-            10.0 * objective(LossKind.L01, K, iterate.c, u_iterate, hp.C)
+        assert objective(LossKind.L01, K @ point.c, point.c, point.u, hp.C) > \
+            10.0 * objective(LossKind.L01, K @ iterate.c, iterate.c, u_iterate, hp.C)
 
     def test_point_failing_its_certificate_is_rejected_and_row_continues(
             self, monkeypatch):

@@ -102,3 +102,12 @@ def test_detects_an_orphaned_helper():
                      "class _Gone:\n    pass\n")
     assert set(private_definitions(tree)) - used_names(tree) == {
         "_unused", "_orphan", "_Gone"}
+
+
+def test_all_lists_every_package_import():
+    # a name the package imports but does not export, or exports but no
+    # longer imports, is a half-done addition or deletion
+    import zeroone
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(zeroone.__all__) == sorted({*imported_names(tree), "__version__"})

@@ -7,8 +7,7 @@ import pytest
 
 from zeroone import (InputError, KernelSpec, TrainedModel, accuracy,
                      cross_matrix, decision_function, from_json, gaussian_spec,
-                     predict, save_model, support_vectors, support_vectors_dual,
-                     to_json)
+                     predict, save_model, support_vectors, to_json)
 from zeroone import kernels as kernels_mod
 from zeroone.cli import main
 
@@ -195,8 +194,11 @@ class TestSupportVectors:
     def test_dual_form_cross_check(self, circles_run):
         run = circles_run
         st = run.state
-        a = support_vectors(st.u, st.lam, run.hp.C, 1.0 / run.hp.sigma)
-        b = support_vectors_dual(st.lam, run.hp.C, 1.0 / run.hp.sigma, tol=1e-6)
+        gamma, tol = 1.0 / run.hp.sigma, 1e-6
+        a = support_vectors(st.u, st.lam, run.hp.C, gamma)
+        # the multiplier form: lam_i in [-sqrt(2C/gamma) - tol, -tol)
+        bound = math.sqrt(2.0 * run.hp.C / gamma)
+        b = np.flatnonzero((st.lam >= -bound - tol) & (st.lam < -tol))
         np.testing.assert_array_equal(a, b)
 
     def test_multiplier_bounds_at_stationarity(self, circles_run):
