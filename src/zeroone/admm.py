@@ -44,16 +44,13 @@ from .stationarity import (check_prox_stationary, construct_gamma, row_norms,
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
 
-# The polish (see :func:`finish`): a zero-one row is polished at every
-# _POLISH_EVERY-th iteration while its working set gamma_k has flipped at
-# most _SETTLED_FLIPS indices over the last _POLISH_EVERY iterations and
-# its residual stalls: the least max(beta1, |beta2|, beta3, beta4) of the
-# last _STALL_WINDOW iterations is above _STALL_RATIO times the least of
-# the _STALL_WINDOW before.  A row stops trying after _POLISH_TRIES failed
-# attempts.  A polished point must be prox-stationary within _EXACT_TOL at
-# the step construct_gamma builds for it.
+# The polish (see :func:`finish`): _run_admm tries a zero-one row at every
+# _POLISH_EVERY-th iteration, at most _POLISH_TRIES times, when :func:`_due`
+# holds on its trace; _due reads _SETTLED_SPREAD and the _STALL_ constants.
+# A polished point must be prox-stationary within _EXACT_TOL at the step
+# construct_gamma builds for it.
 _POLISH_EVERY = 10
-_SETTLED_FLIPS = 10
+_SETTLED_SPREAD = 2
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.5
 _POLISH_TRIES = 3
@@ -105,9 +102,10 @@ class AdmmState:
 
     After a full iteration of the zero-one solver, ``u[gamma_k] == 0``
     exactly and ``lam`` is exactly zero off ``gamma_k``; ``gamma_k`` is the
-    set ``{i : 0 < eta[i] <= sqrt(2C/sigma)}`` for the ``eta`` recorded
-    here.  (The baseline solvers reuse this container but skip the dual
-    masking, so only the first invariant applies there.)
+    set ``{i : 0 < eta[i] <= tau}`` for the ``eta`` recorded here, with
+    ``tau = ProxParams(1/sigma, C).tau``.  (The baseline solvers reuse
+    this container but skip the dual masking, so only the first invariant
+    applies there.)
 
     A point from :func:`finish` has ``gamma_k`` its active set, ``c`` zero
     off it and ``lam == -y * c``; its ``eta``, ``xi``, ``r``, ``omega`` and
@@ -196,8 +194,8 @@ def _slack_step(eta, p: ProxParams, kind: LossKind) -> tuple[np.ndarray, np.ndar
     """Slack step: the ``kind`` prox of ``eta`` (a vector or a batch) at
     step ``p.gamma = 1/sigma``, and the zeroed set as a boolean mask.  For
     the zero-one loss that set is the coordinates of ``eta`` in
-    ``(0, sqrt(2C/sigma)]``; for the baselines it is the zeros of the new
-    slack vector."""
+    ``(0, p.tau]``; for the baselines it is the zeros of the new slack
+    vector."""
     if kind == LossKind.L01:
         return prox_l01_zeroed(eta, p)
     u = PROX[kind](eta, p)
@@ -520,16 +518,21 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T, prox_step=gamma)
 
 
-def _stalled(flat: array) -> bool:
-    """Whether the least ``max(beta1, |beta2|, beta3, beta4)`` of the last
-    ``_STALL_WINDOW`` records of a trace's ``flat`` values is above
-    ``_STALL_RATIO`` times the least of the ``_STALL_WINDOW`` before them;
-    ``False`` with fewer records."""
+def _due(flat: array) -> bool:
+    """Whether a zero-one row whose trace holds the ``flat`` values is due
+    a polish attempt: its ``gamma_size`` spans at most ``_SETTLED_SPREAD``
+    (max - min) over the last ``_POLISH_EVERY`` records, and the least
+    ``max(beta1, |beta2|, beta3, beta4)`` of the last ``_STALL_WINDOW``
+    records is above ``_STALL_RATIO`` times the least of the
+    ``_STALL_WINDOW`` before them; ``False`` with fewer records."""
     w, n = _RECORD_WIDTH, 2 * _STALL_WINDOW
     if len(flat) < n * w:
         return False
-    res = np.abs(np.reshape(flat[-n * w:], (n, w))[:, :4]).max(axis=1)
-    return bool(res[_STALL_WINDOW:].min() > _STALL_RATIO * res[:_STALL_WINDOW].min())
+    recent = np.reshape(flat[-n * w:], (n, w))
+    sizes = recent[-_POLISH_EVERY:, -1]
+    res = np.abs(recent[:, :4]).max(axis=1)
+    return bool(sizes.max() - sizes.min() <= _SETTLED_SPREAD
+                and res[_STALL_WINDOW:].min() > _STALL_RATIO * res[:_STALL_WINDOW].min())
 
 
 def _run_admm(
@@ -552,12 +555,15 @@ def _run_admm(
     zero-one loss only, and plain for the baselines.
 
     A cell leaves the batch when it meets its tolerance, when a zero-one
-    row's :func:`finish` point is accepted (termination ``"polished"``; see
-    ``_POLISH_EVERY`` for when it is tried), when it reaches its
-    ``max_iter``, or when its solver's set-up or a solve raises a
-    ``ZeroOneError``.  ``on_iteration(state)`` receives a snapshot of
-    every cell still in the batch after each iteration.  Returns, per
-    cell, ``(AdmmState, SolveTrace)`` or the error that removed it.
+    row's :func:`finish` point is accepted (termination ``"polished"``),
+    when it reaches its ``max_iter``, or when its solver's set-up or a
+    solve raises a ``ZeroOneError``.  A zero-one row that has not met its
+    tolerance is tried at every ``_POLISH_EVERY``-th iteration, at most
+    ``_POLISH_TRIES`` times, when :func:`_due` holds on its trace; the
+    decision reads nothing but the trace, so the row's records replay it.
+    ``on_iteration(state)`` receives a snapshot of every cell still in
+    the batch after each iteration.  Returns, per cell,
+    ``(AdmmState, SolveTrace)`` or the error that removed it.
     """
     m = len(y)
     results = [solvers[hp.sigma] for hp in hps]  # set-up errors stay
@@ -582,11 +588,6 @@ def _run_admm(
     Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
     c = np.empty_like(Kc)
     polish = kind == LossKind.L01
-    # per row: gamma_k of the last iteration and the number of indices
-    # gamma_k flipped so far in this window of _POLISH_EVERY iterations
-    last_zeroed = np.zeros((len(rows), m), dtype=bool)
-    last_zeroed[:, start.gamma_k] = True
-    churn = np.zeros(len(rows), dtype=int)
 
     def state(j, k):
         return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
@@ -605,10 +606,6 @@ def _run_admm(
         eta -= by
         eta -= scaled_lam
         u, zeroed = _slack_step(eta, p, kind)
-        if polish:
-            flipped = np.count_nonzero(zeroed != last_zeroed, axis=1)
-            churn = flipped if (k - 1) % _POLISH_EVERY == 0 else churn + flipped
-            last_zeroed = zeroed
         xi = np.subtract(1.0, u)
         xi -= by
         xi -= scaled_lam
@@ -643,8 +640,7 @@ def _run_admm(
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if (polish and not met and k % _POLISH_EVERY == 0
                     and traces[i].polish_attempts < _POLISH_TRIES
-                    and churn[j] <= _SETTLED_FLIPS
-                    and _stalled(traces[i].flat)):
+                    and _due(traces[i].flat)):
                 t0 = time.perf_counter()
                 polished = finish(row_solvers[j].K, y, state(j, k),
                                   hps[i].C, hps[i].sigma)
@@ -666,10 +662,9 @@ def _run_admm(
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
             row_solvers = [results[i] for i in rows]
-            (c, Kc, yKc, b, by, lam, scaled_lam, sigma, C, step_size,
-             last_zeroed, churn) = (
+            c, Kc, yKc, b, by, lam, scaled_lam, sigma, C, step_size = (
                 a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, sigma,
-                                  C, step_size, last_zeroed, churn))
+                                  C, step_size))
             p = ProxParams(gamma=1.0 / sigma, C=C)
     return results
 

@@ -23,7 +23,8 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
 from zeroone import admm
 from zeroone.admm import _CoefficientSolver, _GramFactor
 from zeroone.baselines import solve_grid
-from zeroone.cli import RunConfig, prepare_splits
+from zeroone.cli import (DEFAULT_GRID_C, DEFAULT_GRID_SIGMA, RunConfig,
+                         bench_rows, prepare_splits)
 from zeroone.prox import objective
 from zeroone.stationarity import feasibility, scaled_residuals
 
@@ -951,3 +952,53 @@ class TestFinish:
         hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
         assert (trace.termination, trace.polish_attempts) == ("max_iter", 0)
+        # every zero-one cell of the grid-small benchmark's grid
+        for seed in (7, 20231):
+            train, _, _ = prepare_splits(RunConfig(
+                command="bench", generator="moons", m=500, seed=seed,
+                noise_rate=0.05))
+            hps = [Hyperparams(C=C, sigma=s, kernel=gaussian_spec(1.0 / train.d))
+                   for C in DEFAULT_GRID_C for s in DEFAULT_GRID_SIGMA]
+            for _, trace, _, _ in solve_grid(train, hps, [LossKind.L01]):
+                assert trace.polish_attempts == 0
+
+    def test_trace_alone_replays_the_trigger(self):
+        # _due on each prefix of a row's stored trace that ends at a
+        # multiple of _POLISH_EVERY says whether the row was tried there:
+        # a polished row first at its last iteration, any other row as
+        # often as it was tried
+        train, _, hp, gram = _circles_train_example()
+        hps = [hp] + [Hyperparams(C=C, sigma=s, kernel=gram.spec)
+                      for C in (0.5, 1.0, 4.0, 16.0) for s in (1.0, 2.0)]
+        traces = [solve(train, hp, gram=gram)[1]] + [
+            trace for _, trace, _, _ in solve_grid(train, hps[1:], [LossKind.L01],
+                                                   gram=gram)]
+        w, every = admm._RECORD_WIDTH, admm._POLISH_EVERY
+        polished = 0
+        for trace in traces:
+            due = [k for k in range(every, trace.iterations + 1, every)
+                   if admm._due(trace.flat[:k * w])][:admm._POLISH_TRIES]
+            if trace.termination == "polished":
+                polished += 1
+                assert due == [trace.iterations]
+            else:
+                assert len(due) == trace.polish_attempts
+        assert polished == 5
+
+    def test_noisy_cell_ends_at_exact_kkt_point(self):
+        # the zero-one row that bench selects on circles r=0.05, seed 7
+        cfg = RunConfig(command="bench", generator="circles", m=500, seed=7,
+                        noise_rate=0.05, selection="paper")
+        (row,) = [r for r in bench_rows(cfg) if "paper" in r["selection"]]
+        assert (row["termination"], row["nsv"], row["test_acc"]) == \
+            ("polished", 14, 0.92)
+        train, _, _ = prepare_splits(cfg)
+        hp = Hyperparams(C=row["C"], sigma=row["sigma"],
+                         kernel=gaussian_spec(1.0 / train.d))
+        K = gram_matrix(hp.kernel, train.X).entries
+        state, trace = solve(train, hp)
+        assert (trace.termination, trace.iterations) == ("polished", row["iters"])
+        args = (state.c, state.b, state.u, state.lam, K, train.y, hp.C)
+        assert check_kkt(*args, tol=1e-8).is_kkt
+        assert check_prox_stationary(*args, state.prox_step,
+                                     tol=1e-8).is_prox_stationary
