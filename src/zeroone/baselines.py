@@ -7,16 +7,13 @@ grid.  For the hinge and squared-hinge baselines the slack step and the
 fixed-point gap use the matching prox, and the dual ascent runs unmasked
 (every multiplier accumulates the full feasibility violation).  This
 isolates the effect of the loss in any comparison, the solver being
-identical.  Baseline support vectors are the samples with a numerically
-nonzero multiplier.
+identical.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Optional
-
-import numpy as np
 
 from . import admm
 from .admm import AdmmState, Hyperparams, SolveTrace, _run_admm
@@ -25,9 +22,6 @@ from .errors import InputError, ZeroOneError
 from .kernels import GramMatrix
 from .model import TrainedModel, from_solution
 from .prox import LossKind
-
-# Multipliers below this magnitude count as zero for baseline support sets.
-BASELINE_SV_TOL = 1e-6
 
 
 def solve_baseline(
@@ -44,15 +38,6 @@ def solve_baseline(
     if isinstance(out, ZeroOneError):
         raise out
     return out[:3]
-
-
-def _model(kind: LossKind, state: AdmmState, dataset: Dataset,
-           hp: Hyperparams, scaling: Optional[StandardizeStats]) -> TrainedModel:
-    """The deployable model of one solve: the zero-one support rule, or
-    for a baseline the samples with a numerically nonzero multiplier."""
-    support = None if kind is LossKind.L01 else \
-        np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
-    return from_solution(state, dataset, hp, scaling=scaling, support=support)
 
 
 def solve_grid(
@@ -82,7 +67,7 @@ def solve_grid(
     for kind in map(LossKind, kinds):
         t0 = time.perf_counter()
         batch = [out if isinstance(out, ZeroOneError)
-                 else (*out, _model(kind, out[0], dataset, hp, scaling))
+                 else (*out, from_solution(out[0], dataset, hp, scaling, kind))
                  for out, hp in zip(_run_admm(solvers, dataset.y, hps, kind), hps)]
         wall = time.perf_counter() - t0
         done = [out for out in batch if not isinstance(out, ZeroOneError)]

@@ -128,14 +128,6 @@ def _hyperparams(cfg: RunConfig, kernel: KernelSpec, C: float,
                        max_iter=cfg.max_iter, kernel=kernel)
 
 
-def run_single(train, test, hp, kind, gram=None, scaling=None) -> tuple[dict, "model_mod.TrainedModel", SolveTrace]:
-    """Train one configuration and evaluate it; returns a result row."""
-    t0 = time.perf_counter()
-    state, trace, mdl = baselines.solve_baseline(train, hp, kind, gram=gram,
-                                                 scaling=scaling)
-    return _metrics(train, test, mdl, trace, time.perf_counter() - t0), mdl, trace
-
-
 def _metrics(train, test, mdl, trace: SolveTrace, wall_s: float) -> dict:
     """The result columns of one solved cell."""
     return {
@@ -219,7 +211,9 @@ def cmd_train(cfg: RunConfig) -> int:
                          + ",".join(LossKind(k).value for k in cfg.loss))
     train, test, stats = prepare_splits(cfg)
     hp = _hyperparams(cfg, make_kernel(cfg, train.d), cfg.C, cfg.sigma)
-    row, mdl, trace = run_single(train, test, hp, cfg.loss[0], scaling=stats)
+    t0 = time.perf_counter()
+    _, trace, mdl = baselines.solve_baseline(train, hp, cfg.loss[0], scaling=stats)
+    row = _metrics(train, test, mdl, trace, time.perf_counter() - t0)
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     model_path = os.path.join(outdir, "model.json")

@@ -13,13 +13,16 @@ from .admm import AdmmState, Hyperparams
 from .data import Dataset, StandardizeStats
 from .errors import ConfigError, InputError
 from .kernels import KernelSpec, cross_matrix, data_fingerprint
-from .prox import ProxParams
+from .prox import LossKind, ProxParams
 
 MODEL_FORMAT_VERSION = 1
 
 # Slack on the inclusive right endpoint of the support interval, absorbing
 # float rounding of the threshold itself.
 _SUPPORT_TOL = 1e-9
+
+# Multipliers below this magnitude count as zero in a baseline's support set.
+BASELINE_SV_TOL = 1e-6
 
 
 def support_vectors(u, lam, C, gamma) -> np.ndarray:
@@ -63,20 +66,23 @@ class TrainedModel:
 
 def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
                   scaling: Optional[StandardizeStats] = None,
-                  support: Optional[np.ndarray] = None) -> TrainedModel:
-    """Package a solver state as a deployable model.
+                  kind: LossKind = LossKind.L01) -> TrainedModel:
+    """Package a solver state of the ``kind`` loss as a deployable model.
 
     ``gamma`` is the state's ``prox_step`` when it has one (a polished
-    point), and ``1/sigma`` otherwise.  The support set defaults to the
-    threshold-interval rule on ``(u, lam)`` at that step; baseline solvers
-    pass their own set instead.
+    point), and ``1/sigma`` otherwise.  This is the one home of every
+    loss's support rule: the zero-one threshold-interval rule on
+    ``(u, lam)`` at that step (:func:`support_vectors`), and for a
+    baseline the samples with a numerically nonzero multiplier,
+    ``|lam_i| > BASELINE_SV_TOL``.
     """
     gamma = 1.0 / hp.sigma if state.prox_step is None else state.prox_step
-    if support is None:
-        support = support_vectors(state.u, state.lam, hp.C, gamma)
+    support = support_vectors(state.u, state.lam, hp.C, gamma) \
+        if LossKind(kind) is LossKind.L01 \
+        else np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
     return TrainedModel(
         c=state.c.copy(), b=float(state.b), lam=state.lam.copy(),
-        u=state.u.copy(), support=np.asarray(support, dtype=int),
+        u=state.u.copy(), support=support,
         kernel=hp.kernel, X=dataset.X.copy(), y=dataset.y.copy(),
         gamma=gamma, C=hp.C, scaling=scaling,
         meta={"dataset": dataset.name,
@@ -124,13 +130,8 @@ def predict(model: TrainedModel, X, form: str = "primal") -> np.ndarray:
 
 
 def accuracy(predictions, labels) -> float:
-    """Fraction of agreeing labels, ``1 - sum|pred_j - y_j| / (2n)`` over
-    {-1, +1} entries.
-
-    Each mismatch contributes exactly 2 to the sum, so the result is
-    evaluated as ``(n - mismatches) / n`` and matches the plain agreement
-    fraction to the bit.
-    """
+    """Fraction of agreeing labels over {-1, +1} entries, the paper's
+    ``1 - sum|pred_j - y_j| / (2n)``."""
     p = np.asarray(predictions, dtype=float).ravel()
     t = np.asarray(labels, dtype=float).ravel()
     if p.shape != t.shape:
@@ -140,8 +141,7 @@ def accuracy(predictions, labels) -> float:
     n = len(t)
     if n == 0:
         raise InputError("accuracy needs at least one sample")
-    mismatches = float(np.sum(np.abs(p - t))) / 2.0
-    return (n - mismatches) / n
+    return np.count_nonzero(p == t) / n
 
 
 def to_json(model: TrainedModel) -> str:
@@ -162,9 +162,10 @@ def to_json(model: TrainedModel) -> str:
     return json.dumps(doc)
 
 
-def _field(doc, path: str, convert):
+def _field(doc, path: str, convert, valid=None, rule: str = ""):
     """``convert`` of the field at the dotted ``path`` of a model file.  A
-    missing field, at any depth, or a value ``convert`` rejects raises
+    missing field, at any depth, a value ``convert`` rejects, or one with
+    an entry that is not ``valid`` (the ``rule`` it breaks) raises
     ``InputError`` naming it."""
     value = doc
     try:
@@ -172,7 +173,10 @@ def _field(doc, path: str, convert):
             if not isinstance(value, dict):
                 raise TypeError(f"expected an object, got {type(value).__name__}")
             value = value[key]
-        return convert(value)
+        value = convert(value)
+        if valid is not None and not np.all(valid(value)):
+            raise ValueError(f"a value is not {rule}")
+        return value
     except KeyError as exc:
         raise InputError(f"model file has no {exc.args[0]!r} field") from None
     except (ConfigError, TypeError, ValueError) as exc:
@@ -183,8 +187,11 @@ def from_json(text: str) -> TrainedModel:
     """The model :func:`to_json` wrote.  A missing field (only ``scaling``
     and ``meta`` may be absent) or one of the wrong type, a ``train.X`` that
     is not a matrix, a ``c``, ``lam``, ``u`` or ``train.y`` that does not
-    match its rows, a ``scaling`` that does not match its columns, or a
-    support index out of range raises ``InputError``."""
+    match its rows, a ``scaling`` that does not match its columns, a
+    support index out of range, or an invalid value raises ``InputError``.
+    Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in {-1, +1}, a
+    strictly increasing ``support``, ``scaling.std`` > 0 off the
+    ``constant`` features, and every float finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InputError(f"model file holds a JSON {type(doc).__name__}, "
@@ -195,17 +202,21 @@ def from_json(text: str) -> TrainedModel:
 
     def vector(v):
         return np.asarray(v, dtype=float)
+    finite = (np.isfinite, "finite")
+    positive = (lambda v: 0.0 < v < np.inf, "finite and > 0")
     mdl = TrainedModel(
-        c=_field(doc, "c", vector),
-        b=_field(doc, "b", float),
-        lam=_field(doc, "lam", vector),
-        u=_field(doc, "u", vector),
-        support=_field(doc, "support", lambda v: np.asarray(v, dtype=int)),
+        c=_field(doc, "c", vector, *finite),
+        b=_field(doc, "b", float, *finite),
+        lam=_field(doc, "lam", vector, *finite),
+        u=_field(doc, "u", vector, *finite),
+        support=_field(doc, "support", lambda v: np.asarray(v, dtype=int),
+                       lambda v: np.diff(v) > 0, "above the one before it"),
         kernel=_field(doc, "kernel", KernelSpec.from_dict),
-        X=_field(doc, "train.X", vector),
-        y=_field(doc, "train.y", vector),
-        gamma=_field(doc, "gamma", float),
-        C=_field(doc, "C", float),
+        X=_field(doc, "train.X", vector, *finite),
+        y=_field(doc, "train.y", vector, lambda v: np.isin(v, (-1.0, 1.0)),
+                 "-1 or +1"),
+        gamma=_field(doc, "gamma", float, *positive),
+        C=_field(doc, "C", float, *positive),
         scaling=(_field(doc, "scaling", StandardizeStats.from_dict)
                  if doc.get("scaling") else None),
         meta=_field(doc, "meta", dict) if "meta" in doc else {},
@@ -223,6 +234,11 @@ def from_json(text: str) -> TrainedModel:
         if v.shape != (d,):
             raise InputError(f"model field 'scaling.{name}' has shape {v.shape}, "
                              f"but 'train.X' has {d} columns")
+        if not np.all(np.isfinite(v)):
+            raise InputError(f"model field 'scaling.{name}': a value is not finite")
+    if mdl.scaling and np.any((mdl.scaling.std <= 0) & ~mdl.scaling.constant):
+        raise InputError("model field 'scaling.std': a value is not > 0 on a "
+                         "feature that is not constant")
     if np.any((mdl.support < 0) | (mdl.support >= m)):
         raise InputError(f"model field 'support' has an index outside [0, {m})")
     return mdl

@@ -11,6 +11,7 @@ from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      predict, prox_hinge, solve, solve_baseline,
                      split, standardize)
 from zeroone.baselines import solve_grid
+from zeroone.model import BASELINE_SV_TOL, support_vectors
 from zeroone.prox import objective
 
 
@@ -165,6 +166,25 @@ class TestSolveGrid:
             terminations.add((kind, trace.termination))
         assert len(terminations) == 6
         assert cells[1][1].iterations == 1  # l01, C=0.5, sigma=2
+
+    def test_support_rule_of_each_loss(self):
+        """The zero-one model keeps the threshold-interval rule at its
+        certified step, a baseline the samples with |lam| above
+        ``BASELINE_SV_TOL``, and ``from_solution`` defaults to the
+        zero-one rule."""
+        train, hps, gram = _moons_grid()
+        cells = solve_grid(train, hps, list(LossKind), gram=gram)
+        for (kind, hp), (state, _, model, _) in zip(
+                itertools.product(LossKind, hps), cells):
+            l01 = support_vectors(state.u, state.lam, hp.C, model.gamma)
+            if kind is LossKind.L01:
+                np.testing.assert_array_equal(model.support, l01)
+            else:
+                np.testing.assert_array_equal(
+                    model.support,
+                    np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL))
+            np.testing.assert_array_equal(
+                from_solution(state, train, hp).support, l01)
 
     def test_each_row_keeps_its_own_solver(self, monkeypatch):
         """Only sigma=2's stored inverse is corrupted.  Its cells, which

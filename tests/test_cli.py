@@ -17,7 +17,7 @@ from zeroone import (FAMILIES, NumericalError, TraceRecord, admm, baselines, cli
                      save_model)
 from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
                          config_from_args, main, make_kernel, prepare_splits,
-                         rows_to_csv, run_single)
+                         rows_to_csv)
 from zeroone.kernels import gram_matrix
 
 
@@ -462,6 +462,37 @@ class TestModelFile:
     def test_intact_file_evaluates(self, paths, capsys):
         assert self._eval(paths, lambda doc: None) == 0
 
+    @pytest.mark.parametrize("command, path, value, message", [
+        ("eval", "train.X.0.0", math.nan, "'train.X': a value is not finite"),
+        ("eval", "b", math.nan, "'b': a value is not finite"),
+        ("eval", "c.0", math.inf, "'c': a value is not finite"),
+        ("eval", "lam.0", math.nan, "'lam': a value is not finite"),
+        ("eval", "u.0", math.nan, "'u': a value is not finite"),
+        ("eval", "gamma", math.nan, "'gamma': a value is not finite and > 0"),
+        ("eval", "C", math.nan, "'C': a value is not finite and > 0"),
+        ("eval", "C", 0.0, "'C': a value is not finite and > 0"),
+        ("eval", "gamma", -1.0, "'gamma': a value is not finite and > 0"),
+        ("certify", "train.y.0", 0.5, "'train.y': a value is not -1 or +1"),
+        ("eval", "support", [0, 0], "'support': a value is not above the one before it"),
+        ("eval", "scaling.mean.0", math.nan, "'scaling.mean': a value is not finite"),
+        ("eval", "scaling.std.1", math.inf, "'scaling.std': a value is not finite"),
+        ("eval", "scaling.std.0", 0.0, "'scaling.std': a value is not > 0 on a "
+                                       "feature that is not constant"),
+    ])
+    def test_invalid_value_exits_4(self, paths, capsys, command, path, value,
+                                   message):
+        model_path, data_path = paths
+        doc = json.loads(model_path.read_text())
+        *outer, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+        entry = doc
+        for k in outer:
+            entry = entry[k]
+        entry[key] = value
+        model_path.write_text(json.dumps(doc))
+        data = ["--data", str(data_path)] if command == "eval" else []
+        assert run_cli(command, "--model", str(model_path), *data) == 4
+        assert f"model field {message}" in capsys.readouterr().err
+
 
 class TestCommandSettings:
     @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
@@ -691,9 +722,9 @@ class TestLockstepGrid:
         alone = []
         for row in rows:
             hp = _hyperparams(cfg, kernel, row["C"], row["sigma"])
-            metrics, _, _ = run_single(train, test, hp, row["loss"],
-                                       gram=gram, scaling=stats)
-            alone.append({**row, **metrics})
+            _, trace, mdl = baselines.solve_baseline(train, hp, row["loss"],
+                                                     gram=gram, scaling=stats)
+            alone.append({**row, **cli._metrics(train, test, mdl, trace, 0.0)})
         assert _without_wall(rows) == _without_wall(alone)
         terms = {(r["loss"], r["termination"]) for r in rows}
         assert terms == {(k, t) for k in cfg.loss
