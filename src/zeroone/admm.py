@@ -38,8 +38,8 @@ from .errors import InputError, NumericalError, ZeroOneError
 from .kernels import (GramMatrix, KernelSpec, _aligned_empty, gaussian_spec,
                       gram_matrix)
 from .prox import PROX, LossKind, ProxParams, objective, prox_l01_zeroed
-from .stationarity import (check_prox_stationary, construct_gamma, row_norms,
-                           scaled_residuals)
+from .stationarity import (check_prox_stationary, construct_gamma, feasibility,
+                           row_norms, scaled_residuals)
 
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
@@ -396,10 +396,7 @@ def _solve_rows(solvers: list, xi: np.ndarray, y: np.ndarray, sigma,
     dyxi = y * xi
     for j, (s, d) in enumerate(zip(solvers, dyxi)):
         c[j], Kc[j] = s.apply(d)
-    resid = c / sigma
-    resid += Kc  # Kc + c/sigma - y*xi, in place
-    resid -= dyxi
-    resid = row_norms(resid)
+    resid = row_norms(Kc + c / sigma - dyxi)
     bound = _SOLVE_RTOL * (1.0 + row_norms(xi))
     return {j: NumericalError(
         f"coefficient solve residual {resid[j]:.3e} exceeds {bound[j]:.3e}",
@@ -585,7 +582,7 @@ def _run_admm(
     p = ProxParams(gamma=1.0 / sigma, C=C)
     b = np.full((len(rows), 1), float(start.b))
     lam = np.tile(start.lam, (len(rows), 1))
-    Kc = np.array([s.K_times(start.c) for s in row_solvers])  # carried
+    Kc = np.array([s.K_times(start.c) for s in row_solvers])
     c = np.empty_like(Kc)
     polish = kind == LossKind.L01
 
@@ -595,37 +592,19 @@ def _run_admm(
                          eta=eta[j].copy(), xi=xi[j].copy(), r=r[j].copy(),
                          omega=omega[j].copy(), iter=k)
 
-    # y*Kc, b*y and lam/sigma of one iteration are the first operands of
-    # the next one's eta and xi, so each is computed once
-    yKc, by, scaled_lam = y * Kc, b * y, lam / sigma
     for k in range(1, max(hps[i].max_iter for i in rows) + 1):
-        # the in-place steps keep the operation order of the plain
-        # expressions (eta = 1 - y*Kc - b*y - lam/sigma, ...), and so their
-        # bits, with one temporary each instead of three or four
-        eta = np.subtract(1.0, yKc)
-        eta -= by
-        eta -= scaled_lam
+        eta = 1.0 - y * Kc - b * y - lam / sigma
         u, zeroed = _slack_step(eta, p, kind)
-        xi = np.subtract(1.0, u)
-        xi -= by
-        xi -= scaled_lam
+        xi = 1.0 - u - b * y - lam / sigma
         failed = _solve_rows(row_solvers, xi, y, sigma, c, Kc)
-        yKc = y * Kc
-        r = np.subtract(1.0, u)
-        r -= yKc
-        r -= scaled_lam
+        r = 1.0 - u - y * Kc - lam / sigma
         b = np.vecdot(r, y)[:, None] / m
-        by = b * y
-        omega = u + yKc  # feasibility(u, Kc, b, y), from the products above
-        omega += by
-        omega -= 1.0
-        step = step_size * omega
-        step += lam
+        omega = feasibility(u, Kc, b, y)
+        step = step_size * omega + lam
         lam = np.where(zeroed, step, 0.0) if kind == LossKind.L01 else step
-        scaled_lam = lam / sigma
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
-            c, u, lam, omega, y, PROX[kind](u - scaled_lam, p))
+            c, u, lam, omega, y, PROX[kind](u - lam / sigma, p))
         objectives = objective(kind, Kc, c, u, C[:, 0])
         records = zip(beta1.tolist(), beta2.tolist(), beta3.tolist(),
                       beta4.tolist(), objectives.tolist(),
@@ -662,9 +641,8 @@ def _run_admm(
                 break
             rows = [i for i, kept in zip(rows, keep) if kept]
             row_solvers = [results[i] for i in rows]
-            c, Kc, yKc, b, by, lam, scaled_lam, sigma, C, step_size = (
-                a[keep] for a in (c, Kc, yKc, b, by, lam, scaled_lam, sigma,
-                                  C, step_size))
+            c, Kc, b, lam, sigma, C, step_size = (
+                a[keep] for a in (c, Kc, b, lam, sigma, C, step_size))
             p = ProxParams(gamma=1.0 / sigma, C=C)
     return results
 

@@ -193,14 +193,6 @@ class StandardizeStats:
             "constant": self.constant.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StandardizeStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-            constant=np.asarray(d["constant"], dtype=bool),
-        )
-
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, StandardizeStats]:
     """Scale both splits to zero mean / unit variance using training

@@ -51,10 +51,10 @@ def data_fingerprint(X) -> str:
 class KernelSpec:
     """A kernel family plus its named parameters.
 
-    Every parameter is finite.  By family: ``rho > 0`` for
-    gaussian/laplacian/exponential; ``degree >= 1`` (integer) and
-    ``offset >= 0`` for polynomial; ``c > 0`` and ``beta > 0`` for
-    inverse_multiquadric; the linear kernel takes none.
+    Every parameter is a finite real number, not a boolean.  By family:
+    ``rho > 0`` for gaussian/laplacian/exponential; ``degree >= 1``
+    (integer) and ``offset >= 0`` for polynomial; ``c > 0`` and
+    ``beta > 0`` for inverse_multiquadric; the linear kernel takes none.
     """
 
     family: str
@@ -76,7 +76,8 @@ class KernelSpec:
             )
         p = self.params
         for name, value in p.items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(f"kernel parameter {name} must be finite, got {value!r}")
         if "rho" in p and not p["rho"] > 0:
             raise ConfigError("rho must be > 0")
@@ -94,7 +95,7 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(d["family"], dict(d["params"]))
+        return cls(d["family"], {**d["params"]})  # a mapping, not pairs
 
 
 def gaussian_spec(rho: float) -> KernelSpec:

@@ -162,6 +162,22 @@ def to_json(model: TrainedModel) -> str:
     return json.dumps(doc)
 
 
+def _object(value) -> dict:
+    """``value`` if it is a JSON object, else ``TypeError``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _kind(value, noun: str, types: tuple):
+    """``value`` if it and each entry of its nested lists has a type in
+    ``types`` (as ``json.loads`` gives them), else ``TypeError``."""
+    for x in np.array(value, dtype=object).flat:
+        if type(x) not in types:
+            raise TypeError(f"a value is {type(x).__name__}, not {noun}")
+    return value
+
+
 def _field(doc, path: str, convert, valid=None, rule: str = ""):
     """``convert`` of the field at the dotted ``path`` of a model file.  A
     missing field, at any depth, a value ``convert`` rejects, or one with
@@ -170,56 +186,65 @@ def _field(doc, path: str, convert, valid=None, rule: str = ""):
     value = doc
     try:
         for key in path.split("."):
-            if not isinstance(value, dict):
-                raise TypeError(f"expected an object, got {type(value).__name__}")
-            value = value[key]
+            value = _object(value)[key]
         value = convert(value)
         if valid is not None and not np.all(valid(value)):
             raise ValueError(f"a value is not {rule}")
         return value
     except KeyError as exc:
         raise InputError(f"model file has no {exc.args[0]!r} field") from None
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"model field {path!r}: {exc}") from None
 
 
 def from_json(text: str) -> TrainedModel:
     """The model :func:`to_json` wrote.  A missing field (only ``scaling``
-    and ``meta`` may be absent) or one of the wrong type, a ``train.X`` that
-    is not a matrix, a ``c``, ``lam``, ``u`` or ``train.y`` that does not
-    match its rows, a ``scaling`` that does not match its columns, a
-    support index out of range, or an invalid value raises ``InputError``.
-    Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in {-1, +1}, a
-    strictly increasing ``support``, ``scaling.std`` > 0 off the
-    ``constant`` features, and every float finite."""
+    and ``meta`` may be absent) or one of the wrong JSON kind, a
+    ``train.X`` that is not a matrix, a ``c``, ``lam``, ``u`` or
+    ``train.y`` that does not match its rows, a ``scaling`` that does not
+    match its columns, a support index out of range, or an invalid value
+    raises ``InputError``.  Kinds: numbers, never booleans or strings;
+    integers in ``support``; booleans in ``scaling.constant``; objects
+    elsewhere.  Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in
+    {-1, +1}, a strictly increasing ``support``, ``scaling.std`` > 0 off
+    the ``constant`` features, and every float finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InputError(f"model file holds a JSON {type(doc).__name__}, "
                          "not an object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format version {version!r}")
 
-    def vector(v):
-        return np.asarray(v, dtype=float)
+    def vector(v, noun="a number", dtype=float, types=(int, float)):
+        return np.asarray(_kind(v, noun, types), dtype=dtype)
+
+    def scalar(v):
+        return float(_kind(v, "a number", (int, float)))
     finite = (np.isfinite, "finite")
     positive = (lambda v: 0.0 < v < np.inf, "finite and > 0")
+    scaling = None
+    if doc.get("scaling") is not None:
+        _field(doc, "scaling", _object)
+        scaling = StandardizeStats(
+            _field(doc, "scaling.mean", vector), _field(doc, "scaling.std", vector),
+            _field(doc, "scaling.constant",
+                   lambda v: vector(v, "a boolean", bool, (bool,))))
     mdl = TrainedModel(
         c=_field(doc, "c", vector, *finite),
-        b=_field(doc, "b", float, *finite),
+        b=_field(doc, "b", scalar, *finite),
         lam=_field(doc, "lam", vector, *finite),
         u=_field(doc, "u", vector, *finite),
-        support=_field(doc, "support", lambda v: np.asarray(v, dtype=int),
+        support=_field(doc, "support", lambda v: vector(v, "an integer", int, (int,)),
                        lambda v: np.diff(v) > 0, "above the one before it"),
         kernel=_field(doc, "kernel", KernelSpec.from_dict),
         X=_field(doc, "train.X", vector, *finite),
         y=_field(doc, "train.y", vector, lambda v: np.isin(v, (-1.0, 1.0)),
                  "-1 or +1"),
-        gamma=_field(doc, "gamma", float, *positive),
-        C=_field(doc, "C", float, *positive),
-        scaling=(_field(doc, "scaling", StandardizeStats.from_dict)
-                 if doc.get("scaling") else None),
-        meta=_field(doc, "meta", dict) if "meta" in doc else {},
+        gamma=_field(doc, "gamma", scalar, *positive),
+        C=_field(doc, "C", scalar, *positive),
+        scaling=scaling,
+        meta=_field(doc, "meta", _object) if "meta" in doc else {},
     )
     if mdl.X.ndim != 2:
         raise InputError(f"model field 'train.X' has shape {mdl.X.shape}, "

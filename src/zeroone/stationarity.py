@@ -14,10 +14,12 @@ A KKT point admits a step size making it prox-stationary and vice versa;
 Residual scaling: :func:`scaled_residuals` is the one home of the four
 scaled residuals, used both by the certificates and by the solver's
 stopping rule: ``||c + diag(y) lam|| / (1 + ||c|| + ||lam||)`` for
-stationarity, ``<y, lam> / m``, ``||u + diag(y) K c + b y - 1|| / sqrt(m)``
-and ``||u - prox(u - gamma*lam)|| / (1 + ||u||)``.  The stationarity residual
-uses the kernel-free strong form; it vanishing implies the kernel-weighted
-form does too, so certification is conservative.
+stationarity, ``<y, lam> / m``, ``||omega|| / sqrt(m)`` and
+``||u - prox(u - gamma*lam)|| / (1 + ||u||)``.  :func:`feasibility` is the
+one home of ``omega = u + diag(y) K c + b y - 1``, used by the solver's
+dual step and stopping rule and by the certificates.  The stationarity
+residual uses the kernel-free strong form; it vanishing implies the
+kernel-weighted form does too, so certification is conservative.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def subdiff_l01_contains(u, v, tol: float = 1e-9) -> bool:
 
 def feasibility(u, Kc, b, y) -> np.ndarray:
     """Feasibility vector ``omega = u + diag(y) K c + b y - 1``, from a
-    precomputed ``K c``; for a batch, ``b`` is a ``(rows, 1)`` column."""
+    precomputed ``K c``; for a batch, ``b`` is a ``(rows, 1)`` column.  The
+    one home of ``omega``, for the solver's dual step and the certificates."""
     return u + y * Kc + b * y - 1.0
 
 

@@ -80,6 +80,22 @@ class TestComputeEta:
         np.testing.assert_array_equal(snaps[0].eta, [0.0, 0.0, 2.0, 2.0])
 
 
+class TestComputeXi:
+    """xi = 1 - u - b y - lam / sigma, from the fresh slack and the previous
+    iterate's b and lam, in this operation order and so to the bit."""
+
+    def test_from_cold_and_warm_start(self):
+        ds, hp, _, snaps, _ = _gaussian_run()
+        rng = np.random.default_rng(3)
+        warm = _warm(80, b=0.3, c=0.1 * rng.standard_normal(80),
+                     lam=-np.abs(rng.standard_normal(80)))
+        warm_snaps, _ = _snapshots(ds, hp, init=warm)
+        for start, run in ((zeros_state(80), snaps), (warm, warm_snaps)):
+            for prev, st in zip([start] + run, run):
+                np.testing.assert_array_equal(
+                    st.xi, 1.0 - st.u - prev.b * ds.y - prev.lam / hp.sigma)
+
+
 class TestUpdateU:
     """The slack step ``admm._slack_step`` at ``ProxParams(1/sigma, C)``."""
 

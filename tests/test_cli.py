@@ -443,6 +443,19 @@ class TestModelFile:
         ("kernel.params", [1], "'kernel'"), ("b", "x", "'b'"), ("c", "abc", "'c'"),
         ("train", [], "'train.X': expected an object"), ("scaling", "x", "'scaling'"),
         ("train.X", [1.0, 2.0], "'train.X' has shape (2,), not (rows, features)"),
+        ("kernel.params.rho", True, "'kernel': kernel parameter rho must be finite, got True"),
+        ("kernel.params", [["rho", 0.5]], "'kernel': 'list' object is not a mapping"),
+        ("b", True, "'b': a value is bool, not a number"),
+        ("b", "0.5", "'b': a value is str, not a number"),
+        pytest.param("b", 10 ** 400, "'b': int too large to convert to float",
+                     id="b-huge-int"),
+        ("gamma", True, "'gamma': a value is bool, not a number"),
+        ("C", True, "'C': a value is bool, not a number"),
+        ("support", [0.7, 1.9], "'support': a value is float, not an integer"),
+        ("scaling.constant", ["no", "no"], "'scaling.constant': a value is str, not a boolean"),
+        ("scaling.constant", [0, 0], "'scaling.constant': a value is int, not a boolean"),
+        ("scaling", [], "'scaling': expected an object, got list"),
+        ("meta", [], "'meta': expected an object, got list"),
     ])
     def test_field_of_wrong_type_exits_4(self, paths, capsys, name, value, message):
         *outer, key = name.split(".")
@@ -453,6 +466,13 @@ class TestModelFile:
             doc[key] = value
         assert self._eval(paths, replace) == 4
         assert f"model field {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_format_version_of_wrong_kind_exits_4(self, paths, capsys, version):
+        def replace(doc):
+            doc["format_version"] = version
+        assert self._eval(paths, replace) == 4
+        assert f"unsupported model format version {version!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["mean", "std", "constant"])
     def test_scaling_of_wrong_length_exits_4(self, paths, capsys, name):
@@ -478,6 +498,15 @@ class TestModelFile:
         ("eval", "scaling.std.1", math.inf, "'scaling.std': a value is not finite"),
         ("eval", "scaling.std.0", 0.0, "'scaling.std': a value is not > 0 on a "
                                        "feature that is not constant"),
+        ("eval", "support.0", True, "'support': a value is bool, not an integer"),
+        ("eval", "c.0", True, "'c': a value is bool, not a number"),
+        ("eval", "c.0", "1.5", "'c': a value is str, not a number"),
+        ("eval", "lam.0", "0", "'lam': a value is str, not a number"),
+        ("eval", "u.0", True, "'u': a value is bool, not a number"),
+        ("eval", "train.X.0.0", True, "'train.X': a value is bool, not a number"),
+        ("certify", "train.y.0", True, "'train.y': a value is bool, not a number"),
+        ("eval", "scaling.mean.0", True, "'scaling.mean': a value is bool, not a number"),
+        ("eval", "scaling.std.0", "1", "'scaling.std': a value is str, not a number"),
     ])
     def test_invalid_value_exits_4(self, paths, capsys, command, path, value,
                                    message):
