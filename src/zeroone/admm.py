@@ -8,7 +8,8 @@ rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 :func:`zeroone.stationarity.scaled_residuals` (stationarity, dual balance,
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
 stops once ``max(beta1, |beta2|, beta3, beta4) < eps``, or when
-:func:`finish` polishes a stalled iterate to an exact KKT point.
+:func:`finish` polishes a stalled iterate to an exact KKT point; a grid
+row whose stalled iterate the polish rejects stops there too.
 
 One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
 ``(C, sigma)`` per cell, one Gram) in lockstep: the state is ``(cells, m)``
@@ -44,16 +45,14 @@ from .stationarity import (check_prox_stationary, construct_gamma, feasibility,
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
 
-# The polish (see :func:`finish`): _run_admm tries a zero-one row at every
-# _POLISH_EVERY-th iteration, at most _POLISH_TRIES times, when :func:`_due`
-# holds on its trace; _due reads _SETTLED_SPREAD and the _STALL_ constants.
-# A polished point must be prox-stationary within _EXACT_TOL at the step
-# construct_gamma builds for it.
+# The polish (see :func:`finish`): _run_admm tries a zero-one row once, at
+# the first _POLISH_EVERY-th iteration where :func:`_due` holds on its
+# trace; _due reads the _STALL_ constants.  A polished point must be
+# prox-stationary within _EXACT_TOL at the step construct_gamma builds for
+# it.
 _POLISH_EVERY = 10
-_SETTLED_SPREAD = 2
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.5
-_POLISH_TRIES = 3
 _EXACT_TOL = 1e-8
 
 
@@ -154,15 +153,16 @@ class SolveTrace:
 
     The termination is ``"tolerance_met"`` (all four scaled residuals
     below ``eps``), ``"polished"`` (a zero-one row whose :func:`finish`
-    point was accepted; the iterations are those run before it) or
-    ``"max_iter"``.
+    point was accepted; the iterations are those run before it),
+    ``"stalled"`` (a zero-one row of a grid whose :func:`finish` point
+    was rejected; the state is its last iterate) or ``"max_iter"``.
 
     ``flat`` holds each iteration's record values as doubles, one after
     another; a lockstep grid keeps every cell's trace until the batch
     ends, and 48 bytes an iteration is a sixth of what record objects
     cost.  :attr:`records` rebuilds the records from it."""
 
-    termination: str = "max_iter"  # "tolerance_met" | "polished" | "max_iter"
+    termination: str = "max_iter"  # or "tolerance_met", "polished", "stalled"
     factor_rank: Optional[int] = None
     setup_s: float = 0.0
     polish_attempts: int = 0
@@ -516,20 +516,15 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
 
 
 def _due(flat: array) -> bool:
-    """Whether a zero-one row whose trace holds the ``flat`` values is due
-    a polish attempt: its ``gamma_size`` spans at most ``_SETTLED_SPREAD``
-    (max - min) over the last ``_POLISH_EVERY`` records, and the least
-    ``max(beta1, |beta2|, beta3, beta4)`` of the last ``_STALL_WINDOW``
-    records is above ``_STALL_RATIO`` times the least of the
-    ``_STALL_WINDOW`` before them; ``False`` with fewer records."""
+    """Whether a zero-one row whose trace holds the ``flat`` values has
+    stalled: the least ``max(beta1, |beta2|, beta3, beta4)`` of the last
+    ``_STALL_WINDOW`` records is above ``_STALL_RATIO`` times the least of
+    the ``_STALL_WINDOW`` before them; ``False`` with fewer records."""
     w, n = _RECORD_WIDTH, 2 * _STALL_WINDOW
     if len(flat) < n * w:
         return False
-    recent = np.reshape(flat[-n * w:], (n, w))
-    sizes = recent[-_POLISH_EVERY:, -1]
-    res = np.abs(recent[:, :4]).max(axis=1)
-    return bool(sizes.max() - sizes.min() <= _SETTLED_SPREAD
-                and res[_STALL_WINDOW:].min() > _STALL_RATIO * res[:_STALL_WINDOW].min())
+    res = np.abs(np.reshape(flat[-n * w:], (n, w))[:, :4]).max(axis=1)
+    return bool(res[_STALL_WINDOW:].min() > _STALL_RATIO * res[:_STALL_WINDOW].min())
 
 
 def _run_admm(
@@ -539,6 +534,7 @@ def _run_admm(
     kind: LossKind,
     init: Optional[AdmmState] = None,
     on_iteration: Optional[Callable[[AdmmState], None]] = None,
+    run_on: bool = False,
 ) -> list:
     """Shared iteration of the zero-one solver and the baselines, run on a
     batch of cells in lockstep.
@@ -551,13 +547,15 @@ def _run_admm(
     objective; the dual ascent is masked to the zeroed set for the
     zero-one loss only, and plain for the baselines.
 
-    A cell leaves the batch when it meets its tolerance, when a zero-one
-    row's :func:`finish` point is accepted (termination ``"polished"``),
-    when it reaches its ``max_iter``, or when its solver's set-up or a
-    solve raises a ``ZeroOneError``.  A zero-one row that has not met its
-    tolerance is tried at every ``_POLISH_EVERY``-th iteration, at most
-    ``_POLISH_TRIES`` times, when :func:`_due` holds on its trace; the
-    decision reads nothing but the trace, so the row's records replay it.
+    A cell leaves the batch when it meets its tolerance, when it reaches
+    its ``max_iter``, when its solver's set-up or a solve raises a
+    ``ZeroOneError``, or after its one polish attempt.  A zero-one row that
+    has not met its tolerance is tried once, at the first
+    ``_POLISH_EVERY``-th iteration where :func:`_due` holds on its trace;
+    the decision reads nothing but the trace, so the row's records replay
+    it.  An accepted :func:`finish` point ends the row ``"polished"``; a
+    rejected one ends it ``"stalled"`` with its last iterate, or, with
+    ``run_on``, lets it run on to its tolerance or ``max_iter``.
     ``on_iteration(state)`` receives a snapshot of every cell still in
     the batch after each iteration.  Returns, per cell,
     ``(AdmmState, SolveTrace)`` or the error that removed it.
@@ -593,13 +591,15 @@ def _run_admm(
                          omega=omega[j].copy(), iter=k)
 
     for k in range(1, max(hps[i].max_iter for i in rows) + 1):
-        eta = 1.0 - y * Kc - b * y - lam / sigma
+        lam_s, by = lam / sigma, b * y
+        eta = 1.0 - y * Kc - by - lam_s
         u, zeroed = _slack_step(eta, p, kind)
-        xi = 1.0 - u - b * y - lam / sigma
+        xi = 1.0 - u - by - lam_s
         failed = _solve_rows(row_solvers, xi, y, sigma, c, Kc)
-        r = 1.0 - u - y * Kc - lam / sigma
+        yKc = y * Kc
+        r = 1.0 - u - yKc - lam_s
         b = np.vecdot(r, y)[:, None] / m
-        omega = feasibility(u, Kc, b, y)
+        omega = feasibility(u, yKc, b, y)
         step = step_size * omega + lam
         lam = np.where(zeroed, step, 0.0) if kind == LossKind.L01 else step
 
@@ -618,8 +618,7 @@ def _run_admm(
                 on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if (polish and not met and k % _POLISH_EVERY == 0
-                    and traces[i].polish_attempts < _POLISH_TRIES
-                    and _due(traces[i].flat)):
+                    and not traces[i].polish_attempts and _due(traces[i].flat)):
                 t0 = time.perf_counter()
                 polished = finish(row_solvers[j].K, y, state(j, k),
                                   hps[i].C, hps[i].sigma)
@@ -628,6 +627,10 @@ def _run_admm(
                 if polished is not None:
                     traces[i].termination = "polished"
                     leave[j] = (polished, traces[i])
+                    continue
+                if not run_on:
+                    traces[i].termination = "stalled"
+                    leave[j] = (state(j, k), traces[i])
                     continue
             if met or k == hps[i].max_iter:
                 traces[i].termination = "tolerance_met" if met else "max_iter"
@@ -697,14 +700,17 @@ def solve(
         terminates with ``"tolerance_met"`` (all four scaled residuals
         below ``hp.eps``), ``"polished"`` (the state is the exact KKT
         point :func:`finish` reached from a stalled iterate, with its
-        ``prox_step``) or ``"max_iter"``.
+        ``prox_step``) or ``"max_iter"``.  A rejected polish attempt does
+        not end the run, as it ends a row of
+        :func:`~zeroone.baselines.solve_grid`; the run goes on without
+        another.
 
     Identical dataset, hyperparameters and warm start produce bitwise
     identical traces.
     """
     K = _training_gram(dataset, hp, gram)
     (out,) = _run_admm(_coefficient_solvers(K, [hp.sigma]), dataset.y, [hp],
-                       LossKind.L01, init, on_iteration)
+                       LossKind.L01, init, on_iteration, run_on=True)
     if isinstance(out, ZeroOneError):
         raise out
     return out

@@ -30,7 +30,7 @@ from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
 from .kernels import (_REQUIRED_PARAMS, FAMILIES, KernelSpec, data_fingerprint,
                       gram_matrix)
-from .prox import LossKind
+from .prox import LossKind, objective
 from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtrip
 
 DEFAULT_GRID_C = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -38,8 +38,8 @@ DEFAULT_GRID_SIGMA = (1.0, 2.0)
 _BOUNDARY_CHUNK = 4096  # grid rows per block of the boundary CSV
 
 BENCH_COLUMNS = ("dataset", "r", "loss", "C", "sigma", "train_acc",
-                 "test_acc", "nsv", "wall_s", "iters", "termination",
-                 "selection", "error")
+                 "test_acc", "nsv", "objective", "wall_s", "iters",
+                 "termination", "selection", "error")
 
 
 @dataclass
@@ -298,8 +298,10 @@ def _cv_folds(train: data.Dataset, folds: int, seed: int):
 def bench_rows(cfg: RunConfig) -> list[dict]:
     """Run the (loss, C, sigma) grid and return result rows in grid order.
 
-    Each row carries the five evaluation metrics plus a ``selection`` mark:
-    per loss kind, ``paper`` flags the row with the best test accuracy
+    Each row carries the five evaluation metrics, the
+    :func:`~zeroone.prox.objective` of the point the solve returned (its
+    last iterate, or the polished point) and a ``selection`` mark: per
+    loss kind, ``paper`` flags the row with the best test accuracy
     (ties broken toward fewer support vectors) and ``cv`` flags the row
     chosen by k-fold cross-validation on the training half.  CV is skipped
     in ``--selection paper`` mode.  Failed runs keep their row with the
@@ -339,8 +341,10 @@ def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
         if isinstance(out, ZeroOneError):
             row["error"] = str(out)
         else:
-            _, trace, mdl, wall_s = out
-            row.update(_metrics(train, test, mdl, trace, wall_s))
+            state, trace, mdl, wall_s = out
+            Kc = gram.entries.dot(state.c)
+            row.update(_metrics(train, test, mdl, trace, wall_s), objective=float(
+                objective(row["loss"], Kc, state.c, state.u, row["C"])))
 
     scores = [[] for _ in rows]
     cv_walls = [0.0] * len(rows)
@@ -378,7 +382,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             if "cv_acc" in row:
                 row["cv_wall_s"] = cv_wall_s
     for row in rows:
-        for key in ("train_acc", "test_acc", "cv_acc", "wall_s", "cv_wall_s"):
+        for key in ("train_acc", "test_acc", "objective", "cv_acc", "wall_s",
+                    "cv_wall_s"):
             if isinstance(row.get(key), float):
                 row[key] = round(row[key], 6)
     _emit(_format_rows(rows, columns, cfg.fmt), cfg.out)

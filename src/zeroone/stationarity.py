@@ -84,11 +84,12 @@ def subdiff_l01_contains(u, v, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(v[~zero]) <= tol))
 
 
-def feasibility(u, Kc, b, y) -> np.ndarray:
+def feasibility(u, yKc, b, y) -> np.ndarray:
     """Feasibility vector ``omega = u + diag(y) K c + b y - 1``, from a
-    precomputed ``K c``; for a batch, ``b`` is a ``(rows, 1)`` column.  The
-    one home of ``omega``, for the solver's dual step and the certificates."""
-    return u + y * Kc + b * y - 1.0
+    precomputed ``yKc = y * (K c)``; for a batch, ``b`` is a ``(rows, 1)``
+    column.  The one home of ``omega``, for the solver's dual step and the
+    certificates."""
+    return u + yKc + b * y - 1.0
 
 
 def row_norms(X) -> np.ndarray:
@@ -133,7 +134,7 @@ def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
     r_stat, r_dual, r_feas, _ = scaled_residuals(
-        c, u, lam, feasibility(u, K @ c, b, y), y)
+        c, u, lam, feasibility(u, y * (K @ c), b, y), y)
     r_dual = abs(r_dual)
     subdiff_ok = subdiff_l01_contains(u, -lam, tol)
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and subdiff_ok
@@ -197,7 +198,7 @@ def check_prox_stationary(c, b, u, lam, K, y, C, gamma,
     lam = np.asarray(lam, dtype=float)
     p = ProxParams(gamma=float(gamma), C=float(C))
     r_stat, r_dual, r_feas, r_prox = scaled_residuals(
-        c, u, lam, feasibility(u, K @ c, b, y), y, prox_l01(u - gamma * lam, p))
+        c, u, lam, feasibility(u, y * (K @ c), b, y), y, prox_l01(u - gamma * lam, p))
     r_dual = abs(r_dual)
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and r_prox <= tol
     return StationarityReport(

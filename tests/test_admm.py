@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from array import array
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +26,7 @@ from zeroone import admm
 from zeroone.admm import _CoefficientSolver, _GramFactor
 from zeroone.baselines import solve_grid
 from zeroone.cli import (DEFAULT_GRID_C, DEFAULT_GRID_SIGMA, RunConfig,
-                         bench_rows, prepare_splits)
+                         bench_rows, prepare_splits, write_trace_csv)
 from zeroone.prox import objective
 from zeroone.stationarity import feasibility, scaled_residuals
 
@@ -612,8 +614,8 @@ class TestBetas:
         m = len(ds.y)
         for st, rec in zip(snaps, trace.records):
             assert rec.beta2 == float(ds.y @ st.lam) / m  # signed
-            want = scaled_residuals(st.c, st.u, st.lam,
-                                    feasibility(st.u, K @ st.c, st.b, ds.y), ds.y,
+            omega = feasibility(st.u, ds.y * (K @ st.c), st.b, ds.y)
+            want = scaled_residuals(st.c, st.u, st.lam, omega, ds.y,
                                     prox_l01(st.u - st.lam / hp.sigma, p))
             got = (rec.beta1, rec.beta2, rec.beta3, rec.beta4)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
@@ -623,7 +625,7 @@ class TestBetas:
         rng = np.random.default_rng(21)
         c, b, u, lam, K, y = make_kkt_fixture(rng, m=10, kind="pair")
         gamma = construct_gamma(u, lam, 2.0)
-        res = scaled_residuals(c, u, lam, feasibility(u, K @ c, b, y), y,
+        res = scaled_residuals(c, u, lam, feasibility(u, y * (K @ c), b, y), y,
                                prox_l01(u - gamma * lam, ProxParams(gamma, 2.0)))
         assert max(res[0], abs(res[1]), res[2], res[3]) <= 1e-12
 
@@ -799,6 +801,14 @@ def _circles_train_example():
     return train, test, hp, gram_matrix(hp.kernel, train.X)
 
 
+def _first_due(flat):
+    """The first multiple of ``_POLISH_EVERY`` at which :func:`admm._due`
+    holds on the prefix of a trace's ``flat`` values, or ``None``."""
+    w, every = admm._RECORD_WIDTH, admm._POLISH_EVERY
+    return next((k for k in range(every, len(flat) // w + 1, every)
+                 if admm._due(flat[:k * w])), None)
+
+
 class TestFinish:
     """The active-set polish of stalled zero-one rows, ``admm.finish``."""
 
@@ -854,6 +864,8 @@ class TestFinish:
             assert model.gamma == alone.prox_step
 
     def test_worse_kkt_point_is_rejected_and_row_continues(self, monkeypatch):
+        # admm.solve makes its one attempt and runs on; the same cell as a
+        # grid row stops there, ``stalled``, with the iterate it was at
         ds = flip_labels(gen_double_circles(150, seed=3), 0.05, seed=4)
         train, test = split(ds, seed=5)
         train, test, _ = standardize(train, test)
@@ -870,11 +882,18 @@ class TestFinish:
         monkeypatch.setattr(admm, "finish", spy)
         _, trace = solve(train, hp)
         assert (trace.termination, trace.iterations) == ("max_iter", 2000)
-        assert trace.polish_attempts == len(tried) == 3
-        assert [out for _, out in tried] == [None] * 3
-        # without the objective test, the first attempt's point is exact
-        # KKT and about 20 times worse than the iterate it came from
-        iterate = tried[0][0]
+        assert trace.polish_attempts == len(tried) == 1
+        ((iterate, out),) = tried
+        assert out is None
+        ((state, row_trace, _, _),) = solve_grid(train, [hp], [LossKind.L01])
+        assert (row_trace.termination, row_trace.iterations) == \
+            ("stalled", iterate.iter)
+        assert row_trace.polish_attempts == 1 and len(tried) == 2
+        assert row_trace.flat == trace.flat[:len(row_trace.flat)]
+        for name in ("c", "u", "lam", "gamma_k"):
+            assert getattr(state, name).tobytes() == getattr(iterate, name).tobytes()
+        # without the objective test, the attempt's point is exact KKT and
+        # about 20 times worse than the iterate it came from
         monkeypatch.setattr(admm, "objective", lambda *args: 0.0)
         point = real(K, train.y, iterate, hp.C, hp.sigma)
         assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y, hp.C,
@@ -886,7 +905,8 @@ class TestFinish:
     def test_point_failing_its_certificate_is_rejected_and_row_continues(
             self, monkeypatch):
         # the README example is polished at iteration 110; with the
-        # certificate failing, each attempt returns None and is counted
+        # certificate failing, that one attempt returns None, is counted,
+        # and admm.solve runs on without another
         train, _, hp, gram = _circles_train_example()
         checked, tried = [], []
         real = admm.finish
@@ -904,8 +924,8 @@ class TestFinish:
         monkeypatch.setattr(admm, "finish", spy)
         _, trace = solve(train, hp, gram=gram)
         assert (trace.termination, trace.iterations) == ("max_iter", 2000)
-        assert trace.polish_attempts == len(tried) == len(checked) == 3
-        assert tried == [(110, None), (120, None), (130, None)]
+        assert trace.polish_attempts == len(tried) == len(checked) == 1
+        assert tried == [(110, None)]
 
     @pytest.mark.parametrize("m, finished", [(15, True), (16, False)])
     def test_gives_up_after_its_step_budget(self, monkeypatch, m, finished):
@@ -952,54 +972,88 @@ class TestFinish:
         # T = {2, 3}, {0, 2, 3}, then the singular {0, 1, 2, 3} once
         assert solved == [2, 3, 4]
 
-    def test_noisy_configurations_make_no_attempt(self):
+    def test_noisy_configurations_make_one_attempt(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small
-        # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2):
-        # their working sets never settle
+        # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2)
+        # stall; admm.solve tries each once, is rejected and runs on
         ds = flip_labels(gen_double_circles(150, seed=41), 0.2, seed=42)
         train, test = split(ds, seed=43)
         train, _, _ = standardize(train, test)
         hp = Hyperparams(C=8.0, sigma=1.0, eps=1e-15,
                          kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
-        assert (trace.iterations, trace.polish_attempts) == (2000, 0)
+        assert (trace.termination, trace.iterations, trace.polish_attempts) == \
+            ("max_iter", 2000, 1)
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=7, noise_rate=0.05))
         hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
-        assert (trace.termination, trace.polish_attempts) == ("max_iter", 0)
-        # every zero-one cell of the grid-small benchmark's grid
-        for seed in (7, 20231):
-            train, _, _ = prepare_splits(RunConfig(
-                command="bench", generator="moons", m=500, seed=seed,
-                noise_rate=0.05))
-            hps = [Hyperparams(C=C, sigma=s, kernel=gaussian_spec(1.0 / train.d))
-                   for C in DEFAULT_GRID_C for s in DEFAULT_GRID_SIGMA]
-            for _, trace, _, _ in solve_grid(train, hps, [LossKind.L01]):
-                assert trace.polish_attempts == 0
+        assert (trace.termination, trace.polish_attempts) == ("max_iter", 1)
 
     def test_trace_alone_replays_the_trigger(self):
         # _due on each prefix of a row's stored trace that ends at a
-        # multiple of _POLISH_EVERY says whether the row was tried there:
-        # a polished row first at its last iteration, any other row as
-        # often as it was tried
+        # multiple of _POLISH_EVERY says where the row was tried: a
+        # polished row first at its last iteration, a row that met its
+        # tolerance nowhere
         train, _, hp, gram = _circles_train_example()
         hps = [hp] + [Hyperparams(C=C, sigma=s, kernel=gram.spec)
                       for C in (0.5, 1.0, 4.0, 16.0) for s in (1.0, 2.0)]
         traces = [solve(train, hp, gram=gram)[1]] + [
             trace for _, trace, _, _ in solve_grid(train, hps[1:], [LossKind.L01],
                                                    gram=gram)]
-        w, every = admm._RECORD_WIDTH, admm._POLISH_EVERY
-        polished = 0
+        terminations = [trace.termination for trace in traces]
+        assert terminations.count("polished") == 8
+        assert terminations.count("tolerance_met") == 1
         for trace in traces:
-            due = [k for k in range(every, trace.iterations + 1, every)
-                   if admm._due(trace.flat[:k * w])][:admm._POLISH_TRIES]
+            first = _first_due(trace.flat)
             if trace.termination == "polished":
-                polished += 1
-                assert due == [trace.iterations]
+                assert (first, trace.polish_attempts) == (trace.iterations, 1)
             else:
-                assert len(due) == trace.polish_attempts
-        assert polished == 5
+                assert (first, trace.polish_attempts) == (None, 0)
+
+    @pytest.mark.parametrize("seed", [7, 20231])
+    def test_stalled_grid_rows_stop_at_their_attempt(self, tmp_path, seed):
+        # grid-small's zero-one grid (moons, --m 500, --noise-rate 0.05,
+        # default 8x2 grid): every non-trivial row stalls, is tried once,
+        # is rejected and leaves with its last iterate, the cell solved
+        # alone for as many iterations; trace.csv alone replays the stop
+        train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
+                                               m=500, seed=seed, noise_rate=0.05))
+        kernel = gaussian_spec(1.0 / train.d)
+        gram = gram_matrix(kernel, train.X)
+        hps = [Hyperparams(C=C, sigma=s, kernel=kernel)
+               for C in DEFAULT_GRID_C for s in DEFAULT_GRID_SIGMA]
+        cells = solve_grid(train, hps, [LossKind.L01], gram=gram)
+        terminations = [trace.termination for _, trace, _, _ in cells]
+        assert terminations.count("stalled") == 15
+        assert terminations.count("tolerance_met") == 1
+        for hp, (state, trace, _, _) in zip(hps, cells):
+            if trace.termination != "stalled":
+                continue
+            assert trace.polish_attempts == 1 and state.prox_step is None
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, str(path))
+            stored = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
+            assert _first_due(array("d", stored.ravel())) == trace.iterations
+            alone, alone_trace = solve(
+                train, replace(hp, max_iter=trace.iterations), gram=gram)
+            assert (alone_trace.termination, alone_trace.flat) == \
+                ("max_iter", trace.flat)
+            for name in ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega"):
+                assert getattr(state, name).tobytes() == \
+                    getattr(alone, name).tobytes(), (hp.C, hp.sigma, name)
+
+    @pytest.mark.parametrize("seed", [7, 20231])
+    def test_every_separable_circles_cell_is_polished(self, seed):
+        # circles r=0, --m 500, default 8x2 grid: each non-trivial cell,
+        # C = 32 and C = 64 at sigma = 1 on seed 20231 among them, ends
+        # at an exact KKT point with 15 support vectors
+        cfg = RunConfig(command="bench", generator="circles", m=500, seed=seed,
+                        loss=(LossKind.L01,), selection="paper")
+        rows = bench_rows(cfg)
+        assert [(r["termination"], r["nsv"]) for r in rows
+                if (r["C"], r["sigma"]) != (0.5, 2.0)] == [("polished", 15)] * 15
+        assert sum(r["iters"] for r in rows) <= 1600
 
     def test_noisy_cell_ends_at_exact_kkt_point(self):
         # the zero-one row that bench selects on circles r=0.05, seed 7

@@ -19,6 +19,7 @@ from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
                          config_from_args, main, make_kernel, prepare_splits,
                          rows_to_csv)
 from zeroone.kernels import gram_matrix
+from zeroone.prox import objective
 
 
 def run_cli(*argv):
@@ -714,6 +715,18 @@ class TestBench:
             command="bench", generator="circles", m=80, seed=3,
             grid_c=(1.0,), grid_sigma=(1.0,), max_iter=20, cv_folds=3))[0]
 
+    def test_stalled_rows_stop_at_their_attempt(self, tmp_path):
+        # grid-small's zero-one grid: 15 stalled rows of 100 iterations and
+        # the trivial cell's 1; rows that ran all 2000 iterations would
+        # sum to 30 001
+        out = tmp_path / "bench.json"
+        assert run_cli("bench", "--dataset", "moons", "--m", "500", "--seed", "7",
+                       "--noise-rate", "0.05", "--selection", "paper",
+                       "--loss", "l01", "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())
+        assert sum(r["iters"] for r in rows) <= 1600
+        assert {r["termination"] for r in rows} == {"stalled", "tolerance_met"}
+
     def test_empty_grid_rejected(self, capsys):
         assert run_cli("bench", "--dataset", "circles", "--grid-c", "",
                        "--max-iter", "10") == 4
@@ -726,8 +739,9 @@ class TestBench:
                        "--loss", ",", "--max-iter", "10") == 4
 
 
-# Moons m=100, noise 0.05: every loss mixes tolerance_met and max_iter
-# cells, and l01 at (C=0.5, sigma=2) stops at iteration 1 (2C < sigma).
+# Moons m=100, noise 0.05: l01 mixes tolerance_met and stalled cells, each
+# baseline tolerance_met and max_iter cells, and l01 at (C=0.5, sigma=2)
+# stops at iteration 1 (2C < sigma).
 LOCKSTEP = dict(command="bench", generator="moons", m=100, seed=7,
                 noise_rate=0.05, grid_c=(0.5, 4.0, 64.0), grid_sigma=(1.0, 2.0),
                 max_iter=300, loss=("l01", "hinge_l1", "squared_hinge_l2"),
@@ -751,13 +765,18 @@ class TestLockstepGrid:
         alone = []
         for row in rows:
             hp = _hyperparams(cfg, kernel, row["C"], row["sigma"])
-            _, trace, mdl = baselines.solve_baseline(train, hp, row["loss"],
-                                                     gram=gram, scaling=stats)
-            alone.append({**row, **cli._metrics(train, test, mdl, trace, 0.0)})
+            state, trace, mdl = baselines.solve_baseline(train, hp, row["loss"],
+                                                         gram=gram, scaling=stats)
+            obj = objective(row["loss"], gram.entries @ state.c, state.c, state.u,
+                            hp.C)
+            if trace.termination == "stalled":  # the last iterate's, as traced
+                assert obj == pytest.approx(trace.records[-1].objective, rel=1e-12)
+            alone.append({**row, **cli._metrics(train, test, mdl, trace, 0.0),
+                          "objective": float(obj)})
         assert _without_wall(rows) == _without_wall(alone)
         terms = {(r["loss"], r["termination"]) for r in rows}
-        assert terms == {(k, t) for k in cfg.loss
-                         for t in ("tolerance_met", "max_iter")}
+        assert terms == {("l01", "tolerance_met"), ("l01", "stalled")} | {
+            (k, t) for k in cfg.loss[1:] for t in ("tolerance_met", "max_iter")}
         trivial = next(r for r in rows if (r["loss"], r["C"], r["sigma"])
                        == ("l01", 0.5, 2.0))
         assert trivial["iters"] == 1
