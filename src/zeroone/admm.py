@@ -9,7 +9,7 @@ rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
 stops once ``max(beta1, |beta2|, beta3, beta4) < eps``, or when
 :func:`finish` polishes a stalled iterate to an exact KKT point; a grid
-row whose stalled iterate the polish rejects stops there too.
+row whose stalled iterate the polish cannot improve on stops there too.
 
 One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
 ``(C, sigma)`` per cell, one Gram) in lockstep: the state is ``(cells, m)``
@@ -45,11 +45,11 @@ from .stationarity import (check_prox_stationary, construct_gamma, feasibility,
 # Acceptable relative residual of the coefficient linear solve.
 _SOLVE_RTOL = 1e-8
 
-# The polish (see :func:`finish`): _run_admm tries a zero-one row once, at
-# the first _POLISH_EVERY-th iteration where :func:`_due` holds on its
-# trace; _due reads the _STALL_ constants.  A polished point must be
-# prox-stationary within _EXACT_TOL at the step construct_gamma builds for
-# it.
+# The polish (see :func:`finish`): _run_admm tries a zero-one row at the
+# _POLISH_EVERY-th iterations where :func:`_due` holds on its trace, once,
+# or twice when the first point is worse than the iterate; _due reads the
+# _STALL_ constants.  A polished point must be prox-stationary within
+# _EXACT_TOL at the step construct_gamma builds for it.
 _POLISH_EVERY = 10
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.5
@@ -154,7 +154,7 @@ class SolveTrace:
     The termination is ``"tolerance_met"`` (all four scaled residuals
     below ``eps``), ``"polished"`` (a zero-one row whose :func:`finish`
     point was accepted; the iterations are those run before it),
-    ``"stalled"`` (a zero-one row of a grid whose :func:`finish` point
+    ``"stalled"`` (a zero-one row of a grid whose last polish attempt
     was rejected; the state is its last iterate) or ``"max_iter"``.
 
     ``flat`` holds each iteration's record values as doubles, one after
@@ -435,7 +435,7 @@ def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
 def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
            sigma: float) -> Optional[AdmmState]:
     """Polish a zero-one iterate to an exact KKT point by an active-set
-    search; ``None`` when the point it reaches is not accepted.
+    search; ``None`` when the search reaches no such point.
 
     The active set ``T`` starts as ``row_state.gamma_k``.  Each step solves
     the bordered system for the coefficients on ``T`` and the bias,
@@ -457,16 +457,11 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
 
     The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
     KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
-    builds its step.  The point is accepted only if it is prox-stationary
+    builds its step.  The point is returned only if it is prox-stationary
     at that step, ``check_prox_stationary`` passing at ``_EXACT_TOL``
-    (which, by the paper's equivalence, makes it KKT), and if its
-    :func:`~zeroone.prox.objective` is not above the iterate's.  The
-    iterate's is taken at its own ``(c, b)`` with the slack they give,
-    ``u = 1 - y * (K c + b)``, not with its ``u``, which is zero on
-    ``gamma_k`` where they do not put it.  On noisy data the working set's
-    KKT point can hold mislabelled points on the margin at a far higher
-    objective; the second test rejects it.  The accepted point carries the
-    step as ``prox_step`` (see :class:`AdmmState`).
+    (which, by the paper's equivalence, makes it KKT); it carries the step
+    as ``prox_step`` (see :class:`AdmmState`).  Whether it improves on the
+    iterate is :func:`_improves`' decision.
     """
     m = len(y)
     p = ProxParams(1.0 / sigma, C)
@@ -507,12 +502,24 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
         if not check_prox_stationary(c, b, u, lam, K, y, C, gamma,
                                      tol=_EXACT_TOL).is_prox_stationary:
             return None
-        Kc_iterate = K.dot(row_state.c)
-        u_iterate = 1.0 - y * (Kc_iterate + row_state.b)
-        if not (objective(LossKind.L01, Kc, c, u, C)
-                <= objective(LossKind.L01, Kc_iterate, row_state.c, u_iterate, C)):
-            return None
     return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T, prox_step=gamma)
+
+
+def _improves(K: np.ndarray, y: np.ndarray, point: AdmmState,
+              iterate: AdmmState, C: float) -> bool:
+    """Whether the :func:`finish` ``point`` reached from ``iterate`` has a
+    zero-one :func:`~zeroone.prox.objective` not above the iterate's.
+
+    The iterate's is taken at its own ``(c, b)`` with the slack they give,
+    ``u = 1 - y * (K c + b)``, not with its ``u``, which is zero on
+    ``gamma_k`` where they do not put it.  On noisy data the working set's
+    KKT point can hold mislabelled points on the margin at a far higher
+    objective; this test keeps it out.
+    """
+    T = point.gamma_k
+    Kc = K.dot(iterate.c)
+    return bool(objective(LossKind.L01, K[:, T].dot(point.c[T]), point.c, point.u, C)
+                <= objective(LossKind.L01, Kc, iterate.c, 1.0 - y * (Kc + iterate.b), C))
 
 
 def _due(flat: array) -> bool:
@@ -549,12 +556,15 @@ def _run_admm(
 
     A cell leaves the batch when it meets its tolerance, when it reaches
     its ``max_iter``, when its solver's set-up or a solve raises a
-    ``ZeroOneError``, or after its one polish attempt.  A zero-one row that
-    has not met its tolerance is tried once, at the first
+    ``ZeroOneError``, or after its last polish attempt.  A zero-one row
+    that has not met its tolerance is tried at the first
     ``_POLISH_EVERY``-th iteration where :func:`_due` holds on its trace;
     the decision reads nothing but the trace, so the row's records replay
-    it.  An accepted :func:`finish` point ends the row ``"polished"``; a
-    rejected one ends it ``"stalled"`` with its last iterate, or, with
+    it.  A :func:`finish` point that :func:`_improves` on the iterate ends
+    the row ``"polished"``.  A worse one says the iterate has not yet
+    settled near the KKT point its working set leads to, so the row is
+    tried once more, at the next such iteration.  No point, or a second
+    rejection, ends the row ``"stalled"`` with its last iterate, or, with
     ``run_on``, lets it run on to its tolerance or ``max_iter``.
     ``on_iteration(state)`` receives a snapshot of every cell still in
     the batch after each iteration.  Returns, per cell,
@@ -583,6 +593,7 @@ def _run_admm(
     Kc = np.array([s.K_times(start.c) for s in row_solvers])
     c = np.empty_like(Kc)
     polish = kind == LossKind.L01
+    retry = set()  # cells whose first polish point was worse than the iterate
 
     def state(j, k):
         return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
@@ -618,20 +629,27 @@ def _run_admm(
                 on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if (polish and not met and k % _POLISH_EVERY == 0
-                    and not traces[i].polish_attempts and _due(traces[i].flat)):
+                    and (not traces[i].polish_attempts or i in retry)
+                    and _due(traces[i].flat)):
+                snap = state(j, k)
                 t0 = time.perf_counter()
-                polished = finish(row_solvers[j].K, y, state(j, k),
-                                  hps[i].C, hps[i].sigma)
+                point = finish(row_solvers[j].K, y, snap, hps[i].C, hps[i].sigma)
+                polished = point is not None and _improves(
+                    row_solvers[j].K, y, point, snap, hps[i].C)
                 traces[i].polish_attempts += 1
                 traces[i].polish_s += time.perf_counter() - t0
-                if polished is not None:
+                if polished:
                     traces[i].termination = "polished"
-                    leave[j] = (polished, traces[i])
+                    leave[j] = (point, traces[i])
                     continue
-                if not run_on:
-                    traces[i].termination = "stalled"
-                    leave[j] = (state(j, k), traces[i])
-                    continue
+                if point is not None and i not in retry:
+                    retry.add(i)
+                else:
+                    retry.discard(i)
+                    if not run_on:
+                        traces[i].termination = "stalled"
+                        leave[j] = (snap, traces[i])
+                        continue
             if met or k == hps[i].max_iter:
                 traces[i].termination = "tolerance_met" if met else "max_iter"
                 leave[j] = (state(j, k), traces[i])
@@ -700,8 +718,8 @@ def solve(
         terminates with ``"tolerance_met"`` (all four scaled residuals
         below ``hp.eps``), ``"polished"`` (the state is the exact KKT
         point :func:`finish` reached from a stalled iterate, with its
-        ``prox_step``) or ``"max_iter"``.  A rejected polish attempt does
-        not end the run, as it ends a row of
+        ``prox_step``) or ``"max_iter"``.  The last rejected polish attempt
+        does not end the run, as it ends a row of
         :func:`~zeroone.baselines.solve_grid`; the run goes on without
         another.
 

@@ -801,12 +801,12 @@ def _circles_train_example():
     return train, test, hp, gram_matrix(hp.kernel, train.X)
 
 
-def _first_due(flat):
-    """The first multiple of ``_POLISH_EVERY`` at which :func:`admm._due`
-    holds on the prefix of a trace's ``flat`` values, or ``None``."""
+def _dues(flat):
+    """The multiples of ``_POLISH_EVERY`` at which :func:`admm._due` holds
+    on the prefix of a trace's ``flat`` values."""
     w, every = admm._RECORD_WIDTH, admm._POLISH_EVERY
-    return next((k for k in range(every, len(flat) // w + 1, every)
-                 if admm._due(flat[:k * w])), None)
+    return [k for k in range(every, len(flat) // w + 1, every)
+            if admm._due(flat[:k * w])]
 
 
 class TestFinish:
@@ -864,8 +864,10 @@ class TestFinish:
             assert model.gamma == alone.prox_step
 
     def test_worse_kkt_point_is_rejected_and_row_continues(self, monkeypatch):
-        # admm.solve makes its one attempt and runs on; the same cell as a
-        # grid row stops there, ``stalled``, with the iterate it was at
+        # both of admm.solve's attempts reach an exact KKT point about 20
+        # times worse than the iterate: the first earns the second, and the
+        # run goes on after it.  The same cell as a grid row stops at the
+        # second, ``stalled``, with the iterate it was at
         ds = flip_labels(gen_double_circles(150, seed=3), 0.05, seed=4)
         train, test = split(ds, seed=5)
         train, test, _ = standardize(train, test)
@@ -882,31 +884,49 @@ class TestFinish:
         monkeypatch.setattr(admm, "finish", spy)
         _, trace = solve(train, hp)
         assert (trace.termination, trace.iterations) == ("max_iter", 2000)
-        assert trace.polish_attempts == len(tried) == 1
-        ((iterate, out),) = tried
-        assert out is None
+        assert trace.polish_attempts == len(tried) == 2
+        assert [iterate.iter for iterate, _ in tried] == _dues(trace.flat)[:2]
+        for iterate, point in tried:
+            assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y,
+                             hp.C, tol=1e-8).is_kkt
+            assert not admm._improves(K, train.y, point, iterate, hp.C)
+            u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
+            assert objective(LossKind.L01, K @ point.c, point.c, point.u, hp.C) > \
+                10.0 * objective(LossKind.L01, K @ iterate.c, iterate.c,
+                                 u_iterate, hp.C)
+        iterate = tried[-1][0]
         ((state, row_trace, _, _),) = solve_grid(train, [hp], [LossKind.L01])
         assert (row_trace.termination, row_trace.iterations) == \
             ("stalled", iterate.iter)
-        assert row_trace.polish_attempts == 1 and len(tried) == 2
+        assert row_trace.polish_attempts == 2 and len(tried) == 4
         assert row_trace.flat == trace.flat[:len(row_trace.flat)]
         for name in ("c", "u", "lam", "gamma_k"):
             assert getattr(state, name).tobytes() == getattr(iterate, name).tobytes()
-        # without the objective test, the attempt's point is exact KKT and
-        # about 20 times worse than the iterate it came from
-        monkeypatch.setattr(admm, "objective", lambda *args: 0.0)
-        point = real(K, train.y, iterate, hp.C, hp.sigma)
-        assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y, hp.C,
-                         tol=1e-8).is_kkt
-        u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
-        assert objective(LossKind.L01, K @ point.c, point.c, point.u, hp.C) > \
-            10.0 * objective(LossKind.L01, K @ iterate.c, iterate.c, u_iterate, hp.C)
+
+    def test_worse_first_point_earns_a_second_attempt(self):
+        # circles r=0.1, --m 500, seed 20231, C=2, sigma=2: the attempt at
+        # iteration 100 reaches an exact KKT point about 15 times above
+        # the iterate's objective; the one at 110 polishes the row
+        train, _, _ = prepare_splits(RunConfig(command="bench", generator="circles",
+                                               m=500, seed=20231, noise_rate=0.1))
+        hp = Hyperparams(C=2.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
+        gram = gram_matrix(hp.kernel, train.X)
+        ((state, trace, model, _),) = solve_grid(train, [hp], [LossKind.L01],
+                                                 gram=gram)
+        assert (trace.termination, trace.iterations, trace.polish_attempts) == \
+            ("polished", 110, 2)
+        assert _dues(trace.flat) == [100, 110]
+        assert model.nsv == 10
+        args = (state.c, state.b, state.u, state.lam, gram.entries, train.y, hp.C)
+        assert check_kkt(*args, tol=1e-8).is_kkt
+        assert check_prox_stationary(*args, state.prox_step,
+                                     tol=1e-8).is_prox_stationary
 
     def test_point_failing_its_certificate_is_rejected_and_row_continues(
             self, monkeypatch):
         # the README example is polished at iteration 110; with the
-        # certificate failing, that one attempt returns None, is counted,
-        # and admm.solve runs on without another
+        # certificate failing, that attempt returns None, is counted, and
+        # admm.solve runs on without another: only a worse point earns one
         train, _, hp, gram = _circles_train_example()
         checked, tried = [], []
         real = admm.finish
@@ -972,10 +992,10 @@ class TestFinish:
         # T = {2, 3}, {0, 2, 3}, then the singular {0, 1, 2, 3} once
         assert solved == [2, 3, 4]
 
-    def test_noisy_configurations_make_one_attempt(self):
+    def test_noisy_configurations_are_rejected_and_run_on(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small
         # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2)
-        # stall; admm.solve tries each once, is rejected and runs on
+        # stall; admm.solve tries each twice, is rejected and runs on
         ds = flip_labels(gen_double_circles(150, seed=41), 0.2, seed=42)
         train, test = split(ds, seed=43)
         train, _, _ = standardize(train, test)
@@ -983,12 +1003,12 @@ class TestFinish:
                          kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
         assert (trace.termination, trace.iterations, trace.polish_attempts) == \
-            ("max_iter", 2000, 1)
+            ("max_iter", 2000, 2)
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=7, noise_rate=0.05))
         hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
-        assert (trace.termination, trace.polish_attempts) == ("max_iter", 1)
+        assert (trace.termination, trace.polish_attempts) == ("max_iter", 2)
 
     def test_trace_alone_replays_the_trigger(self):
         # _due on each prefix of a row's stored trace that ends at a
@@ -1005,18 +1025,19 @@ class TestFinish:
         assert terminations.count("polished") == 8
         assert terminations.count("tolerance_met") == 1
         for trace in traces:
-            first = _first_due(trace.flat)
+            first = _dues(trace.flat)[:1]
             if trace.termination == "polished":
-                assert (first, trace.polish_attempts) == (trace.iterations, 1)
+                assert (first, trace.polish_attempts) == ([trace.iterations], 1)
             else:
-                assert (first, trace.polish_attempts) == (None, 0)
+                assert (first, trace.polish_attempts) == ([], 0)
 
     @pytest.mark.parametrize("seed", [7, 20231])
-    def test_stalled_grid_rows_stop_at_their_attempt(self, tmp_path, seed):
+    def test_stalled_grid_rows_stop_at_their_last_attempt(self, tmp_path, seed):
         # grid-small's zero-one grid (moons, --m 500, --noise-rate 0.05,
-        # default 8x2 grid): every non-trivial row stalls, is tried once,
-        # is rejected and leaves with its last iterate, the cell solved
-        # alone for as many iterations; trace.csv alone replays the stop
+        # default 8x2 grid): every non-trivial row stalls, is tried once or
+        # twice, is rejected and leaves with its last iterate, the cell
+        # solved alone for as many iterations; trace.csv alone replays the
+        # attempts.  Rows that ran all 2000 iterations would sum to 30 001
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=seed, noise_rate=0.05))
         kernel = gaussian_spec(1.0 / train.d)
@@ -1027,14 +1048,16 @@ class TestFinish:
         terminations = [trace.termination for _, trace, _, _ in cells]
         assert terminations.count("stalled") == 15
         assert terminations.count("tolerance_met") == 1
+        assert sum(trace.iterations for _, trace, _, _ in cells) <= 1700
         for hp, (state, trace, _, _) in zip(hps, cells):
             if trace.termination != "stalled":
                 continue
-            assert trace.polish_attempts == 1 and state.prox_step is None
+            assert trace.polish_attempts in (1, 2) and state.prox_step is None
             path = tmp_path / "trace.csv"
             write_trace_csv(trace, str(path))
             stored = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
-            assert _first_due(array("d", stored.ravel())) == trace.iterations
+            dues = _dues(array("d", stored.ravel()))
+            assert dues[trace.polish_attempts - 1] == trace.iterations
             alone, alone_trace = solve(
                 train, replace(hp, max_iter=trace.iterations), gram=gram)
             assert (alone_trace.termination, alone_trace.flat) == \
