@@ -47,9 +47,10 @@ _SOLVE_RTOL = 1e-8
 
 # The polish (see :func:`finish`): _run_admm tries a zero-one row at the
 # _POLISH_EVERY-th iterations where :func:`_due` holds on its trace, once,
-# or twice when the first point is worse than the iterate; _due reads the
-# _STALL_ constants.  A polished point must be prox-stationary within
-# _EXACT_TOL at the step construct_gamma builds for it.
+# or twice when the first point is worse than the iterate (a search that
+# gives up earns no second); _due reads the _STALL_ constants.  A polished
+# point must be prox-stationary within _EXACT_TOL at the step
+# construct_gamma builds for it.
 _POLISH_EVERY = 10
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.5
@@ -433,7 +434,7 @@ def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
 
 
 def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
-           sigma: float) -> Optional[AdmmState]:
+           sigma: float, rank: Optional[int] = None) -> Optional[AdmmState]:
     """Polish a zero-one iterate to an exact KKT point by an active-set
     search; ``None`` when the search reaches no such point.
 
@@ -449,11 +450,22 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     inverse of ``K_TT`` kept up to date by bordering drifted until no
     point passed the checks below) and forms ``K c`` from the columns of
     ``T`` alone.  Each step depends on ``T`` alone, so a ``T`` met before
-    means the search cycles, and it gives up there: on a rank-deficient
-    Gram a numerically singular system (condition 1e16 and more) gives
-    multipliers of rounding noise, of order 1e14, and ``T`` can flip
-    between two sets for good.  It also gives up on an empty ``T``, on an
-    exactly singular system and after ``2 |gamma_k| + 10`` steps.
+    means the search cycles, and it gives up there.  It also gives up on
+    an empty ``T``, on an exactly singular system and after
+    ``2 |gamma_k| + 10`` steps.
+
+    It gives up, too, at the first solve that misses its system: the
+    residual ``||(K_TT c_T + b 1 - y_T, sum(c_T))||``, read off the
+    ``K c`` the step forms anyway, must be at most ``_SOLVE_RTOL (1 +
+    ||y_T||)``, the coefficient solve's guard.  A numerically singular
+    system as a rule misses it by far: its multipliers are rounding
+    noise, of order 1e14, so the index the step would drop is arbitrary
+    and ``T`` can flip between two sets for good.  The one exception is
+    ``|T|`` above ``rank``, the rank of the Gram's low-rank factor
+    (``None`` when there is none): there every ``K_TT`` is singular,
+    whatever ``T`` is, so the step is taken unchecked, and dropping
+    indices is how the search gets down to a ``T`` whose system it can
+    solve.
 
     The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
     KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
@@ -486,6 +498,10 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
             c[T] = sol[:n]
             b = float(sol[n])
             Kc = K[:, T].dot(sol[:n])
+            resid = np.linalg.norm(np.append(Kc[T] + b - y[T], sol[:n].sum()))
+            if (rank is None or n <= rank) and not (
+                    resid <= _SOLVE_RTOL * (1.0 + np.linalg.norm(y[T]))):
+                return None
             u = 1.0 - y * (Kc + b)
             u[T] = 0.0
             lam = -y * c
@@ -563,9 +579,11 @@ def _run_admm(
     it.  A :func:`finish` point that :func:`_improves` on the iterate ends
     the row ``"polished"``.  A worse one says the iterate has not yet
     settled near the KKT point its working set leads to, so the row is
-    tried once more, at the next such iteration.  No point, or a second
-    rejection, ends the row ``"stalled"`` with its last iterate, or, with
-    ``run_on``, lets it run on to its tolerance or ``max_iter``.
+    tried once more, at the next such iteration.  No point (a search
+    that gave up, at a numerically singular system for one, earns no
+    second attempt), or a second rejection, ends the row ``"stalled"``
+    with its last iterate, or, with ``run_on``, lets it run on to its
+    tolerance or ``max_iter``.
     ``on_iteration(state)`` receives a snapshot of every cell still in
     the batch after each iteration.  Returns, per cell,
     ``(AdmmState, SolveTrace)`` or the error that removed it.
@@ -633,7 +651,8 @@ def _run_admm(
                     and _due(traces[i].flat)):
                 snap = state(j, k)
                 t0 = time.perf_counter()
-                point = finish(row_solvers[j].K, y, snap, hps[i].C, hps[i].sigma)
+                point = finish(row_solvers[j].K, y, snap, hps[i].C, hps[i].sigma,
+                               row_solvers[j].factor_rank)
                 polished = point is not None and _improves(
                     row_solvers[j].K, y, point, snap, hps[i].C)
                 traces[i].polish_attempts += 1

@@ -876,8 +876,8 @@ class TestFinish:
         tried = []
         real = admm.finish
 
-        def spy(K, y, row_state, C, sigma):
-            out = real(K, y, row_state, C, sigma)
+        def spy(K, y, row_state, C, sigma, rank):
+            out = real(K, y, row_state, C, sigma, rank)
             tried.append((row_state, out))
             return out
 
@@ -935,8 +935,8 @@ class TestFinish:
             checked.append(1)
             return SimpleNamespace(is_prox_stationary=False)
 
-        def spy(K, y, row_state, C, sigma):
-            out = real(K, y, row_state, C, sigma)
+        def spy(K, y, row_state, C, sigma, rank):
+            out = real(K, y, row_state, C, sigma, rank)
             tried.append((row_state.iter, out))
             return out
 
@@ -992,10 +992,65 @@ class TestFinish:
         # T = {2, 3}, {0, 2, 3}, then the singular {0, 1, 2, 3} once
         assert solved == [2, 3, 4]
 
+    @pytest.mark.parametrize("rank, solved", [(None, [4]), (4, [4]), (2, [4, 3])])
+    def test_search_gives_up_at_a_numerically_singular_system(
+            self, monkeypatch, rank, solved):
+        # the four points above from T = {0, 1, 2, 3}: the bordered system
+        # is singular but for rounding, and its solution misses it by a
+        # residual of about 0.8, far above 1e-8 (1 + ||y_T||).  The search
+        # gives up at that first solve, with no rank or one of at least
+        # |T|.  Above the rank of the kernel's factor, 2 here, it drops an
+        # index and goes on (to the set it came from, and gives up there)
+        X = np.array([[-1.0, -3.0], [3.0, -2.0], [-2.0, 2.0], [3.0, 0.0]])
+        sizes = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: sizes.append(len(A) - 1) or real(A, b))
+        state = zeros_state(4)
+        state.gamma_k = np.arange(4)
+        assert admm.finish(X @ X.T, np.array([-1.0, -1.0, 1.0, 1.0]), state,
+                           8.0, 1.0, rank) is None
+        assert sizes == solved
+
+    def test_low_rank_search_walks_on_above_the_factor_rank(self, monkeypatch):
+        # the polynomial solve of TestSolve: the factor has rank 10 and the
+        # attempt at iteration 100 starts from |gamma_k| = 13, so the
+        # systems on 13, 12 and 11 indices are singular whatever T is, and
+        # their noisy multipliers drop an index each; from 10 indices on
+        # every system passes its residual check, and the point is
+        # polished.  Checked at every size, the search gives up at once
+        ds = gen_double_circles(300, noise_std=0.1, seed=7)
+        train, test = split(ds, seed=9)
+        train, test, _ = standardize(train, test)
+        hp = Hyperparams(C=16.0, sigma=1.0,
+                         kernel=KernelSpec("polynomial", {"degree": 3, "offset": 1.0}))
+        gram = gram_matrix(hp.kernel, train.X)
+        calls, sizes = [], []
+        real, real_solve = admm.finish, np.linalg.solve
+
+        def spy(K, y, row_state, C, sigma, rank):
+            calls.append((K, row_state, rank))
+            return real(K, y, row_state, C, sigma, rank)
+
+        monkeypatch.setattr(admm, "finish", spy)
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda A, b: sizes.append(len(A) - 1) or real_solve(A, b))
+        _, trace = solve(train, hp, gram=gram)
+        assert (trace.termination, trace.iterations, trace.polish_attempts,
+                trace.factor_rank) == ("polished", 100, 1, 10)
+        ((K, iterate, rank),) = calls
+        assert (len(iterate.gamma_k), rank) == (13, 10)
+        assert sizes[:3] == [13, 12, 11] and max(sizes[3:]) <= 10
+        sizes.clear()
+        assert real(K, train.y, iterate, hp.C, hp.sigma) is None
+        assert sizes == [13]
+
     def test_noisy_configurations_are_rejected_and_run_on(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small
         # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2)
-        # stall; admm.solve tries each twice, is rejected and runs on
+        # stall; admm.solve tries C8's run twice, each time reaching a point
+        # above the iterate, and the cell once, where the search gives up
+        # at a numerically singular system; both are rejected and run on
         ds = flip_labels(gen_double_circles(150, seed=41), 0.2, seed=42)
         train, test = split(ds, seed=43)
         train, _, _ = standardize(train, test)
@@ -1008,7 +1063,7 @@ class TestFinish:
                                                m=500, seed=7, noise_rate=0.05))
         hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
         _, trace = solve(train, hp)
-        assert (trace.termination, trace.polish_attempts) == ("max_iter", 2)
+        assert (trace.termination, trace.polish_attempts) == ("max_iter", 1)
 
     def test_trace_alone_replays_the_trigger(self):
         # _due on each prefix of a row's stored trace that ends at a
@@ -1032,27 +1087,44 @@ class TestFinish:
                 assert (first, trace.polish_attempts) == ([], 0)
 
     @pytest.mark.parametrize("seed", [7, 20231])
-    def test_stalled_grid_rows_stop_at_their_last_attempt(self, tmp_path, seed):
+    def test_stalled_grid_rows_stop_at_their_last_attempt(self, tmp_path,
+                                                          monkeypatch, seed):
         # grid-small's zero-one grid (moons, --m 500, --noise-rate 0.05,
         # default 8x2 grid): every non-trivial row stalls, is tried once or
         # twice, is rejected and leaves with its last iterate, the cell
         # solved alone for as many iterations; trace.csv alone replays the
-        # attempts.  Rows that ran all 2000 iterations would sum to 30 001
+        # attempts.  A row whose first search gave up is tried once.  Rows
+        # that ran all 2000 iterations would sum to 30 001
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=seed, noise_rate=0.05))
         kernel = gaussian_spec(1.0 / train.d)
         gram = gram_matrix(kernel, train.X)
         hps = [Hyperparams(C=C, sigma=s, kernel=kernel)
                for C in DEFAULT_GRID_C for s in DEFAULT_GRID_SIGMA]
+        points = {}
+        real = admm.finish
+
+        def spy(K, y, row_state, C, sigma, rank):
+            out = real(K, y, row_state, C, sigma, rank)
+            points.setdefault((C, sigma), []).append(out)
+            return out
+
+        monkeypatch.setattr(admm, "finish", spy)
         cells = solve_grid(train, hps, [LossKind.L01], gram=gram)
+        monkeypatch.setattr(admm, "finish", real)
         terminations = [trace.termination for _, trace, _, _ in cells]
         assert terminations.count("stalled") == 15
         assert terminations.count("tolerance_met") == 1
-        assert sum(trace.iterations for _, trace, _, _ in cells) <= 1700
+        assert sum(trace.iterations for _, trace, _, _ in cells) <= 1550
+        assert [tried[0] for tried in points.values()].count(None) == \
+            {7: 15, 20231: 14}[seed]
         for hp, (state, trace, _, _) in zip(hps, cells):
             if trace.termination != "stalled":
                 continue
             assert trace.polish_attempts in (1, 2) and state.prox_step is None
+            tried = points[hp.C, hp.sigma]
+            assert len(tried) == trace.polish_attempts
+            assert tried[0] is not None or trace.polish_attempts == 1
             path = tmp_path / "trace.csv"
             write_trace_csv(trace, str(path))
             stored = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
