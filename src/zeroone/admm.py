@@ -8,8 +8,10 @@ rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 :func:`zeroone.stationarity.scaled_residuals` (stationarity, dual balance,
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
 stops once ``max(beta1, |beta2|, beta3, beta4) < eps``, or when
-:func:`finish` polishes a stalled iterate to an exact KKT point; a grid
-row whose stalled iterate the polish cannot improve on stops there too.
+:func:`finish` takes an iterate to an exact KKT point: a stalled
+zero-one iterate, or any baseline iterate from iteration 50 on; a grid
+row whose stalled zero-one iterate the polish cannot improve on stops
+there too.
 
 One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
 ``(C, sigma)`` per cell, one Gram) in lockstep: the state is ``(cells, m)``
@@ -18,10 +20,6 @@ matrix-vector products, the guarded coefficient solves and the dot
 products run per row with the calls a single vector makes, so each cell's
 trace is bitwise the same whether it is solved alone or in a batch.  A
 single solve is a batch of one.
-
-A coefficient solver on a low-rank kernel factor computes every product
-with numpy; only a dense solver loads scipy, for its symmetric BLAS and
-LAPACK routines (see ``_CoefficientSolver``).
 """
 
 from __future__ import annotations
@@ -48,9 +46,11 @@ _SOLVE_RTOL = 1e-8
 # The polish (see :func:`finish`): _run_admm tries a zero-one row at the
 # _POLISH_EVERY-th iterations where :func:`_due` holds on its trace, once,
 # or twice when the first point is worse than the iterate (a search that
-# gives up earns no second); _due reads the _STALL_ constants.  A polished
-# point must be prox-stationary within _EXACT_TOL at the step
-# construct_gamma builds for it.
+# gives up earns no second); _due reads the _STALL_ constants.  It tries a
+# baseline row at every _POLISH_EVERY-th iteration from _STALL_WINDOW on,
+# and at the one where it meets its tolerance.  A finished point must be
+# prox-stationary within _EXACT_TOL: at the step construct_gamma builds
+# for a zero-one point, at 1/sigma for a baseline's.
 _POLISH_EVERY = 10
 _STALL_WINDOW = 50
 _STALL_RATIO = 0.5
@@ -107,12 +107,14 @@ class AdmmState:
     this container but skip the dual masking, so only the first invariant
     applies there.)
 
-    A point from :func:`finish` has ``gamma_k`` its active set, ``c`` zero
-    off it and ``lam == -y * c``; its ``eta``, ``xi``, ``r``, ``omega`` and
-    ``iter`` are those of the iterate it was polished from, and
-    ``prox_step`` is the step at which it is prox-stationary, from
-    :func:`~zeroone.stationarity.construct_gamma`.  An ADMM iterate has no
-    ``prox_step``: its step is ``1/sigma``.
+    A point from :func:`finish` has ``lam == -y * c`` and ``u == 1 - y *
+    (K c + b)``, exactly zero on ``gamma_k``; its ``eta``, ``xi``, ``r``,
+    ``omega`` and ``iter`` are those of the iterate it was finished from.
+    A zero-one point has ``gamma_k`` its active set and ``c`` zero off it,
+    and ``prox_step`` is the step at which it is prox-stationary, from
+    :func:`~zeroone.stationarity.construct_gamma`.  An ADMM iterate and a
+    finished baseline point have no ``prox_step``: their step is
+    ``1/sigma``.
     """
 
     c: np.ndarray
@@ -153,8 +155,8 @@ class SolveTrace:
     ``polish_s`` their wall time, in seconds.
 
     The termination is ``"tolerance_met"`` (all four scaled residuals
-    below ``eps``), ``"polished"`` (a zero-one row whose :func:`finish`
-    point was accepted; the iterations are those run before it),
+    below ``eps``), ``"polished"`` (a row whose :func:`finish` point was
+    accepted; the iterations are those run before it),
     ``"stalled"`` (a zero-one row of a grid whose last polish attempt
     was rejected; the state is its last iterate) or ``"max_iter"``.
 
@@ -278,38 +280,33 @@ class _CoefficientSolver:
       low-degree polynomial): ``K = L L^T`` with ``L`` m x r, and Woodbury
       gives ``A^-1 = sigma [I - L M^-1 L^T]`` with ``M = I/sigma + L^T L``
       (r x r).  A solve and ``K c = L (L^T c)`` are four matrix-vector
-      products over ``L``.  That reads ``4 m r`` entries, against ``m^2``
-      for the two half-matrix ``dsymv`` below, hence the cutoff.  ``M^-1``
-      is held in full.  ``factor_rank`` is ``r``.  Before use, the factor
-      is checked once against ``K`` itself: on a fixed probe vector ``p``,
+      products over ``L``.  That reads ``4 m r`` entries, against ``2 m^2``
+      for the two products below, hence the cutoff.  ``M^-1`` is held in
+      full.  ``factor_rank`` is ``r``.  Before use, the factor is checked
+      once against ``K`` itself: on a fixed probe vector ``p``,
       ``||K p - L L^T p|| <= 1e-8 ||p|| / sigma``, the residual guard's
       tolerance for ``c = p``.  A symmetric indefinite ``K``, whose pivots
       can look low-rank, fails this check.
     * otherwise, or when the check fails: ``A^-1`` is held explicitly, so
-      a solve is one ``dsymv``, and ``K c`` a second one on ``K``.  Forming
-      the inverse is safe, because ``cond(A) <= 1 + sigma *
-      lambda_max(K)``.  It comes from LAPACK's Cholesky routines and stays
-      in the lower triangle of the F-ordered buffer they wrote; the stale
-      upper triangle is never read.  ``factor_rank`` is ``None``.
+      a solve is one matrix-vector product, and ``K c`` a second one on
+      ``K``.  Forming the inverse is safe, because ``cond(A) <= 1 + sigma *
+      lambda_max(K)``.  ``factor_rank`` is ``None``.
 
-    The low-rank representation computes every product with numpy
-    (``ndarray.dot``).  The dense one takes ``dsymv``, ``dpotrf`` and
-    ``dpotri`` from scipy, imported when such a solver is built, because
-    numpy has no product that reads half of a symmetric matrix; so a
-    low-rank solve never loads ``scipy.linalg``, and each iteration wakes
-    one BLAS library's thread pool, not numpy's and scipy's in turn.
-    Every matrix an iteration reads is F-ordered, so nothing is copied;
-    ``K`` is symmetric to the bit, so its free F-ordered transpose view
-    stands in.
+    Both representations invert their small or full matrix the same way
+    (:meth:`_inverse`) and compute every product with numpy
+    (``ndarray.dot``).  Every matrix an iteration reads is F-ordered, so
+    nothing is copied; ``K`` is symmetric to the bit, so its free
+    F-ordered transpose view stands in.
 
     Every solve is checked: ``||K c + c/sigma - diag(y) xi|| <=
     1e-8 (1 + ||xi||)`` with ``K c`` computed from the representation in
     use (``L (L^T c)`` or ``K c``), not derived.  A failed or NaN check
-    raises ``NumericalError``, and so does a Cholesky breakdown at set-up,
-    which rounding can cause when ``sigma * |lambda_min(K)|`` reaches 1.
+    raises ``NumericalError``, and so does a non-finite or indefinite
+    matrix at set-up, which rounding can cause when ``sigma *
+    |lambda_min(K)|`` reaches 1.
 
     ``setup_s`` is the wall time, in seconds, to build the solver,
-    including its Gram factor's, and not the load of ``scipy.linalg``.
+    including its Gram factor's.
     """
 
     def __init__(self, f: _GramFactor, sigma: float):
@@ -318,30 +315,25 @@ class _CoefficientSolver:
         t0 = time.perf_counter()
         if f.L is not None and f.probe_err <= _SOLVE_RTOL * f.probe_norm / sigma:
             self.L, self.factor_rank = f.L, f.rank
-            # numpy's Cholesky factorization is the positive-definiteness
-            # check; its LU inverse took less time than inverting the factor
-            M = self._plus_identity(f.G)
-            try:
-                np.linalg.cholesky(M)
-                M[...] = np.linalg.inv(M)
-            except np.linalg.LinAlgError as exc:
-                raise self._breakdown(str(exc)) from None
-            self.M_inv = M
+            self.M_inv = self._inverse(f.G)
         else:
-            # the first dense solver of a process loads scipy.linalg;
-            # setup_s leaves that one-time cost out
-            from scipy.linalg.blas import dsymv
-            from scipy.linalg.lapack import dpotrf, dpotri
-            self._dsymv = dsymv
-            t0 = time.perf_counter()
-            A = self._plus_identity(self.K)
-            A_inv, info = dpotrf(A, lower=True, clean=False, overwrite_a=True)
-            if info == 0:
-                A_inv, info = dpotri(A_inv, lower=True, overwrite_c=True)
-            if info != 0:
-                raise self._breakdown(f"info={info}")
-            self.A_inv = A_inv
+            self.A_inv = self._inverse(self.K)
         self.setup_s = f.setup_s + time.perf_counter() - t0
+
+    def _inverse(self, A: np.ndarray) -> np.ndarray:
+        """``(A + I/sigma)^-1`` in the buffer of :meth:`_plus_identity`.
+        numpy's Cholesky factorization is the positive-definiteness check
+        (it returns a NaN factor for a NaN entry, hence the finiteness
+        check); its LU inverse took less time than inverting the factor."""
+        A = self._plus_identity(A)
+        if not np.isfinite(A).all():
+            raise self._breakdown("non-finite entries")
+        try:
+            np.linalg.cholesky(A)
+            A[...] = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise self._breakdown(str(exc)) from None
+        return A
 
     def _plus_identity(self, A: np.ndarray) -> np.ndarray:
         """``A + I/sigma`` in a cache-line aligned F-ordered buffer (see
@@ -365,14 +357,14 @@ class _CoefficientSolver:
     def K_times(self, c: np.ndarray) -> np.ndarray:
         """``K c`` through the representation the solves use."""
         if self.L is None:
-            return self._dsymv(1.0, self.K, c, lower=1)
+            return self.K.dot(c)
         return self.L.dot(self.L.T.dot(c))
 
     def apply(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unchecked ``c = A^-1 d`` and ``K c`` for one right-hand side
         ``d = diag(y) xi``; :func:`_solve_rows` checks them."""
         if self.L is None:
-            c = self._dsymv(1.0, self.A_inv, d, lower=1)
+            c = self.A_inv.dot(d)
         else:
             z = self.M_inv.dot(self.L.T.dot(d))
             c = self.sigma * (d - self.L.dot(z))
@@ -433,109 +425,219 @@ def _coefficient_solvers(K: np.ndarray, sigmas) -> dict:
     return solvers
 
 
-def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
-           sigma: float, rank: Optional[int] = None) -> Optional[AdmmState]:
-    """Polish a zero-one iterate to an exact KKT point by an active-set
-    search; ``None`` when the search reaches no such point.
+def _bordered_solve(K: np.ndarray, T: np.ndarray, rhs: np.ndarray, total: float,
+                    ridge: float, rank: Optional[int]):
+    """``c_T``, ``b`` and ``K[:, T] c_T`` for the bordered system
+    ``(K_TT + ridge I) c_T + b 1 = rhs`` with ``sum(c_T) = total``; ``None``
+    when ``T`` is empty, when the system is exactly singular, or when its
+    solution misses it.
 
-    The active set ``T`` starts as ``row_state.gamma_k``.  Each step solves
-    the bordered system for the coefficients on ``T`` and the bias,
-    ``K_TT c_T + b 1 = y_T`` and ``sum(c_T) = 0``: with ``c`` zero off
-    ``T`` and ``lam = -y * c``, that is ``y_i (K_i c + b) = 1`` on ``T`` and
-    ``<y, lam> = 0``.  It sets ``u = 1 - y * (K c + b)`` with ``u_T = 0``,
-    then drops from ``T`` the largest positive ``lam_i``, or, when no
-    ``lam_i`` is positive, adds the largest ``u_i`` that the slack step at
-    ``1/sigma`` would zero; when there is neither, the point is final.
-    Every step solves its system afresh with ``np.linalg.solve`` (an
-    inverse of ``K_TT`` kept up to date by bordering drifted until no
-    point passed the checks below) and forms ``K c`` from the columns of
-    ``T`` alone.  Each step depends on ``T`` alone, so a ``T`` met before
-    means the search cycles, and it gives up there.  It also gives up on
-    an empty ``T``, on an exactly singular system and after
-    ``2 |gamma_k| + 10`` steps.
-
-    It gives up, too, at the first solve that misses its system: the
-    residual ``||(K_TT c_T + b 1 - y_T, sum(c_T))||``, read off the
-    ``K c`` the step forms anyway, must be at most ``_SOLVE_RTOL (1 +
-    ||y_T||)``, the coefficient solve's guard.  A numerically singular
-    system as a rule misses it by far: its multipliers are rounding
-    noise, of order 1e14, so the index the step would drop is arbitrary
-    and ``T`` can flip between two sets for good.  The one exception is
-    ``|T|`` above ``rank``, the rank of the Gram's low-rank factor
-    (``None`` when there is none): there every ``K_TT`` is singular,
-    whatever ``T`` is, so the step is taken unchecked, and dropping
-    indices is how the search gets down to a ``T`` whose system it can
-    solve.
-
-    The final point has ``lam <= 0`` on ``T`` and ``lam = 0`` off it, the
-    KKT sign pattern, so :func:`~zeroone.stationarity.construct_gamma`
-    builds its step.  The point is returned only if it is prox-stationary
-    at that step, ``check_prox_stationary`` passing at ``_EXACT_TOL``
-    (which, by the paper's equivalence, makes it KKT); it carries the step
-    as ``prox_step`` (see :class:`AdmmState`).  Whether it improves on the
-    iterate is :func:`_improves`' decision.
+    Each call solves its system afresh with ``np.linalg.solve`` (an inverse
+    of ``K_TT`` kept up to date by bordering drifted until no point passed
+    the certificate).  The miss is the residual ``||((K_TT + ridge I) c_T +
+    b 1 - rhs, sum(c_T) - total)||``, read off the ``K[:, T] c_T`` the
+    caller needs anyway; it must be at most ``_SOLVE_RTOL (1 + ||rhs||)``,
+    the coefficient solve's guard.  A numerically singular system as a
+    rule misses it by far: its solution is rounding noise, of order 1e14,
+    so the index a search would move next is arbitrary and the search can
+    flip between two sets for good.  The one exception is an unridged
+    system on more indices than ``rank``, the rank of the Gram's low-rank
+    factor (``None`` when there is none): there every ``K_TT`` is
+    singular, whatever ``T`` is, so the solution is returned unchecked,
+    and dropping indices is how a search gets down to a set it can solve.
     """
-    m = len(y)
-    p = ProxParams(1.0 / sigma, C)
-    active = np.zeros(m, dtype=bool)
-    active[row_state.gamma_k] = True
+    n = len(T)
+    if n == 0:
+        return None
+    A = np.ones((n + 1, n + 1))
+    A[:n, :n] = K[np.ix_(T, T)]
+    A[n, n] = 0.0
+    A[np.arange(n), np.arange(n)] += ridge
+    try:
+        sol = np.linalg.solve(A, np.append(rhs, total))
+    except np.linalg.LinAlgError:
+        return None
+    c_T, b = sol[:n], float(sol[n])
+    KcT = K[:, T].dot(c_T)
+    resid = np.linalg.norm(np.append(KcT[T] + ridge * c_T + b - rhs, c_T.sum() - total))
+    if (ridge or rank is None or n <= rank) and not (
+            resid <= _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs))):
+        return None
+    return c_T, b, KcT
+
+
+def _step_l01(K, y, active, C, sigma, rank):
+    """One step of the zero-one search over the active set ``T``
+    (``active``): ``y_i (K_i c + b) = 1`` on ``T`` with ``sum(c_T) = 0`` and
+    ``c`` zero off ``T``.  It drops from ``T`` the largest positive
+    multiplier ``lam_i = -y_i c_i``, or, when no ``lam_i`` is positive,
+    adds the largest slack that the slack step at ``1/sigma`` would zero;
+    with neither, the point is final."""
+    T = np.flatnonzero(active)
+    solved = _bordered_solve(K, T, y[T], 0.0, 0.0, rank)
+    if solved is None:
+        return None
+    c = np.zeros(len(y))
+    c[T], b, Kc = solved
+    u = 1.0 - y * (Kc + b)
+    u[T] = 0.0
+    lam = -y * c
+    if lam.max() > 0.0:
+        active[np.argmax(lam)] = False
+        return c, b, u, T, False
+    near = prox_l01_zeroed(u, ProxParams(1.0 / sigma, C))[1]
+    if near.any():
+        active[np.argmax(np.where(near, u, 0.0))] = True
+    return c, b, u, T, not near.any()
+
+
+def _step_hinge(K, y, side, C, sigma, rank):
+    """One step of the hinge search over ``side``, the sign of the slack:
+    margin ``M`` (0: ``y_i f_i = 1``, ``alpha_i = y_i c_i`` free), bound
+    ``B`` (+1: ``alpha = C``) and free ``F`` (-1: ``alpha = 0``).  With
+    ``c_B = C y_B`` and ``c_F = 0`` it solves ``K_MM c_M + b 1 = y_M -
+    (K c_B)_M`` with ``sum(c_M) = -sum(c_B)``.  It then moves the worst
+    violator: ``alpha < 0`` (to ``F``) or ``alpha > C`` (to ``B``) on
+    ``M``, or ``y f < 1`` on ``F`` or ``y f > 1`` on ``B`` (to ``M``),
+    each measured in its own unit, ``C`` for ``alpha`` and the margin for
+    ``y f`` (that took a sixth fewer solves on ``grid-small``'s grid than
+    ``alpha`` unscaled); with none above ``_EXACT_TOL``, the point is
+    final.  Moving every violator at once can cycle, so it moves one."""
+    M, B = np.flatnonzero(side == 0), np.flatnonzero(side > 0)
+    c = np.zeros(len(y))
+    c[B] = C * y[B]
+    KcB = K[:, B].dot(c[B])
+    solved = _bordered_solve(K, M, y[M] - KcB[M], -c[B].sum(), 0.0, rank)
+    if solved is None:
+        return None
+    c[M], b, KcM = solved
+    u = 1.0 - y * (KcM + KcB + b)
+    u[M] = 0.0
+    alpha = y * c
+    violation = np.where(side == 0, np.maximum(-alpha, alpha - C) / C, -side * u)
+    i = np.argmax(violation)
+    done = not violation[i] > _EXACT_TOL
+    if not done:
+        side[i] = np.sign(alpha[i]) if side[i] == 0 else 0
+    return c, b, u, M, done
+
+
+def _step_sqhinge(K, y, pos, C, sigma, rank):
+    """One step of the squared-hinge search over ``S = {u > 0}`` (``pos``):
+    the ridged system ``(K_SS + I/(2C)) c_S + b 1 = y_S`` with
+    ``sum(c_S) = 0`` and ``c`` zero off ``S``.  The point is final when
+    its slack ``u = 1 - y (K c + b)`` is positive on ``S`` alone; else
+    ``S`` becomes that set."""
+    S = np.flatnonzero(pos)
+    solved = _bordered_solve(K, S, y[S], 0.0, 0.5 / C, rank)
+    if solved is None:
+        return None
+    c = np.zeros(len(y))
+    c[S], b, Kc = solved
+    u = 1.0 - y * (Kc + b)
+    done = np.array_equal(u > 0.0, pos)
+    pos[...] = u > 0.0
+    return c, b, u, np.flatnonzero(u == 0.0), done
+
+
+# The search of each loss kind (see :func:`finish`): its step, and the set
+# the step walks over, read off the iterate the search starts from.
+_SEARCH = {
+    LossKind.L01: (_step_l01, lambda s: np.isin(np.arange(len(s.u)), s.gamma_k)),
+    LossKind.HINGE: (_step_hinge, lambda s: np.sign(s.u).astype(np.int8)),
+    LossKind.SQHINGE: (_step_sqhinge, lambda s: s.u > 0.0),
+}
+
+
+def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
+           sigma: float, rank: Optional[int] = None,
+           kind: LossKind = LossKind.L01) -> Optional[AdmmState]:
+    """Finish an iterate of the ``kind`` loss at an exact KKT point by an
+    active-set search; ``None`` when the search reaches no such point.
+
+    Each kind walks its own set (see ``_SEARCH``), and each step solves one
+    bordered system, ``c`` on the set and the bias ``b``
+    (:func:`_bordered_solve`), then moves indices in or out of the set:
+
+    * zero-one (:func:`_step_l01`): the active set ``T``, from
+      ``row_state.gamma_k``;
+    * hinge (:func:`_step_hinge`): the margin, bound and free sets, from
+      the sign of ``row_state.u``;
+    * squared hinge (:func:`_step_sqhinge`): ``S = {u > 0}``, from
+      ``row_state.u``; this took 1-3 solves.
+
+    With ``c`` and ``b`` solved, ``u = 1 - y * (K c + b)``, zero on the
+    set the system puts on the margin, and ``lam = -y * c``.  Each step
+    depends on its set alone, so a set met before means the search cycles,
+    and it gives up there.  It also gives up at a system
+    :func:`_bordered_solve` cannot solve, and after ``2 n + 10`` steps,
+    with ``n`` the size of ``gamma_k`` for the zero-one kind and ``m``
+    for the convex ones.
+
+    The final point counts as exact when its four scaled residuals are at
+    most ``_EXACT_TOL`` with the ``kind`` prox
+    (``check_prox_stationary``).  For the zero-one kind the step is the
+    one :func:`~zeroone.stationarity.construct_gamma` builds for it (its
+    ``lam <= 0`` on ``T`` and ``lam = 0`` off it is the KKT sign pattern),
+    which, by the paper's equivalence, makes the point KKT, and the point
+    carries that step as ``prox_step`` (see :class:`AdmmState`); whether
+    it improves on the iterate is :func:`_improves`' decision.  For a
+    convex kind the step is ``1/sigma``, and an exact point is the
+    optimum.
+    """
+    kind = LossKind(kind)
+    step, start = _SEARCH[kind]
+    walk = start(row_state)
+    n = len(row_state.gamma_k) if kind is LossKind.L01 else len(y)
     seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2 * len(row_state.gamma_k) + 10):
-            T = np.flatnonzero(active)
-            n = len(T)
-            if n == 0 or T.tobytes() in seen:
+        for _ in range(2 * n + 10):
+            if walk.tobytes() in seen:
                 return None
-            seen.add(T.tobytes())
-            A = np.ones((n + 1, n + 1))
-            A[:n, :n] = K[np.ix_(T, T)]
-            A[n, n] = 0.0
-            try:
-                sol = np.linalg.solve(A, np.append(y[T], 0.0))
-            except np.linalg.LinAlgError:
+            seen.add(walk.tobytes())
+            out = step(K, y, walk, C, sigma, rank)
+            if out is None:
                 return None
-            c = np.zeros(m)
-            c[T] = sol[:n]
-            b = float(sol[n])
-            Kc = K[:, T].dot(sol[:n])
-            resid = np.linalg.norm(np.append(Kc[T] + b - y[T], sol[:n].sum()))
-            if (rank is None or n <= rank) and not (
-                    resid <= _SOLVE_RTOL * (1.0 + np.linalg.norm(y[T]))):
-                return None
-            u = 1.0 - y * (Kc + b)
-            u[T] = 0.0
-            lam = -y * c
-            if lam.max() > 0.0:
-                active[np.argmax(lam)] = False
-                continue
-            near = prox_l01_zeroed(u, p)[1]
-            if not near.any():
+            c, b, u, zeroed, done = out
+            if done:
                 break
-            active[np.argmax(np.where(near, u, 0.0))] = True
         else:
             return None
-        gamma = construct_gamma(u, lam, C, tol=_EXACT_TOL)
-        if not check_prox_stationary(c, b, u, lam, K, y, C, gamma,
-                                     tol=_EXACT_TOL).is_prox_stationary:
+        lam = -y * c
+        gamma = construct_gamma(u, lam, C, tol=_EXACT_TOL) \
+            if kind is LossKind.L01 else 1.0 / sigma
+        if not check_prox_stationary(c, b, u, lam, K, y, C, gamma, tol=_EXACT_TOL,
+                                     kind=kind).is_prox_stationary:
             return None
-    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=T, prox_step=gamma)
+    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=zeroed,
+                   prox_step=gamma if kind is LossKind.L01 else None)
+
+
+def slack_objective(kind: LossKind, K: np.ndarray, y: np.ndarray,
+                    state: AdmmState, C: float) -> float:
+    """The ``kind`` :func:`~zeroone.prox.objective` of the classifier
+    ``(c, b)`` of ``state`` at its consistent slack ``u = 1 - y * (K c +
+    b)``.  An ADMM iterate's own ``u`` is its slack step's output, which
+    reads low: the zero-one one is zero on ``gamma_k``, where ``(c, b)``
+    do not put it.  A polished zero-one point (one with a ``prox_step``)
+    keeps its own ``u``: that is the same slack with its active set at
+    exactly 0, where rounding would otherwise decide the count."""
+    Kc = K.dot(state.c)
+    u = state.u if state.prox_step is not None else 1.0 - y * (Kc + state.b)
+    return float(objective(kind, Kc, state.c, u, C))
 
 
 def _improves(K: np.ndarray, y: np.ndarray, point: AdmmState,
               iterate: AdmmState, C: float) -> bool:
-    """Whether the :func:`finish` ``point`` reached from ``iterate`` has a
-    zero-one :func:`~zeroone.prox.objective` not above the iterate's.
-
-    The iterate's is taken at its own ``(c, b)`` with the slack they give,
-    ``u = 1 - y * (K c + b)``, not with its ``u``, which is zero on
-    ``gamma_k`` where they do not put it.  On noisy data the working set's
-    KKT point can hold mislabelled points on the margin at a far higher
-    objective; this test keeps it out.
+    """Whether the zero-one :func:`finish` ``point`` reached from
+    ``iterate`` has an objective not above the iterate's
+    :func:`slack_objective`.  On noisy data the working set's KKT point
+    can hold mislabelled points on the margin at a far higher objective;
+    this test keeps it out.
     """
     T = point.gamma_k
-    Kc = K.dot(iterate.c)
     return bool(objective(LossKind.L01, K[:, T].dot(point.c[T]), point.c, point.u, C)
-                <= objective(LossKind.L01, Kc, iterate.c, 1.0 - y * (Kc + iterate.b), C))
+                <= slack_objective(LossKind.L01, K, y, iterate, C))
 
 
 def _due(flat: array) -> bool:
@@ -572,8 +674,15 @@ def _run_admm(
 
     A cell leaves the batch when it meets its tolerance, when it reaches
     its ``max_iter``, when its solver's set-up or a solve raises a
-    ``ZeroOneError``, or after its last polish attempt.  A zero-one row
-    that has not met its tolerance is tried at the first
+    ``ZeroOneError``, when a :func:`finish` point is accepted, or after
+    its last zero-one polish attempt.  A baseline row is tried at every
+    ``_POLISH_EVERY``-th iteration from ``_STALL_WINDOW`` on, and at the
+    iteration where it meets its tolerance; an exact point of a convex
+    loss is its optimum, so the first one ends the row ``"polished"``,
+    and a search that gives up leaves the row iterating.  (Trying from
+    iteration 10 took more time on ``grid-small``'s grid than the
+    iterations it saved.)  A zero-one row that has not met its tolerance
+    is tried at the first
     ``_POLISH_EVERY``-th iteration where :func:`_due` holds on its trace;
     the decision reads nothing but the trace, so the row's records replay
     it.  A :func:`finish` point that :func:`_improves` on the iterate ends
@@ -610,7 +719,7 @@ def _run_admm(
     lam = np.tile(start.lam, (len(rows), 1))
     Kc = np.array([s.K_times(start.c) for s in row_solvers])
     c = np.empty_like(Kc)
-    polish = kind == LossKind.L01
+    l01 = kind == LossKind.L01
     retry = set()  # cells whose first polish point was worse than the iterate
 
     def state(j, k):
@@ -630,7 +739,7 @@ def _run_admm(
         b = np.vecdot(r, y)[:, None] / m
         omega = feasibility(u, yKc, b, y)
         step = step_size * omega + lam
-        lam = np.where(zeroed, step, 0.0) if kind == LossKind.L01 else step
+        lam = np.where(zeroed, step, 0.0) if l01 else step
 
         beta1, beta2, beta3, beta4 = scaled_residuals(
             c, u, lam, omega, y, PROX[kind](u - lam / sigma, p))
@@ -646,24 +755,28 @@ def _run_admm(
             if on_iteration is not None:
                 on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
-            if (polish and not met and k % _POLISH_EVERY == 0
-                    and (not traces[i].polish_attempts or i in retry)
-                    and _due(traces[i].flat)):
+            if l01:
+                due = (not met and k % _POLISH_EVERY == 0
+                       and (not traces[i].polish_attempts or i in retry)
+                       and _due(traces[i].flat))
+            else:
+                due = met or (k >= _STALL_WINDOW and k % _POLISH_EVERY == 0)
+            if due:
                 snap = state(j, k)
                 t0 = time.perf_counter()
                 point = finish(row_solvers[j].K, y, snap, hps[i].C, hps[i].sigma,
-                               row_solvers[j].factor_rank)
-                polished = point is not None and _improves(
-                    row_solvers[j].K, y, point, snap, hps[i].C)
+                               row_solvers[j].factor_rank, kind)
+                polished = point is not None and (not l01 or _improves(
+                    row_solvers[j].K, y, point, snap, hps[i].C))
                 traces[i].polish_attempts += 1
                 traces[i].polish_s += time.perf_counter() - t0
                 if polished:
                     traces[i].termination = "polished"
                     leave[j] = (point, traces[i])
                     continue
-                if point is not None and i not in retry:
+                if l01 and point is not None and i not in retry:
                     retry.add(i)
-                else:
+                elif l01:
                     retry.discard(i)
                     if not run_on:
                         traces[i].termination = "stalled"

@@ -7,7 +7,10 @@ grid.  For the hinge and squared-hinge baselines the slack step and the
 fixed-point gap use the matching prox, and the dual ascent runs unmasked
 (every multiplier accumulates the full feasibility violation).  This
 isolates the effect of the loss in any comparison, the solver being
-identical.
+identical.  Each row then ends where :func:`zeroone.admm.finish` takes
+it, with the search of its own loss: a baseline row at its exact
+optimum, a zero-one row at an exact KKT point when one improves on its
+iterate.
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import baselines, data, model as model_mod
-from .admm import Hyperparams, SolveTrace, TraceRecord
+from .admm import Hyperparams, SolveTrace, TraceRecord, slack_objective
 from .errors import (ConfigError, InputError, NumericalError, ParseError,
                      ZeroOneError)
 from .kernels import (_REQUIRED_PARAMS, FAMILIES, KernelSpec, data_fingerprint,
                       gram_matrix)
-from .prox import LossKind, objective
+from .prox import LossKind
 from .stationarity import check_kkt, check_prox_stationary, equivalence_roundtrip
 
 DEFAULT_GRID_C = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -299,8 +299,8 @@ def bench_rows(cfg: RunConfig) -> list[dict]:
     """Run the (loss, C, sigma) grid and return result rows in grid order.
 
     Each row carries the five evaluation metrics, the
-    :func:`~zeroone.prox.objective` of the point the solve returned (its
-    last iterate, or the polished point) and a ``selection`` mark: per
+    :func:`~zeroone.admm.slack_objective` of the point the solve returned
+    (its last iterate, or the finished point) and a ``selection`` mark: per
     loss kind, ``paper`` flags the row with the best test accuracy
     (ties broken toward fewer support vectors) and ``cv`` flags the row
     chosen by k-fold cross-validation on the training half.  CV is skipped
@@ -342,9 +342,9 @@ def _bench(cfg: RunConfig) -> tuple[list[dict], list[float]]:
             row["error"] = str(out)
         else:
             state, trace, mdl, wall_s = out
-            Kc = gram.entries.dot(state.c)
-            row.update(_metrics(train, test, mdl, trace, wall_s), objective=float(
-                objective(row["loss"], Kc, state.c, state.u, row["C"])))
+            row.update(_metrics(train, test, mdl, trace, wall_s),
+                       objective=slack_objective(row["loss"], gram.entries,
+                                                 train.y, state, row["C"]))
 
     scores = [[] for _ in rows]
     cv_walls = [0.0] * len(rows)

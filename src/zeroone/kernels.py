@@ -157,8 +157,7 @@ def _aligned_empty(shape: tuple, order: str = "F") -> np.ndarray:
     numpy promises 16 bytes, and where the allocator puts a matrix changes
     from one process to the next.  On a 2-vCPU Xeon with OpenBLAS, ``K c``
     through a 1200 x 162 factor took 55-70 us from a cache-line boundary
-    and 75-105 us from the other offsets, and a 300 x 300 ``dsymv`` on the
-    Gram 7.8 us against 9.6-10.9 us, so a solve's speed hung on that
+    and 75-105 us from the other offsets, so a solve's speed hung on that
     placement.  The bits of a product do not depend on it.
     """
     n = int(np.prod(shape))
@@ -309,7 +308,8 @@ def gram_matrix(spec: KernelSpec, X) -> GramMatrix:
 
     Only the upper triangle is taken from the pairwise evaluation and
     mirrored onto the lower one, so the result is symmetric to the bit;
-    the solver's factorizations and ``dsymv`` rely on that.  For the
+    the solver's factorizations and its transposed view of ``K`` rely on
+    that.  For the
     gaussian, laplacian and exponential families the diagonal is exactly 1.
     The entries are one C-ordered m-by-m array on a 64-byte boundary, the
     only m-by-m array the assembly holds.

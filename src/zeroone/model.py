@@ -21,9 +21,6 @@ MODEL_FORMAT_VERSION = 1
 # float rounding of the threshold itself.
 _SUPPORT_TOL = 1e-9
 
-# Multipliers below this magnitude count as zero in a baseline's support set.
-BASELINE_SV_TOL = 1e-6
-
 
 def support_vectors(u, lam, C, gamma) -> np.ndarray:
     """Support set of a solution: indices with ``u_i - gamma*lam_i`` in
@@ -40,7 +37,7 @@ class TrainedModel:
     support set, the kernel, and the training sample it expands over.
 
     ``gamma`` is the prox step at which the solution is certified: the
-    stored ``construct_gamma`` step of a polished solve (see
+    stored ``construct_gamma`` step of a polished zero-one solve (see
     :func:`zeroone.admm.finish`), otherwise ``1/sigma``;
     ``scaling`` carries the standardization applied to the training inputs
     so new raw inputs can be transformed identically.
@@ -70,16 +67,17 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
     """Package a solver state of the ``kind`` loss as a deployable model.
 
     ``gamma`` is the state's ``prox_step`` when it has one (a polished
-    point), and ``1/sigma`` otherwise.  This is the one home of every
-    loss's support rule: the zero-one threshold-interval rule on
+    zero-one point), and ``1/sigma`` otherwise.  This is the one home of
+    every loss's support rule: the zero-one threshold-interval rule on
     ``(u, lam)`` at that step (:func:`support_vectors`), and for a
-    baseline the samples with a numerically nonzero multiplier,
-    ``|lam_i| > BASELINE_SV_TOL``.
+    baseline the samples with a nonzero multiplier, ``lam_i != 0``: at a
+    finished baseline point (see :func:`zeroone.admm.finish`)
+    ``c = -y * lam`` exactly, so the support-only form is the primal
+    one.
     """
     gamma = 1.0 / hp.sigma if state.prox_step is None else state.prox_step
     support = support_vectors(state.u, state.lam, hp.C, gamma) \
-        if LossKind(kind) is LossKind.L01 \
-        else np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL)
+        if LossKind(kind) is LossKind.L01 else np.flatnonzero(state.lam)
     return TrainedModel(
         c=state.c.copy(), b=float(state.b), lam=state.lam.copy(),
         u=state.u.copy(), support=support,

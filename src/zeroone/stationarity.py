@@ -5,7 +5,8 @@ Two certificates are offered for a quadruple ``(c, b, u, lam)``:
 * a KKT check: stationarity, dual balance, feasibility, and membership of
   ``-lam/C`` in the subdifferential of the zero-one hinge loss at ``u``;
 * a prox-stationarity check: the same three residuals plus the fixed-point
-  identity ``prox(u - gamma*lam) == u`` for a given step ``gamma``.
+  identity ``prox(u - gamma*lam) == u`` for a given step ``gamma``, with
+  the zero-one prox or, for a finished baseline point, its loss's prox.
 
 A KKT point admits a step size making it prox-stationary and vice versa;
 :func:`construct_gamma` builds that step constructively and
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError
-from .prox import ProxParams, prox_l01
+from .prox import PROX, LossKind, ProxParams
 
 # Shrink factors keeping the constructed step strictly inside the region
 # where the single-valued prox reproduces the point.  The positive-slack
@@ -183,13 +184,14 @@ def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
     return min(candidates) if candidates else 1.0
 
 
-def check_prox_stationary(c, b, u, lam, K, y, C, gamma,
-                          tol: float = 1e-8) -> StationarityReport:
+def check_prox_stationary(c, b, u, lam, K, y, C, gamma, tol: float = 1e-8,
+                          kind: LossKind = LossKind.L01) -> StationarityReport:
     """Prox-stationarity certificate at step ``gamma`` and tolerance ``tol``.
 
     Evaluates the stationarity, dual-balance and feasibility residuals plus
-    the fixed-point gap ``||u - prox(u - gamma*lam)|| / (1 + ||u||)``; all
-    four within ``tol`` certifies the point.
+    the fixed-point gap ``||u - prox(u - gamma*lam)|| / (1 + ||u||)`` with
+    the prox of the ``kind`` loss (the zero-one one by default); all four
+    within ``tol`` certifies the point.
     """
     if not gamma > 0:
         raise InputError("gamma must be > 0")
@@ -198,7 +200,8 @@ def check_prox_stationary(c, b, u, lam, K, y, C, gamma,
     lam = np.asarray(lam, dtype=float)
     p = ProxParams(gamma=float(gamma), C=float(C))
     r_stat, r_dual, r_feas, r_prox = scaled_residuals(
-        c, u, lam, feasibility(u, y * (K @ c), b, y), y, prox_l01(u - gamma * lam, p))
+        c, u, lam, feasibility(u, y * (K @ c), b, y), y,
+        PROX[LossKind(kind)](u - gamma * lam, p))
     r_dual = abs(r_dual)
     ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and r_prox <= tol
     return StationarityReport(

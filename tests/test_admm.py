@@ -11,7 +11,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
 
 from conftest import make_kkt_fixture, toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
@@ -326,26 +325,41 @@ class TestCoefficientSolver:
         np.testing.assert_allclose(A_inv @ (K + np.eye(len(K)) / 2.0),
                                    np.eye(len(K)), atol=1e-9)
 
-    def test_every_dsymv_operand_is_f_contiguous(self, monkeypatch):
-        # f2py copies a C-ordered matrix on every call; F-ordered goes
-        # through.  Dense-path solves only: their products are all dsymv,
-        # which the solver takes from scipy when it is built.
-        seen = []
-        real = scipy.linalg.blas.dsymv
-
-        def recording_dsymv(alpha, a, x, **kw):
-            seen.append(a.flags["F_CONTIGUOUS"])
-            return real(alpha, a, x, **kw)
-
-        monkeypatch.setattr(scipy.linalg.blas, "dsymv", recording_dsymv)
-        ds = gen_double_circles(60, noise_std=0.1, seed=3)
-        for kernel in (gaussian_spec(0.5), KernelSpec("laplacian", {"rho": 0.5}),
-                       KernelSpec("exponential", {"rho": 0.5})):
-            _, trace = solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
-            assert trace.factor_rank is None, kernel.family
-        K, y, xi = self._system()
-        update_c(K, y, xi, 0.0, np.zeros(len(y)), 1.0)
-        assert len(seen) > 20 and all(seen)
+    def test_no_solve_loads_scipy(self):
+        # a fresh interpreter: a dense (laplacian) solve, a low-rank
+        # (gaussian) solve with its prediction and certificates, and a
+        # three-loss bench grid run on numpy alone
+        script = textwrap.dedent("""
+            import sys
+            import zeroone as z
+            from zeroone.cli import RunConfig, bench_rows
+            train, _ = z.split(z.gen_double_circles(1200, seed=7), seed=9)
+            train, _, _ = z.standardize(train, train)
+            for kernel, dense in ((z.KernelSpec("laplacian", {"rho": 0.5}), True),
+                                  (z.gaussian_spec(1.0 / train.d), False)):
+                hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=50, kernel=kernel)
+                gram = z.gram_matrix(kernel, train.X)
+                state, trace = z.solve(train, hp, gram=gram)
+                assert (trace.factor_rank is None) == dense
+            mdl = z.from_solution(state, train, hp)
+            z.predict(mdl, train.X)
+            K = gram.entries
+            z.check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            z.check_prox_stationary(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
+                                    mdl.C, mdl.gamma)
+            z.equivalence_roundtrip(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            rows = bench_rows(RunConfig(
+                command="bench", generator="moons", m=100, seed=7,
+                loss=("l01", "hinge_l1", "squared_hinge_l2"), selection="paper"))
+            assert len(rows) == 48 and not any(r["error"] for r in rows)
+            print("scipy" in sys.modules)
+        """)
+        src = str(Path(admm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
 
 
 def _circles_gram(m, kernel=None):
@@ -485,40 +499,6 @@ class TestLowRankFactor:
         finally:
             tracemalloc.stop()
         assert peak < m * r * 8 / 2
-
-    def test_low_rank_solve_never_loads_scipy_linalg(self):
-        # a fresh interpreter: the low-rank solve, prediction and the three
-        # certificates run on numpy alone; a dense solver loads scipy
-        script = textwrap.dedent("""
-            import sys
-            import zeroone as z
-            train, _ = z.split(z.gen_double_circles(1200, seed=7), seed=9)
-            train, _, _ = z.standardize(train, train)
-            hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=50,
-                               kernel=z.gaussian_spec(1.0 / train.d))
-            gram = z.gram_matrix(hp.kernel, train.X)
-            state, trace = z.solve(train, hp, gram=gram)
-            assert trace.factor_rank is not None
-            mdl = z.from_solution(state, train, hp)
-            z.predict(mdl, train.X)
-            K = gram.entries
-            z.check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
-            z.check_prox_stationary(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
-                                    mdl.C, mdl.gamma)
-            z.equivalence_roundtrip(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
-            print("scipy.linalg" in sys.modules)
-            hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=5,
-                               kernel=z.KernelSpec("laplacian", {"rho": 0.5}))
-            _, trace = z.solve(train, hp)
-            assert trace.factor_rank is None
-            print("scipy.linalg" in sys.modules)
-        """)
-        src = str(Path(admm.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script], cwd=src,
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "True"]
 
 
 class TestUpdateB:
@@ -876,8 +856,8 @@ class TestFinish:
         tried = []
         real = admm.finish
 
-        def spy(K, y, row_state, C, sigma, rank):
-            out = real(K, y, row_state, C, sigma, rank)
+        def spy(K, y, row_state, C, sigma, rank, kind):
+            out = real(K, y, row_state, C, sigma, rank, kind)
             tried.append((row_state, out))
             return out
 
@@ -935,8 +915,8 @@ class TestFinish:
             checked.append(1)
             return SimpleNamespace(is_prox_stationary=False)
 
-        def spy(K, y, row_state, C, sigma, rank):
-            out = real(K, y, row_state, C, sigma, rank)
+        def spy(K, y, row_state, C, sigma, rank, kind):
+            out = real(K, y, row_state, C, sigma, rank, kind)
             tried.append((row_state.iter, out))
             return out
 
@@ -1028,9 +1008,9 @@ class TestFinish:
         calls, sizes = [], []
         real, real_solve = admm.finish, np.linalg.solve
 
-        def spy(K, y, row_state, C, sigma, rank):
+        def spy(K, y, row_state, C, sigma, rank, kind):
             calls.append((K, row_state, rank))
-            return real(K, y, row_state, C, sigma, rank)
+            return real(K, y, row_state, C, sigma, rank, kind)
 
         monkeypatch.setattr(admm, "finish", spy)
         monkeypatch.setattr(np.linalg, "solve",
@@ -1104,8 +1084,8 @@ class TestFinish:
         points = {}
         real = admm.finish
 
-        def spy(K, y, row_state, C, sigma, rank):
-            out = real(K, y, row_state, C, sigma, rank)
+        def spy(K, y, row_state, C, sigma, rank, kind):
+            out = real(K, y, row_state, C, sigma, rank, kind)
             points.setdefault((C, sigma), []).append(out)
             return out
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from conftest import toy_dataset
 from zeroone import (Dataset, GramMatrix, Hyperparams, InputError, KernelSpec,
                      LossKind, NumericalError, ProxParams, accuracy, admm,
-                     flip_labels, from_solution, gaussian_spec,
-                     gen_double_circles, gen_double_moons, gram_matrix,
-                     predict, prox_hinge, solve, solve_baseline,
-                     split, standardize)
+                     check_prox_stationary, decision_function, flip_labels,
+                     from_solution, gaussian_spec, gen_double_circles,
+                     gen_double_moons, gram_matrix, predict, prox_hinge, solve,
+                     solve_baseline, split, standardize)
 from zeroone.baselines import solve_grid
-from zeroone.model import BASELINE_SV_TOL, support_vectors
+from zeroone.cli import (DEFAULT_GRID_C, DEFAULT_GRID_SIGMA, RunConfig,
+                         prepare_splits)
+from zeroone.model import support_vectors
 from zeroone.prox import objective
 
 
@@ -77,17 +80,28 @@ class TestSolveBaseline:
             _, _, model = solve_baseline(train, hp, kind)
             assert accuracy(predict(model, train.X), train.y) == 1.0
 
-    def test_hinge_fixed_point_residual_at_convergence(self):
+    def test_hinge_fixed_point_residual_at_convergence(self, monkeypatch):
+        # the finished point is a fixed point of the hinge prox at 1/sigma
+        # to within the finish's tolerance; with every search given up, the
+        # ADMM's own iterate meets its tolerance, with the gap below eps
         ds = gen_double_circles(100, seed=23)
         train, test = split(ds, seed=24)
         train, test, _ = standardize(train, test)
         hp = self._hp(C=4.0)
+        p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
+
+        def gap(state):
+            return np.linalg.norm(
+                state.u - prox_hinge(state.u - state.lam / hp.sigma, p)) / (
+                    1.0 + np.linalg.norm(state.u))
+
+        state, trace, _ = solve_baseline(train, hp, LossKind.HINGE)
+        assert (trace.termination, trace.iterations) == ("polished", 50)
+        assert gap(state) <= admm._EXACT_TOL
+        monkeypatch.setattr(admm, "finish", lambda *args: None)
         state, trace, _ = solve_baseline(train, hp, LossKind.HINGE)
         assert trace.termination == "tolerance_met"
-        p = ProxParams(gamma=1.0 / hp.sigma, C=hp.C)
-        gap = np.linalg.norm(
-            state.u - prox_hinge(state.u - state.lam / hp.sigma, p))
-        assert gap / (1.0 + np.linalg.norm(state.u)) <= hp.eps
+        assert gap(state) <= hp.eps
 
     def test_unmasked_dual_ascent(self):
         # baseline multipliers are not zeroed off any index set
@@ -150,6 +164,10 @@ def _indefinite_grid():
 class TestSolveGrid:
     def test_cells_bitwise_equal_solves_alone(self):
         train, hps, gram = _moons_grid()
+        # a cell capped at 20 iterations, below the baselines' first search
+        # at 50, ends max_iter; at eps 0.3 the (0.5, 1) hinge cell meets its
+        # tolerance at iteration 2, where its search gives up
+        hps += [replace(hps[2], max_iter=20), replace(hps[0], eps=0.3)]
         cells = solve_grid(train, hps, list(LossKind), gram=gram)
         terminations = set()
         for (kind, hp), (state, trace, model, _) in zip(
@@ -164,14 +182,17 @@ class TestSolveGrid:
                     getattr(alone, name).tobytes(), (kind, hp.C, hp.sigma, name)
             np.testing.assert_array_equal(model.support, alone_model.support)
             terminations.add((kind, trace.termination))
-        assert len(terminations) == 6
+        assert terminations == {
+            (LossKind.L01, "tolerance_met"), (LossKind.L01, "stalled"),
+            (LossKind.L01, "max_iter"), (LossKind.HINGE, "polished"),
+            (LossKind.HINGE, "tolerance_met"), (LossKind.HINGE, "max_iter"),
+            (LossKind.SQHINGE, "polished"), (LossKind.SQHINGE, "max_iter")}
         assert cells[1][1].iterations == 1  # l01, C=0.5, sigma=2
 
     def test_support_rule_of_each_loss(self):
         """The zero-one model keeps the threshold-interval rule at its
-        certified step, a baseline the samples with |lam| above
-        ``BASELINE_SV_TOL``, and ``from_solution`` defaults to the
-        zero-one rule."""
+        certified step, a baseline the samples with a nonzero multiplier,
+        and ``from_solution`` defaults to the zero-one rule."""
         train, hps, gram = _moons_grid()
         cells = solve_grid(train, hps, list(LossKind), gram=gram)
         for (kind, hp), (state, _, model, _) in zip(
@@ -180,9 +201,8 @@ class TestSolveGrid:
             if kind is LossKind.L01:
                 np.testing.assert_array_equal(model.support, l01)
             else:
-                np.testing.assert_array_equal(
-                    model.support,
-                    np.flatnonzero(np.abs(state.lam) > BASELINE_SV_TOL))
+                np.testing.assert_array_equal(model.support,
+                                              np.flatnonzero(state.lam))
             np.testing.assert_array_equal(
                 from_solution(state, train, hp).support, l01)
 
@@ -250,3 +270,95 @@ class TestSolveGrid:
         hps[1] = Hyperparams(C=1.0, sigma=1.0, kernel=KernelSpec("linear", {}))
         with pytest.raises(InputError, match="one kernel"):
             solve_grid(train, hps, [LossKind.L01], gram=gram)
+
+
+def _grid_small_solves(seed):
+    """``grid-small``'s two baseline batches: moons, --m 500, noise rate
+    0.05, the default 8x2 (C, sigma) grid."""
+    train, test, _ = prepare_splits(RunConfig(command="bench", generator="moons",
+                                              m=500, seed=seed, noise_rate=0.05))
+    kernel = gaussian_spec(1.0 / train.d)
+    hps = [Hyperparams(C=C, sigma=s, kernel=kernel)
+           for C, s in itertools.product(DEFAULT_GRID_C, DEFAULT_GRID_SIGMA)]
+    gram = gram_matrix(kernel, train.X)
+    kinds = [LossKind.HINGE, LossKind.SQHINGE]
+    cells = solve_grid(train, hps, kinds, gram=gram)
+    return train, test, gram, list(zip(itertools.product(kinds, hps), cells))
+
+
+class TestBaselineFinish:
+    """``admm.finish`` on the convex losses: a baseline row ends at its
+    exact optimum."""
+
+    @pytest.fixture(scope="class", params=[7, 20231])
+    def grid_small(self, request):
+        return _grid_small_solves(request.param)
+
+    def test_every_row_is_polished_at_an_exact_point(self, grid_small):
+        # all four scaled residuals within 1e-8 with the kind's own prox at
+        # 1/sigma: the certificate finish accepts, read here afresh
+        train, _, gram, cells = grid_small
+        for (kind, hp), (state, trace, model, _) in cells:
+            assert trace.termination == "polished", (kind, hp.C, hp.sigma)
+            assert state.prox_step is None and model.gamma == 1.0 / hp.sigma
+            rep = check_prox_stationary(state.c, state.b, state.u, state.lam,
+                                        gram.entries, train.y, hp.C, model.gamma,
+                                        tol=admm._EXACT_TOL, kind=kind)
+            assert rep.is_prox_stationary, (kind, hp.C, hp.sigma, rep)
+            np.testing.assert_array_equal(state.c, -train.y * state.lam)
+            np.testing.assert_array_equal(model.support, np.flatnonzero(state.c))
+
+    def test_primal_and_support_only_forms_agree(self, grid_small):
+        train, test, _, cells = grid_small
+        for (kind, hp), (_, _, model, _) in cells:
+            assert model.nsv < train.n
+            np.testing.assert_allclose(decision_function(model, test.X, form="dual"),
+                                       decision_function(model, test.X), atol=1e-12)
+            np.testing.assert_array_equal(predict(model, test.X, form="dual"),
+                                          predict(model, test.X))
+
+    def test_objective_not_above_a_long_admm_run(self, monkeypatch):
+        # the ADMM run with every search given up, to eps 1e-10 within
+        # 20 000 iterations; its objective at the consistent slack bounds
+        # the optimum from above, up to rounding
+        train, hps, gram = _moons_grid()
+        kinds = [LossKind.HINGE, LossKind.SQHINGE]
+        finished = solve_grid(train, hps, kinds, gram=gram)
+        monkeypatch.setattr(admm, "finish", lambda *args: None)
+        long = solve_grid(train, [replace(hp, max_iter=20_000, eps=1e-10) for hp in hps],
+                          kinds, gram=gram)
+        K = gram.entries
+        for (kind, hp), point, admm_run in zip(itertools.product(kinds, hps),
+                                               finished, long):
+            assert point[1].termination == "polished"
+            assert admm_run[1].termination == "tolerance_met"
+            best = admm.slack_objective(kind, K, train.y, admm_run[0], hp.C)
+            got = admm.slack_objective(kind, K, train.y, point[0], hp.C)
+            assert got <= best + 1e-12 * best, (kind, hp.C, hp.sigma)
+
+    def test_search_that_gives_up_leaves_the_row_iterating(self, monkeypatch):
+        # grid-small's hinge cell C=64, sigma=1, seed 7: the margin set
+        # {u = 0} of each iterate from 50 to 230 holds 71-220 points, whose
+        # bordered system is numerically singular (cond 1e16-1e19), so each
+        # search gives up at its first solve and the row iterates on; the
+        # search from iteration 240 reaches the optimum
+        train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
+                                               m=500, seed=7, noise_rate=0.05))
+        hp = Hyperparams(C=64.0, sigma=1.0, kernel=gaussian_spec(1.0 / train.d))
+        tried = []
+        real = admm.finish
+
+        def spy(K, y, row_state, C, sigma, rank, kind):
+            out = real(K, y, row_state, C, sigma, rank, kind)
+            tried.append((row_state.iter, out is not None))
+            return out
+
+        monkeypatch.setattr(admm, "finish", spy)
+        _, trace, _ = solve_baseline(train, hp, LossKind.HINGE)
+        assert (trace.termination, trace.iterations) == ("polished", 240)
+        assert tried == [(k, k == 240) for k in range(50, 250, 10)]
+        assert trace.polish_attempts == len(tried)
+        ((_, capped, _, _),) = solve_grid(train, [replace(hp, max_iter=235)],
+                                          [LossKind.HINGE])
+        assert (capped.termination, capped.polish_attempts) == ("max_iter", 19)
+        assert capped.flat == trace.flat[:len(capped.flat)]

@@ -19,7 +19,7 @@ from zeroone.cli import (RunConfig, _hyperparams, bench_rows, build_parser,
                          config_from_args, main, make_kernel, prepare_splits,
                          rows_to_csv)
 from zeroone.kernels import gram_matrix
-from zeroone.prox import objective
+from zeroone.admm import slack_objective
 
 
 def run_cli(*argv):
@@ -727,9 +727,9 @@ class TestBench:
                        "--loss", ",", "--max-iter", "10") == 4
 
 
-# Moons m=100, noise 0.05: l01 mixes tolerance_met and stalled cells, each
-# baseline tolerance_met and max_iter cells, and l01 at (C=0.5, sigma=2)
-# stops at iteration 1 (2C < sigma).
+# Moons m=100, noise 0.05: l01 mixes tolerance_met and stalled cells, every
+# baseline cell is finished (polished), and l01 at (C=0.5, sigma=2) stops
+# at iteration 1 (2C < sigma).
 LOCKSTEP = dict(command="bench", generator="moons", m=100, seed=7,
                 noise_rate=0.05, grid_c=(0.5, 4.0, 64.0), grid_sigma=(1.0, 2.0),
                 max_iter=300, loss=("l01", "hinge_l1", "squared_hinge_l2"),
@@ -745,29 +745,36 @@ class TestLockstepGrid:
     row must be the row of that cell solved alone."""
 
     def test_rows_equal_cells_solved_alone(self):
-        cfg = RunConfig(**LOCKSTEP)
-        rows = bench_rows(cfg)
-        train, test, stats = prepare_splits(cfg)
-        kernel = make_kernel(cfg, train.d)
-        gram = gram_matrix(kernel, train.X)
-        alone = []
-        for row in rows:
-            hp = _hyperparams(cfg, kernel, row["C"], row["sigma"])
-            state, trace, mdl = baselines.solve_baseline(train, hp, row["loss"],
-                                                         gram=gram, scaling=stats)
-            obj = objective(row["loss"], gram.entries @ state.c, state.c, state.u,
-                            hp.C)
-            if trace.termination == "stalled":  # the last iterate's, as traced
-                assert obj == pytest.approx(trace.records[-1].objective, rel=1e-12)
-            alone.append({**row, **cli._metrics(train, test, mdl, trace, 0.0),
-                          "objective": float(obj)})
-        assert _without_wall(rows) == _without_wall(alone)
-        terms = {(r["loss"], r["termination"]) for r in rows}
-        assert terms == {("l01", "tolerance_met"), ("l01", "stalled")} | {
-            (k, t) for k in cfg.loss[1:] for t in ("tolerance_met", "max_iter")}
-        trivial = next(r for r in rows if (r["loss"], r["C"], r["sigma"])
-                       == ("l01", 0.5, 2.0))
-        assert trivial["iters"] == 1
+        # LOCKSTEP finishes every baseline row; capped at 20 iterations and
+        # at eps 0.3, the baseline rows end max_iter before their first
+        # search at 50, or meet their tolerance, and some of those finish
+        terms = set()
+        for cfg in (RunConfig(**LOCKSTEP),
+                    RunConfig(**{**LOCKSTEP, "max_iter": 20, "eps": 0.3})):
+            rows = bench_rows(cfg)
+            train, test, stats = prepare_splits(cfg)
+            kernel = make_kernel(cfg, train.d)
+            gram = gram_matrix(kernel, train.X)
+            alone = []
+            for row in rows:
+                hp = _hyperparams(cfg, kernel, row["C"], row["sigma"])
+                state, trace, mdl = baselines.solve_baseline(
+                    train, hp, row["loss"], gram=gram, scaling=stats)
+                obj = slack_objective(row["loss"], gram.entries, train.y, state, hp.C)
+                alone.append({**row, **cli._metrics(train, test, mdl, trace, 0.0),
+                              "objective": obj})
+            assert _without_wall(rows) == _without_wall(alone)
+            terms |= {(cfg.max_iter, r["loss"], r["termination"]) for r in rows}
+            trivial = next(r for r in rows if (r["loss"], r["C"], r["sigma"])
+                           == ("l01", 0.5, 2.0))
+            assert trivial["iters"] == 1
+        assert terms == {
+            (300, "l01", "tolerance_met"), (300, "l01", "stalled"),
+            (300, "hinge_l1", "polished"), (300, "squared_hinge_l2", "polished"),
+            (20, "l01", "tolerance_met"), (20, "l01", "max_iter"),
+            (20, "hinge_l1", "tolerance_met"), (20, "hinge_l1", "polished"),
+            (20, "hinge_l1", "max_iter"), (20, "squared_hinge_l2", "polished"),
+            (20, "squared_hinge_l2", "max_iter")}
 
     def test_failed_cell_keeps_its_error_only(self, monkeypatch):
         clean = bench_rows(RunConfig(**LOCKSTEP))
