@@ -325,6 +325,46 @@ class TestCoefficientSolver:
         np.testing.assert_allclose(A_inv @ (K + np.eye(len(K)) / 2.0),
                                    np.eye(len(K)), atol=1e-9)
 
+    def test_every_dsymv_operand_is_f_contiguous(self, monkeypatch):
+        # the dense path's symmetric matrix-vector products, A^-1 d and
+        # K c, read F-ordered matrices only, so no product copies one
+        seen = []
+        real_apply = _CoefficientSolver.apply
+        real_K_times = _CoefficientSolver.K_times
+
+        def recording_apply(self, d):
+            if self.L is None:
+                seen.append(self.A_inv.flags["F_CONTIGUOUS"])
+            return real_apply(self, d)
+
+        def recording_K_times(self, c):
+            if self.L is None:
+                seen.append(self.K.flags["F_CONTIGUOUS"])
+            return real_K_times(self, c)
+
+        monkeypatch.setattr(_CoefficientSolver, "apply", recording_apply)
+        monkeypatch.setattr(_CoefficientSolver, "K_times", recording_K_times)
+        ds = gen_double_circles(60, noise_std=0.1, seed=3)
+        for kernel in (gaussian_spec(0.5), KernelSpec("laplacian", {"rho": 0.5}),
+                       KernelSpec("exponential", {"rho": 0.5})):
+            _, trace = solve(ds, Hyperparams(C=4.0, sigma=1.0, max_iter=5, kernel=kernel))
+            assert trace.factor_rank is None, kernel.family
+        K, y, xi = self._system()
+        update_c(K, y, xi, 0.0, np.zeros(len(y)), 1.0)
+        assert len(seen) > 20 and all(seen)
+        # and a product allocates nothing near the size of A^-1
+        solver = _CoefficientSolver(_GramFactor(K), 1.0)
+        m = len(K)
+        solver.apply(xi)
+        tracemalloc.start()
+        try:
+            c, _ = solver.apply(xi)
+            solver.K_times(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 2
+
     def test_no_solve_loads_scipy(self):
         # a fresh interpreter: a dense (laplacian) solve, a low-rank
         # (gaussian) solve with its prediction and certificates, and a
@@ -499,6 +539,38 @@ class TestLowRankFactor:
         finally:
             tracemalloc.stop()
         assert peak < m * r * 8 / 2
+
+    def test_low_rank_solve_never_loads_scipy_linalg(self):
+        # a fresh interpreter: the low-rank solve, prediction and the three
+        # certificates run on numpy alone; importing scipy.linalg at the
+        # end shows the probe sees it when it is loaded
+        script = textwrap.dedent("""
+            import sys
+            import zeroone as z
+            train, _ = z.split(z.gen_double_circles(1200, seed=7), seed=9)
+            train, _, _ = z.standardize(train, train)
+            hp = z.Hyperparams(C=16.0, sigma=1.0, max_iter=50,
+                               kernel=z.gaussian_spec(1.0 / train.d))
+            gram = z.gram_matrix(hp.kernel, train.X)
+            state, trace = z.solve(train, hp, gram=gram)
+            assert trace.factor_rank is not None
+            mdl = z.from_solution(state, train, hp)
+            z.predict(mdl, train.X)
+            K = gram.entries
+            z.check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            z.check_prox_stationary(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
+                                    mdl.C, mdl.gamma)
+            z.equivalence_roundtrip(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+            print("scipy.linalg" in sys.modules)
+            import scipy.linalg
+            print("scipy.linalg" in sys.modules)
+        """)
+        src = str(Path(admm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], cwd=src,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestUpdateB:
