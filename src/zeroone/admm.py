@@ -434,45 +434,53 @@ def _bordered_solve(K: np.ndarray, T: np.ndarray, rhs: np.ndarray, total: float,
 
     Each call solves its system afresh with ``np.linalg.solve`` (an inverse
     of ``K_TT`` kept up to date by bordering drifted until no point passed
-    the certificate).  The miss is the residual ``||((K_TT + ridge I) c_T +
-    b 1 - rhs, sum(c_T) - total)||``, read off the ``K[:, T] c_T`` the
-    caller needs anyway; it must be at most ``_SOLVE_RTOL (1 + ||rhs||)``,
-    the coefficient solve's guard.  A numerically singular system as a
-    rule misses it by far: its solution is rounding noise, of order 1e14,
-    so the index a search would move next is arbitrary and the search can
-    flip between two sets for good.  The one exception is an unridged
-    system on more indices than ``rank``, the rank of the Gram's low-rank
-    factor (``None`` when there is none): there every ``K_TT`` is
-    singular, whatever ``T`` is, so the solution is returned unchecked,
-    and dropping indices is how a search gets down to a set it can solve.
+    the certificate).  It gathers the columns ``K[:, T]`` once and takes
+    both ``K_TT`` (their rows ``T``) and ``K[:, T] c_T`` from them (a
+    second gather, ``K[np.ix_(T, T)]``, cost more than both).  The miss is
+    the residual ``||((K_TT + ridge I) c_T + b 1 - rhs, sum(c_T) -
+    total)||``, read off the ``K[:, T] c_T`` the caller needs anyway; it
+    must be at most ``_SOLVE_RTOL (1 + ||rhs||)``, the coefficient solve's
+    guard.  A numerically singular system as a rule misses it by far: its
+    solution is rounding noise, of order 1e14, so the index a search would
+    move next is arbitrary and the search can flip between two sets for
+    good.  The one exception is an unridged system on more indices than
+    ``rank``, the rank of the Gram's low-rank factor (``None`` when there
+    is none): there every ``K_TT`` is singular, whatever ``T`` is, so the
+    solution is returned unchecked, and dropping indices is how a search
+    gets down to a set it can solve.
     """
     n = len(T)
     if n == 0:
         return None
-    A = np.ones((n + 1, n + 1))
-    A[:n, :n] = K[np.ix_(T, T)]
+    KT = K[:, T]
+    A = np.empty((n + 1, n + 1))
+    A[:n, :n] = KT[T]
+    A[:n, :n].flat[::n + 1] += ridge
+    A[n, :n] = A[:n, n] = 1.0
     A[n, n] = 0.0
-    A[np.arange(n), np.arange(n)] += ridge
+    x = np.empty(n + 1)
+    x[:n], x[n] = rhs, total
     try:
-        sol = np.linalg.solve(A, np.append(rhs, total))
+        sol = np.linalg.solve(A, x)
     except np.linalg.LinAlgError:
         return None
     c_T, b = sol[:n], float(sol[n])
-    KcT = K[:, T].dot(c_T)
-    resid = np.linalg.norm(np.append(KcT[T] + ridge * c_T + b - rhs, c_T.sum() - total))
+    KcT = KT.dot(c_T)
+    x[:n], x[n] = KcT[T] + ridge * c_T + b - rhs, c_T.sum() - total
     if (ridge or rank is None or n <= rank) and not (
-            resid <= _SOLVE_RTOL * (1.0 + np.linalg.norm(rhs))):
+            math.sqrt(x.dot(x)) <= _SOLVE_RTOL * (1.0 + math.sqrt(rhs.dot(rhs)))):
         return None
     return c_T, b, KcT
 
 
-def _step_l01(K, y, active, C, sigma, rank):
+def _step_l01(K, y, walk, C, sigma, rank):
     """One step of the zero-one search over the active set ``T``
-    (``active``): ``y_i (K_i c + b) = 1`` on ``T`` with ``sum(c_T) = 0`` and
+    (``walk[0]``): ``y_i (K_i c + b) = 1`` on ``T`` with ``sum(c_T) = 0`` and
     ``c`` zero off ``T``.  It drops from ``T`` the largest positive
     multiplier ``lam_i = -y_i c_i``, or, when no ``lam_i`` is positive,
     adds the largest slack that the slack step at ``1/sigma`` would zero;
     with neither, the point is final."""
+    (active,) = walk
     T = np.flatnonzero(active)
     solved = _bordered_solve(K, T, y[T], 0.0, 0.0, rank)
     if solved is None:
@@ -491,7 +499,7 @@ def _step_l01(K, y, active, C, sigma, rank):
     return c, b, u, T, not near.any()
 
 
-def _step_hinge(K, y, side, C, sigma, rank):
+def _step_hinge(K, y, walk, C, sigma, rank):
     """One step of the hinge search over ``side``, the sign of the slack:
     margin ``M`` (0: ``y_i f_i = 1``, ``alpha_i = y_i c_i`` free), bound
     ``B`` (+1: ``alpha = C``) and free ``F`` (-1: ``alpha = 0``).  With
@@ -502,14 +510,17 @@ def _step_hinge(K, y, side, C, sigma, rank):
     each measured in its own unit, ``C`` for ``alpha`` and the margin for
     ``y f`` (that took a sixth fewer solves on ``grid-small``'s grid than
     ``alpha`` unscaled); with none above ``_EXACT_TOL``, the point is
-    final.  Moving every violator at once can cycle, so it moves one."""
-    M, B = np.flatnonzero(side == 0), np.flatnonzero(side > 0)
-    c = np.zeros(len(y))
-    c[B] = C * y[B]
-    KcB = K[:, B].dot(c[B])
-    solved = _bordered_solve(K, M, y[M] - KcB[M], -c[B].sum(), 0.0, rank)
+    final.  Moving every violator at once can cycle, so it moves one.
+
+    ``walk`` is ``[side, K c_B, sum(y_B)]`` (:func:`_start_hinge`); a
+    step adds or subtracts ``C y_i K[:, i]`` when ``i`` enters or leaves
+    ``B``, so no step gathers the columns of ``B``."""
+    side, KcB, yB = walk
+    M = np.flatnonzero(side == 0)
+    solved = _bordered_solve(K, M, y[M] - KcB[M], -C * yB, 0.0, rank)
     if solved is None:
         return None
+    c = np.where(side > 0, C * y, 0.0)
     c[M], b, KcM = solved
     u = 1.0 - y * (KcM + KcB + b)
     u[M] = 0.0
@@ -518,16 +529,31 @@ def _step_hinge(K, y, side, C, sigma, rank):
     i = np.argmax(violation)
     done = not violation[i] > _EXACT_TOL
     if not done:
-        side[i] = np.sign(alpha[i]) if side[i] == 0 else 0
+        new = np.sign(alpha[i]) if side[i] == 0 else 0
+        into_B = int(new > 0) - int(side[i] > 0)  # 1 enters B, -1 leaves it
+        if into_B:
+            KcB += into_B * C * y[i] * K[:, i]
+            walk[2] += into_B * y[i]
+        side[i] = new
     return c, b, u, M, done
 
 
-def _step_sqhinge(K, y, pos, C, sigma, rank):
-    """One step of the squared-hinge search over ``S = {u > 0}`` (``pos``):
-    the ridged system ``(K_SS + I/(2C)) c_S + b 1 = y_S`` with
-    ``sum(c_S) = 0`` and ``c`` zero off ``S``.  The point is final when
+def _start_hinge(K, y, C, s):
+    """The hinge walk from the iterate ``s``: the sign of its slack, and
+    ``K c_B`` and ``sum(y_B)`` on its bound set ``B``.  The sum of labels
+    is an integer, so ``sum(c_B) = C sum(y_B)`` carries no rounding."""
+    side = np.sign(s.u).astype(np.int8)
+    B = np.flatnonzero(side > 0)
+    return [side, K[:, B].dot(C * y[B]), y[B].sum()]
+
+
+def _step_sqhinge(K, y, walk, C, sigma, rank):
+    """One step of the squared-hinge search over ``S = {u > 0}``
+    (``walk[0]``): the ridged system ``(K_SS + I/(2C)) c_S + b 1 = y_S``
+    with ``sum(c_S) = 0`` and ``c`` zero off ``S``.  The point is final when
     its slack ``u = 1 - y (K c + b)`` is positive on ``S`` alone; else
     ``S`` becomes that set."""
+    (pos,) = walk
     S = np.flatnonzero(pos)
     solved = _bordered_solve(K, S, y[S], 0.0, 0.5 / C, rank)
     if solved is None:
@@ -540,12 +566,15 @@ def _step_sqhinge(K, y, pos, C, sigma, rank):
     return c, b, u, np.flatnonzero(u == 0.0), done
 
 
-# The search of each loss kind (see :func:`finish`): its step, and the set
-# the step walks over, read off the iterate the search starts from.
+# The search of each loss kind (see :func:`finish`): its step, and the
+# start of its walk, a list whose first item is the set the step walks
+# over, read off the iterate ``s`` the search starts from; the hinge walk
+# also carries K c_B and sum(y_B).
 _SEARCH = {
-    LossKind.L01: (_step_l01, lambda s: np.isin(np.arange(len(s.u)), s.gamma_k)),
-    LossKind.HINGE: (_step_hinge, lambda s: np.sign(s.u).astype(np.int8)),
-    LossKind.SQHINGE: (_step_sqhinge, lambda s: s.u > 0.0),
+    LossKind.L01: (_step_l01,
+                   lambda K, y, C, s: [np.isin(np.arange(len(s.u)), s.gamma_k)]),
+    LossKind.HINGE: (_step_hinge, _start_hinge),
+    LossKind.SQHINGE: (_step_sqhinge, lambda K, y, C, s: [s.u > 0.0]),
 }
 
 
@@ -568,11 +597,13 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
 
     With ``c`` and ``b`` solved, ``u = 1 - y * (K c + b)``, zero on the
     set the system puts on the margin, and ``lam = -y * c``.  Each step
-    depends on its set alone, so a set met before means the search cycles,
-    and it gives up there.  It also gives up at a system
+    depends on its set alone (the hinge step up to the rounding of the
+    ``K c_B`` it carries from step to step), so a set met before means the
+    search cycles, and it gives up there.  It also gives up at a system
     :func:`_bordered_solve` cannot solve, and after ``2 n + 10`` steps,
     with ``n`` the size of ``gamma_k`` for the zero-one kind and ``m``
-    for the convex ones.
+    for the convex ones.  What a walk carries lives only as long as its
+    search.
 
     The final point counts as exact when its four scaled residuals are at
     most ``_EXACT_TOL`` with the ``kind`` prox
@@ -587,14 +618,14 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     """
     kind = LossKind(kind)
     step, start = _SEARCH[kind]
-    walk = start(row_state)
+    walk = start(K, y, C, row_state)
     n = len(row_state.gamma_k) if kind is LossKind.L01 else len(y)
     seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 * n + 10):
-            if walk.tobytes() in seen:
+            if walk[0].tobytes() in seen:
                 return None
-            seen.add(walk.tobytes())
+            seen.add(walk[0].tobytes())
             out = step(K, y, walk, C, sigma, rank)
             if out is None:
                 return None

@@ -525,6 +525,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise InputError("bench grids must be nonempty")
     if not cfg.loss:
         raise InputError("--loss needs at least one loss kind")
+    for flag, values in (("--loss", [LossKind(k).value for k in cfg.loss]),
+                         ("--grid-c", cfg.grid_c), ("--grid-sigma", cfg.grid_sigma)):
+        twice = [v for i, v in enumerate(values) if v in values[:i]]
+        if twice:  # a repeated cell would be solved and listed twice
+            raise InputError(f"{flag} lists {twice[0]} more than once")
     return cfg
 
 

@@ -1219,3 +1219,83 @@ class TestFinish:
         assert check_kkt(*args, tol=1e-8).is_kkt
         assert check_prox_stationary(*args, state.prox_step,
                                      tol=1e-8).is_prox_stationary
+
+
+def _bordered_reference(K, T, rhs, total, ridge, rank):
+    """The bordered solve built from ``np.ix_``, ``np.append`` and
+    ``np.linalg.norm``, with two gathers of ``K[:, T]``."""
+    n = len(T)
+    if n == 0:
+        return None
+    A = np.ones((n + 1, n + 1))
+    A[:n, :n] = K[np.ix_(T, T)]
+    A[n, n] = 0.0
+    A[np.arange(n), np.arange(n)] += ridge
+    try:
+        sol = np.linalg.solve(A, np.append(rhs, total))
+    except np.linalg.LinAlgError:
+        return None
+    c_T, b = sol[:n], float(sol[n])
+    KcT = K[:, T].dot(c_T)
+    resid = np.linalg.norm(np.append(KcT[T] + ridge * c_T + b - rhs, c_T.sum() - total))
+    if (ridge or rank is None or n <= rank) and not (
+            resid <= admm._SOLVE_RTOL * (1.0 + np.linalg.norm(rhs))):
+        return None
+    return c_T, b, KcT
+
+
+class TestBorderedSolve:
+    """``admm._bordered_solve`` against the reference above."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    @pytest.mark.parametrize("ridge", [0.0, 0.5 / 8.0])
+    def test_matches_reference(self, family, ridge):
+        # random T of every size on a gaussian Gram and on a rank-3 linear
+        # one, whose unridged systems above the factor rank are singular and
+        # returned unchecked; K C-ordered and as the solvers hold it
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 3))
+        kernel = gaussian_spec(0.5) if family == "gaussian" else LINEAR
+        K = gram_matrix(kernel, X).entries
+        rank = _GramFactor(K).rank
+        assert rank == (None if family == "gaussian" else 3)
+        y = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+        outcomes = set()
+        for Kl in (K, _GramFactor(K).K):
+            for n in [0, 1, 2, 3, 4, 5, 10, 30, 59, 60]:
+                for r in (rank, None):
+                    T = np.sort(rng.choice(60, n, replace=False))
+                    rhs, total = y[T] - rng.normal(size=n), float(rng.normal())
+                    got = admm._bordered_solve(Kl, T, rhs, total, ridge, r)
+                    want = _bordered_reference(Kl, T, rhs, total, ridge, r)
+                    assert (got is None) == (want is None), (n, r)
+                    outcomes.add((got is None, n > 3))
+                    if got is None:
+                        continue
+                    for a, b in zip(got, want):
+                        assert np.linalg.norm(np.subtract(a, b)) <= \
+                            1e-12 * np.linalg.norm(b), (n, r)
+        assert (True, False) in outcomes  # empty T
+        if family == "linear" and not ridge:
+            # singular systems: given up above the rank, unchecked at it
+            assert {(True, True), (False, True)} <= outcomes
+
+    def test_hinge_step_gathers_no_bound_columns(self):
+        # one hinge step from |B| = 200 and |M| = 10 on m = 400: the carried
+        # K c_B leaves the gather of K[:, M], 32 KB, where K[:, B] would be
+        # 640 KB
+        rng = np.random.default_rng(5)
+        K = _GramFactor(gram_matrix(gaussian_spec(0.5), rng.normal(size=(400, 2))).entries).K
+        y = np.where(rng.random(400) < 0.5, -1.0, 1.0)
+        state = zeros_state(400)
+        state.u = np.repeat([1.0, 0.0, -1.0], [200, 10, 190])
+        walk = admm._start_hinge(K, y, 4.0, state)
+        assert (np.count_nonzero(walk[0] > 0), np.count_nonzero(walk[0] == 0)) == (200, 10)
+        admm._step_hinge(K, y, admm._start_hinge(K, y, 4.0, state), 4.0, 1.0, None)
+        tracemalloc.start()
+        try:
+            admm._step_hinge(K, y, walk, 4.0, 1.0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 200 * 8 / 2

@@ -336,6 +336,33 @@ class TestBaselineFinish:
             got = admm.slack_objective(kind, K, train.y, point[0], hp.C)
             assert got <= best + 1e-12 * best, (kind, hp.C, hp.sigma)
 
+    def test_carried_product_matches_a_fresh_one(self, monkeypatch):
+        # grid-small's hinge cells at sigma = 1, seed 7: every step's slack
+        # is 1 - y (K c + b) with K c formed afresh, up to rounding of the
+        # terms summed.  Some accepted steps reach |c| of 1e10, whose sums
+        # cancel to |K c| of order 1, so a bound relative to |K c| fails by
+        # rounding alone (1e-7, with K c_B gathered afresh at every step too)
+        train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
+                                               m=500, seed=7, noise_rate=0.05))
+        hps = [Hyperparams(C=C, sigma=1.0, kernel=gaussian_spec(1.0 / train.d))
+               for C in (0.5, 8.0, 64.0)]
+        step, start = admm._SEARCH[LossKind.HINGE]
+        steps = []
+
+        def spy(K, y, walk, C, sigma, rank):
+            out = step(K, y, walk, C, sigma, rank)
+            if out is not None:
+                c, b, u = out[:3]
+                terms = np.abs(K).dot(np.abs(c))
+                steps.append(np.abs(u - (1.0 - y * (K.dot(c) + b))).max()
+                             / (1.0 + terms.max()))
+            return out
+
+        monkeypatch.setitem(admm._SEARCH, LossKind.HINGE, (spy, start))
+        cells = solve_grid(train, hps, [LossKind.HINGE])
+        assert [cell[1].termination for cell in cells] == ["polished"] * 3
+        assert len(steps) > 200 and max(steps) <= 1e-10
+
     def test_search_that_gives_up_leaves_the_row_iterating(self, monkeypatch):
         # grid-small's hinge cell C=64, sigma=1, seed 7: the margin set
         # {u = 0} of each iterate from 50 to 230 holds 71-220 points, whose

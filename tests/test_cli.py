@@ -259,6 +259,31 @@ class TestNonFiniteSolverSetting:
         assert not out.exists()
 
 
+class TestRepeatedGridValue:
+    """A value listed twice would solve its cells twice and list each row
+    twice (and mark the first of two l01 rows ``paper+paper``)."""
+
+    def _bench(self, tmp_path, *flags):
+        out = tmp_path / "bench.csv"
+        code = run_cli("bench", "--dataset", "circles", "--m", "60", "--seed", "1",
+                       "--max-iter", "20", "--selection", "paper", *flags,
+                       "--format", "csv", "--out", str(out))
+        assert not out.exists()
+        return code
+
+    def test_repeated_loss_exits_4(self, tmp_path, capsys):
+        assert self._bench(tmp_path, "--loss", "l01,hinge_l1,l01") == 4
+        assert "--loss lists l01 more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--grid-c", "1,1", "--grid-sigma", "2,2"), "--grid-c lists 1.0"),
+        (("--grid-c", "1,2", "--grid-sigma", "2,2.0"), "--grid-sigma lists 2.0"),
+    ])
+    def test_repeated_grid_value_exits_4(self, tmp_path, capsys, flags, message):
+        assert self._bench(tmp_path, *flags) == 4
+        assert f"{message} more than once" in capsys.readouterr().err
+
+
 class TestNoiseStd:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_unusable_noise_std_exits_4(self, tmp_path, capsys, value):
