@@ -9,8 +9,8 @@ rule.  Stopping monitors the four scaled residuals ``beta1..beta4`` of
 feasibility and the prox fixed-point gap at step ``1/sigma``).  The run
 stops once ``max(beta1, |beta2|, beta3, beta4) < eps``, or when
 :func:`finish` takes an iterate to an exact KKT point: a stalled
-zero-one iterate, or any baseline iterate from iteration 50 on; a grid
-row whose stalled zero-one iterate the polish cannot improve on stops
+zero-one iterate, or any baseline iterate from iteration 50 on; a
+zero-one run whose stalled iterate the polish cannot improve on stops
 there too.
 
 One loop, :func:`_run_admm`, advances a batch of cells (one loss kind, any
@@ -157,8 +157,8 @@ class SolveTrace:
     The termination is ``"tolerance_met"`` (all four scaled residuals
     below ``eps``), ``"polished"`` (a row whose :func:`finish` point was
     accepted; the iterations are those run before it),
-    ``"stalled"`` (a zero-one row of a grid whose last polish attempt
-    was rejected; the state is its last iterate) or ``"max_iter"``.
+    ``"stalled"`` (a zero-one row whose last polish attempt was rejected;
+    the state is its last iterate) or ``"max_iter"``.
 
     ``flat`` holds each iteration's record values as doubles, one after
     another; a lockstep grid keeps every cell's trace until the batch
@@ -600,10 +600,8 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     depends on its set alone (the hinge step up to the rounding of the
     ``K c_B`` it carries from step to step), so a set met before means the
     search cycles, and it gives up there.  It also gives up at a system
-    :func:`_bordered_solve` cannot solve, and after ``2 n + 10`` steps,
-    with ``n`` the size of ``gamma_k`` for the zero-one kind and ``m``
-    for the convex ones.  What a walk carries lives only as long as its
-    search.
+    :func:`_bordered_solve` cannot solve, and after ``2 m + 10`` steps.
+    What a walk carries lives only as long as its search.
 
     The final point counts as exact when its four scaled residuals are at
     most ``_EXACT_TOL`` with the ``kind`` prox
@@ -619,10 +617,9 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     kind = LossKind(kind)
     step, start = _SEARCH[kind]
     walk = start(K, y, C, row_state)
-    n = len(row_state.gamma_k) if kind is LossKind.L01 else len(y)
     seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2 * n + 10):
+        for _ in range(2 * len(y) + 10):
             if walk[0].tobytes() in seen:
                 return None
             seen.add(walk[0].tobytes())
@@ -690,7 +687,6 @@ def _run_admm(
     kind: LossKind,
     init: Optional[AdmmState] = None,
     on_iteration: Optional[Callable[[AdmmState], None]] = None,
-    run_on: bool = False,
 ) -> list:
     """Shared iteration of the zero-one solver and the baselines, run on a
     batch of cells in lockstep.
@@ -722,8 +718,7 @@ def _run_admm(
     tried once more, at the next such iteration.  No point (a search
     that gave up, at a numerically singular system for one, earns no
     second attempt), or a second rejection, ends the row ``"stalled"``
-    with its last iterate, or, with ``run_on``, lets it run on to its
-    tolerance or ``max_iter``.
+    with its last iterate.
     ``on_iteration(state)`` receives a snapshot of every cell still in
     the batch after each iteration.  Returns, per cell,
     ``(AdmmState, SolveTrace)`` or the error that removed it.
@@ -751,7 +746,6 @@ def _run_admm(
     Kc = np.array([s.K_times(start.c) for s in row_solvers])
     c = np.empty_like(Kc)
     l01 = kind == LossKind.L01
-    retry = set()  # cells whose first polish point was worse than the iterate
 
     def state(j, k):
         return AdmmState(c=c[j].copy(), b=float(b[j, 0]), u=u[j].copy(),
@@ -787,9 +781,7 @@ def _run_admm(
                 on_iteration(state(j, k))
             met = max(rec[0], abs(rec[1]), rec[2], rec[3]) < hps[i].eps
             if l01:
-                due = (not met and k % _POLISH_EVERY == 0
-                       and (not traces[i].polish_attempts or i in retry)
-                       and _due(traces[i].flat))
+                due = not met and k % _POLISH_EVERY == 0 and _due(traces[i].flat)
             else:
                 due = met or (k >= _STALL_WINDOW and k % _POLISH_EVERY == 0)
             if due:
@@ -805,14 +797,12 @@ def _run_admm(
                     traces[i].termination = "polished"
                     leave[j] = (point, traces[i])
                     continue
-                if l01 and point is not None and i not in retry:
-                    retry.add(i)
-                elif l01:
-                    retry.discard(i)
-                    if not run_on:
-                        traces[i].termination = "stalled"
-                        leave[j] = (snap, traces[i])
-                        continue
+                # a row still here made no attempt before this one, or
+                # one whose point was worse than its iterate
+                if l01 and (point is None or traces[i].polish_attempts == 2):
+                    traces[i].termination = "stalled"
+                    leave[j] = (snap, traces[i])
+                    continue
             if met or k == hps[i].max_iter:
                 traces[i].termination = "tolerance_met" if met else "max_iter"
                 leave[j] = (state(j, k), traces[i])
@@ -881,17 +871,16 @@ def solve(
         terminates with ``"tolerance_met"`` (all four scaled residuals
         below ``hp.eps``), ``"polished"`` (the state is the exact KKT
         point :func:`finish` reached from a stalled iterate, with its
-        ``prox_step``) or ``"max_iter"``.  The last rejected polish attempt
-        does not end the run, as it ends a row of
-        :func:`~zeroone.baselines.solve_grid`; the run goes on without
-        another.
+        ``prox_step``), ``"stalled"`` (the last polish attempt was
+        rejected; the state is that stalled iterate) or ``"max_iter"``,
+        as for a row of :func:`~zeroone.baselines.solve_grid`.
 
     Identical dataset, hyperparameters and warm start produce bitwise
     identical traces.
     """
     K = _training_gram(dataset, hp, gram)
     (out,) = _run_admm(_coefficient_solvers(K, [hp.sigma]), dataset.y, [hp],
-                       LossKind.L01, init, on_iteration, run_on=True)
+                       LossKind.L01, init, on_iteration)
     if isinstance(out, ZeroOneError):
         raise out
     return out

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zeroone import (Hyperparams, from_solution, gaussian_spec,
+from zeroone import (Hyperparams, admm, from_solution, gaussian_spec,
                      gen_double_circles, gram_matrix, solve, split,
                      standardize)
 
@@ -98,6 +98,18 @@ def make_kkt_fixture(rng, m=8, kind="pair", kernel_rho=0.7):
 
 
 FIXTURE_KINDS = ("pair", "m2pair", "free", "allneg")
+
+
+# ---------------------------------------------------------------------------
+# the ADMM alone
+
+@pytest.fixture
+def admm_alone(monkeypatch):
+    """A call that switches the zero-one polish trigger (``admm._due``) off
+    for the rest of the test, so a zero-one solve runs the ADMM alone, to
+    its tolerance or ``max_iter``.  A rejected polish attempt never alters
+    an iterate, so the iterates are those of the solve with the polish."""
+    return lambda: monkeypatch.setattr(admm, "_due", lambda flat: False)
 
 
 # ---------------------------------------------------------------------------

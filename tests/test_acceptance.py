@@ -229,7 +229,9 @@ def test_c7_noise_robustness(noisy_benches):
 # ---------------------------------------------------------------------------
 # 8. masking invariants over a full-length noisy run
 
-def test_c8_masking_invariants():
+def test_c8_masking_invariants(admm_alone):
+    # the ADMM's own iterates: the polish would end this run at iteration 110
+    admm_alone()
     ds = z.gen_double_circles(150, seed=41)
     ds = z.flip_labels(ds, 0.2, seed=42)
     train, test = z.split(ds, seed=43)

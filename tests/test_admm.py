@@ -5,7 +5,6 @@ import sys
 import textwrap
 import tracemalloc
 from array import array
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -201,7 +200,7 @@ class TestUpdateC:
         assert _shortcut_residual(K, sigma, c, y, xi) <= bound
         assert _full_residual(K, sigma, c, y, xi) <= bound
 
-    def test_singular_gram_solves_without_error(self):
+    def test_singular_gram_solves_without_error(self, admm_alone):
         # duplicated points under the linear kernel make K singular
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         K = gram_matrix(LINEAR, X).entries
@@ -212,8 +211,9 @@ class TestUpdateC:
         bound = 1e-8 * (1 + np.linalg.norm(xi))
         assert _shortcut_residual(K, 1.0, c, y, xi) <= bound
         assert _full_residual(K, 1.0, c, y, xi) <= bound
-        # a whole solve on duplicated rows: no NumericalError, and the same
-        # max_iter, uncertified outcome the two-mode solver gave
+        # a whole ADMM solve on duplicated rows: no NumericalError, and the
+        # same max_iter, uncertified outcome the two-mode solver gave
+        admm_alone()
         base = gen_double_circles(40, noise_std=0.1, seed=3)
         ds = Dataset(X=np.vstack([base.X, base.X]), y=np.concatenate([base.y, base.y]))
         hp = Hyperparams(C=4.0, sigma=1.0, max_iter=300, kernel=LINEAR)
@@ -811,11 +811,11 @@ class TestSolve:
                                     gamma=1.0 / hp.sigma, tol=10 * hp.eps)
         assert rep.is_prox_stationary
 
-    def test_polynomial_solve_certifies(self, monkeypatch):
+    def test_polynomial_solve_certifies(self, admm_alone):
         # the normal-equations solve of K + sigma K K picked up a component
         # in the null space of K here that kept beta1 from vanishing.  The
         # polish ends this solve at iteration 100, so the ADMM's own
-        # convergence is checked with every polish rejected
+        # convergence is checked with the polish switched off
         ds = gen_double_circles(300, noise_std=0.1, seed=7)
         train, test = split(ds, seed=9)
         train, test, _ = standardize(train, test)
@@ -827,9 +827,9 @@ class TestSolve:
         assert check_prox_stationary(state.c, state.b, state.u, state.lam,
                                      gram.entries, train.y, hp.C,
                                      gamma=state.prox_step).is_prox_stationary
-        monkeypatch.setattr(admm, "finish", lambda *args: None)
+        admm_alone()
         state, trace = solve(train, hp, gram=gram)
-        assert trace.termination == "tolerance_met"
+        assert (trace.termination, trace.iterations) == ("tolerance_met", 836)
         rep = check_prox_stationary(state.c, state.b, state.u, state.lam,
                                     gram.entries, train.y, hp.C,
                                     gamma=1.0 / hp.sigma, tol=10 * hp.eps)
@@ -859,6 +859,25 @@ def _dues(flat):
     w, every = admm._RECORD_WIDTH, admm._POLISH_EVERY
     return [k for k in range(every, len(flat) // w + 1, every)
             if admm._due(flat[:k * w])]
+
+
+_STATE_VECTORS = ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega")
+
+
+def _assert_same_solve(train, hp, alone, row=None, gram=None):
+    """``admm.solve``'s ``alone = (state, trace)`` is, bit for bit, the
+    ``solve_grid`` row ``row`` of its cell (solved here, as a one-cell
+    grid, when it is ``None``)."""
+    if row is None:
+        row = solve_grid(train, [hp], [LossKind.L01], gram=gram)[0]
+    (state, trace), (row_state, row_trace) = alone, row[:2]
+    assert (trace.termination, trace.polish_attempts, trace.flat) == \
+        (row_trace.termination, row_trace.polish_attempts, row_trace.flat)
+    assert (state.b, state.iter, state.prox_step) == \
+        (row_state.b, row_state.iter, row_state.prox_step)
+    for name in _STATE_VECTORS:
+        assert getattr(state, name).tobytes() == getattr(row_state, name).tobytes(), \
+            (hp.C, hp.sigma, name)
 
 
 class TestFinish:
@@ -915,11 +934,11 @@ class TestFinish:
                 assert getattr(state, name).tobytes() == getattr(alone, name).tobytes()
             assert model.gamma == alone.prox_step
 
-    def test_worse_kkt_point_is_rejected_and_row_continues(self, monkeypatch):
+    def test_worse_kkt_points_are_rejected_and_row_stalls(self, monkeypatch):
         # both of admm.solve's attempts reach an exact KKT point about 20
         # times worse than the iterate: the first earns the second, and the
-        # run goes on after it.  The same cell as a grid row stops at the
-        # second, ``stalled``, with the iterate it was at
+        # run stops at the second, ``stalled``, with the iterate it was at,
+        # as the same cell does as a grid row
         ds = flip_labels(gen_double_circles(150, seed=3), 0.05, seed=4)
         train, test = split(ds, seed=5)
         train, test, _ = standardize(train, test)
@@ -934,10 +953,9 @@ class TestFinish:
             return out
 
         monkeypatch.setattr(admm, "finish", spy)
-        _, trace = solve(train, hp)
-        assert (trace.termination, trace.iterations) == ("max_iter", 2000)
+        state, trace = solve(train, hp)
         assert trace.polish_attempts == len(tried) == 2
-        assert [iterate.iter for iterate, _ in tried] == _dues(trace.flat)[:2]
+        assert [iterate.iter for iterate, _ in tried] == _dues(trace.flat)
         for iterate, point in tried:
             assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y,
                              hp.C, tol=1e-8).is_kkt
@@ -947,13 +965,11 @@ class TestFinish:
                 10.0 * objective(LossKind.L01, K @ iterate.c, iterate.c,
                                  u_iterate, hp.C)
         iterate = tried[-1][0]
-        ((state, row_trace, _, _),) = solve_grid(train, [hp], [LossKind.L01])
-        assert (row_trace.termination, row_trace.iterations) == \
-            ("stalled", iterate.iter)
-        assert row_trace.polish_attempts == 2 and len(tried) == 4
-        assert row_trace.flat == trace.flat[:len(row_trace.flat)]
-        for name in ("c", "u", "lam", "gamma_k"):
+        assert (trace.termination, trace.iterations) == ("stalled", iterate.iter)
+        for name in _STATE_VECTORS:
             assert getattr(state, name).tobytes() == getattr(iterate, name).tobytes()
+        _assert_same_solve(train, hp, (state, trace))
+        assert len(tried) == 4
 
     def test_worse_first_point_earns_a_second_attempt(self):
         # circles r=0.1, --m 500, seed 20231, C=2, sigma=2: the attempt at
@@ -974,11 +990,12 @@ class TestFinish:
         assert check_prox_stationary(*args, state.prox_step,
                                      tol=1e-8).is_prox_stationary
 
-    def test_point_failing_its_certificate_is_rejected_and_row_continues(
+    def test_point_failing_its_certificate_is_rejected_and_row_stalls(
             self, monkeypatch):
         # the README example is polished at iteration 110; with the
         # certificate failing, that attempt returns None, is counted, and
-        # admm.solve runs on without another: only a worse point earns one
+        # the run stops there, ``stalled``: only a worse point earns a
+        # second attempt
         train, _, hp, gram = _circles_train_example()
         checked, tried = [], []
         real = admm.finish
@@ -994,27 +1011,39 @@ class TestFinish:
 
         monkeypatch.setattr(admm, "check_prox_stationary", failing_check)
         monkeypatch.setattr(admm, "finish", spy)
-        _, trace = solve(train, hp, gram=gram)
-        assert (trace.termination, trace.iterations) == ("max_iter", 2000)
+        state, trace = solve(train, hp, gram=gram)
+        assert (trace.termination, trace.iterations) == ("stalled", 110)
         assert trace.polish_attempts == len(tried) == len(checked) == 1
         assert tried == [(110, None)]
+        _assert_same_solve(train, hp, (state, trace), gram=gram)
 
-    @pytest.mark.parametrize("m, finished", [(15, True), (16, False)])
-    def test_gives_up_after_its_step_budget(self, monkeypatch, m, finished):
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_finishes_a_walk_that_adds_every_index(self, m):
         # K = I, alternating labels, T = {0, 1}: every step's slack off T
         # lies in [2/3, 4/3], inside (0, sqrt(2)], and every multiplier is
         # negative, so each step adds one index: T holds all m indices, and
-        # is final, at step m - 1.  The budget is 2 |gamma_k| + 10 = 14 steps
-        built = []
-        real = admm.construct_gamma
-        monkeypatch.setattr(admm, "construct_gamma",
-                            lambda *args, **kw: built.append(1) or real(*args, **kw))
+        # is final, at step m - 1, well inside the 2 m + 10 step budget
         state = zeros_state(m)
         state.gamma_k = np.array([0, 1])
         point = admm.finish(np.eye(m), np.resize([1.0, -1.0], m), state, 1.0, 1.0)
-        assert (point is not None) == finished == bool(built)
-        if finished:
-            assert len(point.gamma_k) == m
+        assert len(point.gamma_k) == m
+
+    def test_gives_up_after_its_step_budget(self, monkeypatch):
+        # a step that moves to a new set each time and never finishes: the
+        # search stops after exactly 2 m + 10 steps, though it starts from
+        # an empty gamma_k
+        m, steps = 16, []
+
+        def endless(K, y, walk, C, sigma, rank):
+            steps.append(1)
+            walk[0][...] = [len(steps) >> i & 1 for i in range(m)]
+            return np.zeros(m), 0.0, np.ones(m), np.empty(0, dtype=int), False
+
+        monkeypatch.setitem(admm._SEARCH, LossKind.L01,
+                            (endless, admm._SEARCH[LossKind.L01][1]))
+        assert admm.finish(np.eye(m), np.resize([1.0, -1.0], m), zeros_state(m),
+                           1.0, 1.0) is None
+        assert len(steps) == 2 * m + 10
 
     @pytest.mark.parametrize("K, gamma_k", [
         (np.eye(3), []),
@@ -1097,25 +1126,29 @@ class TestFinish:
         assert real(K, train.y, iterate, hp.C, hp.sigma) is None
         assert sizes == [13]
 
-    def test_noisy_configurations_are_rejected_and_run_on(self):
+    def test_noisy_configurations_are_rejected_and_stall(self):
         # the C8 run (circles, labels flipped at 0.2) and the grid-small
         # benchmark's selected zero-one cell (moons r=0.05, C=4, sigma=2)
         # stall; admm.solve tries C8's run twice, each time reaching a point
         # above the iterate, and the cell once, where the search gives up
-        # at a numerically singular system; both are rejected and run on
+        # at a numerically singular system; both are rejected and stop
+        # there, as their grid rows do
         ds = flip_labels(gen_double_circles(150, seed=41), 0.2, seed=42)
         train, test = split(ds, seed=43)
         train, _, _ = standardize(train, test)
         hp = Hyperparams(C=8.0, sigma=1.0, eps=1e-15,
                          kernel=gaussian_spec(1.0 / train.d))
-        _, trace = solve(train, hp)
+        state, trace = solve(train, hp)
         assert (trace.termination, trace.iterations, trace.polish_attempts) == \
-            ("max_iter", 2000, 2)
+            ("stalled", 110, 2)
+        _assert_same_solve(train, hp, (state, trace))
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=7, noise_rate=0.05))
         hp = Hyperparams(C=4.0, sigma=2.0, kernel=gaussian_spec(1.0 / train.d))
-        _, trace = solve(train, hp)
-        assert (trace.termination, trace.polish_attempts) == ("max_iter", 1)
+        state, trace = solve(train, hp)
+        assert (trace.termination, trace.iterations, trace.polish_attempts) == \
+            ("stalled", 100, 1)
+        _assert_same_solve(train, hp, (state, trace))
 
     def test_trace_alone_replays_the_trigger(self):
         # _due on each prefix of a row's stored trace that ends at a
@@ -1143,10 +1176,10 @@ class TestFinish:
                                                           monkeypatch, seed):
         # grid-small's zero-one grid (moons, --m 500, --noise-rate 0.05,
         # default 8x2 grid): every non-trivial row stalls, is tried once or
-        # twice, is rejected and leaves with its last iterate, the cell
-        # solved alone for as many iterations; trace.csv alone replays the
-        # attempts.  A row whose first search gave up is tried once.  Rows
-        # that ran all 2000 iterations would sum to 30 001
+        # twice, is rejected and leaves with its last iterate, as admm.solve
+        # does on the cell alone; trace.csv alone replays the attempts.  A
+        # row whose first search gave up is tried once.  Rows that ran all
+        # 2000 iterations would sum to 30 001
         train, _, _ = prepare_splits(RunConfig(command="bench", generator="moons",
                                                m=500, seed=seed, noise_rate=0.05))
         kernel = gaussian_spec(1.0 / train.d)
@@ -1169,7 +1202,7 @@ class TestFinish:
         assert terminations.count("tolerance_met") == 1
         assert sum(trace.iterations for _, trace, _, _ in cells) <= 1550
         assert [tried[0] for tried in points.values()].count(None) == \
-            {7: 15, 20231: 14}[seed]
+            {7: 14, 20231: 13}[seed]
         for hp, (state, trace, _, _) in zip(hps, cells):
             if trace.termination != "stalled":
                 continue
@@ -1182,13 +1215,8 @@ class TestFinish:
             stored = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
             dues = _dues(array("d", stored.ravel()))
             assert dues[trace.polish_attempts - 1] == trace.iterations
-            alone, alone_trace = solve(
-                train, replace(hp, max_iter=trace.iterations), gram=gram)
-            assert (alone_trace.termination, alone_trace.flat) == \
-                ("max_iter", trace.flat)
-            for name in ("c", "u", "lam", "gamma_k", "eta", "xi", "r", "omega"):
-                assert getattr(state, name).tobytes() == \
-                    getattr(alone, name).tobytes(), (hp.C, hp.sigma, name)
+            _assert_same_solve(train, hp, solve(train, hp, gram=gram),
+                               (state, trace))
 
     @pytest.mark.parametrize("seed", [7, 20231])
     def test_every_separable_circles_cell_is_polished(self, seed):
