@@ -60,8 +60,8 @@ _EXACT_TOL = 1e-8
 @dataclass
 class Hyperparams:
     """Solver settings: loss weight C, penalty sigma, dual step iota,
-    stopping tolerance eps (each finite and > 0), iteration cap and the
-    kernel.
+    stopping tolerance eps (each finite and > 0), iteration cap (an
+    integer >= 1, not a boolean) and the kernel.
 
     Every kernel uses one coefficient system,
     ``[(1/sigma) I + K] c = diag(y) xi``, with no setting to pick how it
@@ -84,8 +84,9 @@ class Hyperparams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and > 0, got {value}")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InputError(f"max_iter must be >= 1 and an integer, got {n!r}")
 
     @property
     def strictly_pd_shortcut(self) -> bool:
@@ -473,109 +474,71 @@ def _bordered_solve(K: np.ndarray, T: np.ndarray, rhs: np.ndarray, total: float,
     return c_T, b, KcT
 
 
-def _step_l01(K, y, walk, C, sigma, rank):
-    """One step of the zero-one search over the active set ``T``
-    (``walk[0]``): ``y_i (K_i c + b) = 1`` on ``T`` with ``sum(c_T) = 0`` and
-    ``c`` zero off ``T``.  It drops from ``T`` the largest positive
-    multiplier ``lam_i = -y_i c_i``, or, when no ``lam_i`` is positive,
-    adds the largest slack that the slack step at ``1/sigma`` would zero;
-    with neither, the point is final."""
-    (active,) = walk
-    T = np.flatnonzero(active)
-    solved = _bordered_solve(K, T, y[T], 0.0, 0.0, rank)
-    if solved is None:
-        return None
-    c = np.zeros(len(y))
-    c[T], b, Kc = solved
-    u = 1.0 - y * (Kc + b)
-    u[T] = 0.0
-    lam = -y * c
-    if lam.max() > 0.0:
-        active[np.argmax(lam)] = False
-        return c, b, u, T, False
-    near = prox_l01_zeroed(u, ProxParams(1.0 / sigma, C))[1]
-    if near.any():
-        active[np.argmax(np.where(near, u, 0.0))] = True
-    return c, b, u, T, not near.any()
-
-
-def _step_hinge(K, y, walk, C, sigma, rank):
-    """One step of the hinge search over ``side``, the sign of the slack:
-    margin ``M`` (0: ``y_i f_i = 1``, ``alpha_i = y_i c_i`` free), bound
-    ``B`` (+1: ``alpha = C``) and free ``F`` (-1: ``alpha = 0``).  With
-    ``c_B = C y_B`` and ``c_F = 0`` it solves ``K_MM c_M + b 1 = y_M -
-    (K c_B)_M`` with ``sum(c_M) = -sum(c_B)``.  It then moves the worst
-    violator: ``alpha < 0`` (to ``F``) or ``alpha > C`` (to ``B``) on
-    ``M``, or ``y f < 1`` on ``F`` or ``y f > 1`` on ``B`` (to ``M``),
-    each measured in its own unit, ``C`` for ``alpha`` and the margin for
-    ``y f`` (that took a sixth fewer solves on ``grid-small``'s grid than
-    ``alpha`` unscaled); with none above ``_EXACT_TOL``, the point is
-    final.  Moving every violator at once can cycle, so it moves one.
-
-    ``walk`` is ``[side, K c_B, sum(y_B)]`` (:func:`_start_hinge`); a
-    step adds or subtracts ``C y_i K[:, i]`` when ``i`` enters or leaves
-    ``B``, so no step gathers the columns of ``B``."""
-    side, KcB, yB = walk
+def _finish_step(K, y, side, KcB, yB, C, ridge, rank):
+    """``M``, ``c``, ``b`` and ``u = 1 - y (K c + b)`` at the walk ``side``
+    of a :func:`finish` search, or ``None`` when :func:`_bordered_solve`
+    gives up: with ``c_B = C y_B`` and ``c`` zero on the free points, it
+    solves ``(K_MM + ridge I) c_M + b 1 = y_M - (K c_B)_M`` with
+    ``sum(c_M) = -C yB``, from ``KcB = K c_B`` and ``yB = sum(y_B)``
+    carried by the walk (no step gathers the columns of ``B``, and a sum
+    of labels carries no rounding).  Unridged, ``u`` is 0 on ``M``."""
     M = np.flatnonzero(side == 0)
-    solved = _bordered_solve(K, M, y[M] - KcB[M], -C * yB, 0.0, rank)
+    solved = _bordered_solve(K, M, y[M] - KcB[M], -C * yB, ridge, rank)
     if solved is None:
         return None
     c = np.where(side > 0, C * y, 0.0)
     c[M], b, KcM = solved
     u = 1.0 - y * (KcM + KcB + b)
-    u[M] = 0.0
+    if not ridge:
+        u[M] = 0.0
+    return M, c, b, u
+
+
+def _move_l01(K, y, side, KcB, yB, c, u, C, sigma):
+    """Zero-one move over the active set ``M``: drop the largest positive
+    multiplier ``lam_i = -y_i c_i``, or, when no ``lam_i`` is positive,
+    add the largest slack that the slack step at ``1/sigma`` would zero;
+    with neither, the point is final (returns ``True``)."""
+    lam = -y * c
+    if lam.max() > 0.0:
+        side[np.argmax(lam)] = -1
+        return False
+    near = prox_l01_zeroed(u, ProxParams(1.0 / sigma, C))[1]
+    if near.any():
+        side[np.argmax(np.where(near, u, 0.0))] = 0
+    return not near.any()
+
+
+def _move_hinge(K, y, side, KcB, yB, c, u, C, sigma):
+    """Hinge move over the margin ``M`` (``alpha = y c`` free), bound ``B``
+    (``alpha = C``) and free (``alpha = 0``) sets: move the worst
+    violator, ``alpha < 0`` (to free) or ``alpha > C`` (to ``B``) on
+    ``M``, or ``y f < 1`` when free or ``y f > 1`` on ``B`` (to ``M``),
+    each in its own unit, ``C`` for ``alpha`` and the margin for ``y f``
+    (a sixth fewer solves on ``grid-small``'s grid than ``alpha``
+    unscaled), and update ``KcB`` and ``yB`` when ``i`` enters or leaves
+    ``B``.  With none above ``_EXACT_TOL``, the point is final.  Moving
+    every violator at once can cycle."""
     alpha = y * c
     violation = np.where(side == 0, np.maximum(-alpha, alpha - C) / C, -side * u)
     i = np.argmax(violation)
-    done = not violation[i] > _EXACT_TOL
-    if not done:
-        new = np.sign(alpha[i]) if side[i] == 0 else 0
-        into_B = int(new > 0) - int(side[i] > 0)  # 1 enters B, -1 leaves it
-        if into_B:
-            KcB += into_B * C * y[i] * K[:, i]
-            walk[2] += into_B * y[i]
-        side[i] = new
-    return c, b, u, M, done
+    if not violation[i] > _EXACT_TOL:
+        return True
+    new = np.sign(alpha[i]) if side[i] == 0 else 0
+    into_B = int(new > 0) - int(side[i] > 0)  # 1 enters B, -1 leaves it
+    if into_B:
+        KcB += into_B * C * y[i] * K[:, i]
+        yB += into_B * y[i]
+    side[i] = new
+    return False
 
 
-def _start_hinge(K, y, C, s):
-    """The hinge walk from the iterate ``s``: the sign of its slack, and
-    ``K c_B`` and ``sum(y_B)`` on its bound set ``B``.  The sum of labels
-    is an integer, so ``sum(c_B) = C sum(y_B)`` carries no rounding."""
-    side = np.sign(s.u).astype(np.int8)
-    B = np.flatnonzero(side > 0)
-    return [side, K[:, B].dot(C * y[B]), y[B].sum()]
-
-
-def _step_sqhinge(K, y, walk, C, sigma, rank):
-    """One step of the squared-hinge search over ``S = {u > 0}``
-    (``walk[0]``): the ridged system ``(K_SS + I/(2C)) c_S + b 1 = y_S``
-    with ``sum(c_S) = 0`` and ``c`` zero off ``S``.  The point is final when
-    its slack ``u = 1 - y (K c + b)`` is positive on ``S`` alone; else
-    ``S`` becomes that set."""
-    (pos,) = walk
-    S = np.flatnonzero(pos)
-    solved = _bordered_solve(K, S, y[S], 0.0, 0.5 / C, rank)
-    if solved is None:
-        return None
-    c = np.zeros(len(y))
-    c[S], b, Kc = solved
-    u = 1.0 - y * (Kc + b)
-    done = np.array_equal(u > 0.0, pos)
-    pos[...] = u > 0.0
-    return c, b, u, np.flatnonzero(u == 0.0), done
-
-
-# The search of each loss kind (see :func:`finish`): its step, and the
-# start of its walk, a list whose first item is the set the step walks
-# over, read off the iterate ``s`` the search starts from; the hinge walk
-# also carries K c_B and sum(y_B).
-_SEARCH = {
-    LossKind.L01: (_step_l01,
-                   lambda K, y, C, s: [np.isin(np.arange(len(s.u)), s.gamma_k)]),
-    LossKind.HINGE: (_step_hinge, _start_hinge),
-    LossKind.SQHINGE: (_step_sqhinge, lambda K, y, C, s: [s.u > 0.0]),
-}
+def _move_sqhinge(K, y, side, KcB, yB, c, u, C, sigma):
+    """Squared-hinge move: ``M`` becomes ``{u > 0}``; the point is final
+    when it was that set already."""
+    done = np.array_equal(u > 0.0, side == 0)
+    side[...] = (u > 0.0) - 1
+    return done
 
 
 def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
@@ -584,50 +547,53 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
     """Finish an iterate of the ``kind`` loss at an exact KKT point by an
     active-set search; ``None`` when the search reaches no such point.
 
-    Each kind walks its own set (see ``_SEARCH``), and each step solves one
-    bordered system, ``c`` on the set and the bias ``b``
-    (:func:`_bordered_solve`), then moves indices in or out of the set:
+    Each step solves at the walk ``side`` (:func:`_finish_step`), one int8
+    per sample, then the ``kind``'s move rule changes it.  The walk starts
+    from the iterate:
 
-    * zero-one (:func:`_step_l01`): the active set ``T``, from
-      ``row_state.gamma_k``;
-    * hinge (:func:`_step_hinge`): the margin, bound and free sets, from
-      the sign of ``row_state.u``;
-    * squared hinge (:func:`_step_sqhinge`): ``S = {u > 0}``, from
-      ``row_state.u``; this took 1-3 solves.
+    * zero-one (:func:`_move_l01`): ``M`` is ``row_state.gamma_k``;
+    * hinge (:func:`_move_hinge`): ``side`` is the sign of ``row_state.u``;
+    * squared hinge (:func:`_move_sqhinge`): ``M = {u > 0}``, with the
+      ridge ``1/(2C)``; this took 1-3 solves.
 
-    With ``c`` and ``b`` solved, ``u = 1 - y * (K c + b)``, zero on the
-    set the system puts on the margin, and ``lam = -y * c``.  Each step
-    depends on its set alone (the hinge step up to the rounding of the
-    ``K c_B`` it carries from step to step), so a set met before means the
-    search cycles, and it gives up there.  It also gives up at a system
-    :func:`_bordered_solve` cannot solve, and after ``2 m + 10`` steps.
-    What a walk carries lives only as long as its search.
+    Each step depends on its walk alone (the hinge step up to the rounding
+    of its carried ``K c_B``), so a walk met before means the search
+    cycles, and it gives up there, as it does at a system
+    :func:`_bordered_solve` cannot solve and after ``2 m + 10`` steps.
 
     The final point counts as exact when its four scaled residuals are at
     most ``_EXACT_TOL`` with the ``kind`` prox
     (``check_prox_stationary``).  For the zero-one kind the step is the
     one :func:`~zeroone.stationarity.construct_gamma` builds for it (its
-    ``lam <= 0`` on ``T`` and ``lam = 0`` off it is the KKT sign pattern),
+    ``lam <= 0`` on ``M`` and ``lam = 0`` off it is the KKT sign pattern),
     which, by the paper's equivalence, makes the point KKT, and the point
     carries that step as ``prox_step`` (see :class:`AdmmState`); whether
-    it improves on the iterate is :func:`_improves`' decision.  For a
+    it improves on the iterate is :func:`_run_admm`'s decision.  For a
     convex kind the step is ``1/sigma``, and an exact point is the
     optimum.
     """
     kind = LossKind(kind)
-    step, start = _SEARCH[kind]
-    walk = start(K, y, C, row_state)
+    if kind is LossKind.L01:
+        move, ridge, side = _move_l01, 0.0, np.full(len(y), -1, np.int8)
+        side[row_state.gamma_k] = 0
+    elif kind is LossKind.HINGE:
+        move, ridge, side = _move_hinge, 0.0, np.sign(row_state.u).astype(np.int8)
+    else:
+        move, ridge = _move_sqhinge, 0.5 / C
+        side = (row_state.u > 0.0).astype(np.int8) - 1
+    B = np.flatnonzero(side > 0)
+    KcB, yB = K[:, B].dot(C * y[B]), np.array(y[B].sum())
     seen = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 * len(y) + 10):
-            if walk[0].tobytes() in seen:
+            if side.tobytes() in seen:
                 return None
-            seen.add(walk[0].tobytes())
-            out = step(K, y, walk, C, sigma, rank)
+            seen.add(side.tobytes())
+            out = _finish_step(K, y, side, KcB, yB, C, ridge, rank)
             if out is None:
                 return None
-            c, b, u, zeroed, done = out
-            if done:
+            M, c, b, u = out
+            if move(K, y, side, KcB, yB, c, u, C, sigma):
                 break
         else:
             return None
@@ -637,7 +603,8 @@ def finish(K: np.ndarray, y: np.ndarray, row_state: AdmmState, C: float,
         if not check_prox_stationary(c, b, u, lam, K, y, C, gamma, tol=_EXACT_TOL,
                                      kind=kind).is_prox_stationary:
             return None
-    return replace(row_state, c=c, b=b, u=u, lam=lam, gamma_k=zeroed,
+    return replace(row_state, c=c, b=b, u=u, lam=lam,
+                   gamma_k=np.flatnonzero(u == 0.0) if ridge else M,
                    prox_step=gamma if kind is LossKind.L01 else None)
 
 
@@ -649,23 +616,13 @@ def slack_objective(kind: LossKind, K: np.ndarray, y: np.ndarray,
     reads low: the zero-one one is zero on ``gamma_k``, where ``(c, b)``
     do not put it.  A polished zero-one point (one with a ``prox_step``)
     keeps its own ``u``: that is the same slack with its active set at
-    exactly 0, where rounding would otherwise decide the count."""
-    Kc = K.dot(state.c)
-    u = state.u if state.prox_step is not None else 1.0 - y * (Kc + state.b)
+    exactly 0, where rounding would otherwise decide the count; its ``c``
+    is zero off that set, so ``K c`` reads only the set's columns."""
+    polished = state.prox_step is not None
+    T = state.gamma_k if polished else slice(None)
+    Kc = K[:, T].dot(state.c[T])
+    u = state.u if polished else 1.0 - y * (Kc + state.b)
     return float(objective(kind, Kc, state.c, u, C))
-
-
-def _improves(K: np.ndarray, y: np.ndarray, point: AdmmState,
-              iterate: AdmmState, C: float) -> bool:
-    """Whether the zero-one :func:`finish` ``point`` reached from
-    ``iterate`` has an objective not above the iterate's
-    :func:`slack_objective`.  On noisy data the working set's KKT point
-    can hold mislabelled points on the margin at a far higher objective;
-    this test keeps it out.
-    """
-    T = point.gamma_k
-    return bool(objective(LossKind.L01, K[:, T].dot(point.c[T]), point.c, point.u, C)
-                <= slack_objective(LossKind.L01, K, y, iterate, C))
 
 
 def _due(flat: array) -> bool:
@@ -712,8 +669,10 @@ def _run_admm(
     is tried at the first
     ``_POLISH_EVERY``-th iteration where :func:`_due` holds on its trace;
     the decision reads nothing but the trace, so the row's records replay
-    it.  A :func:`finish` point that :func:`_improves` on the iterate ends
-    the row ``"polished"``.  A worse one says the iterate has not yet
+    it.  A :func:`finish` point whose :func:`slack_objective` is not above
+    the iterate's ends the row ``"polished"`` (on noisy data the working
+    set's KKT point can hold mislabelled points on the margin at a far
+    higher objective).  A worse one says the iterate has not yet
     settled near the KKT point its working set leads to, so the row is
     tried once more, at the next such iteration.  No point (a search
     that gave up, at a numerically singular system for one, earns no
@@ -789,8 +748,9 @@ def _run_admm(
                 t0 = time.perf_counter()
                 point = finish(row_solvers[j].K, y, snap, hps[i].C, hps[i].sigma,
                                row_solvers[j].factor_rank, kind)
-                polished = point is not None and (not l01 or _improves(
-                    row_solvers[j].K, y, point, snap, hps[i].C))
+                polished = point is not None and (not l01 or slack_objective(
+                    kind, row_solvers[j].K, y, point, hps[i].C) <= slack_objective(
+                    kind, row_solvers[j].K, y, snap, hps[i].C))
                 traces[i].polish_attempts += 1
                 traces[i].polish_s += time.perf_counter() - t0
                 if polished:

@@ -264,15 +264,14 @@ def cmd_certify(cfg: RunConfig) -> int:
         )
     K = gram_matrix(mdl.kernel, mdl.X).entries
     tol = 10.0 * cfg.eps
-    kkt = check_kkt(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C, tol=tol)
-    prox = check_prox_stationary(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
-                                 mdl.C, mdl.gamma, tol=tol)
-    equiv = equivalence_roundtrip(mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y,
-                                  mdl.C, tol=tol)
+    args = (mdl.c, mdl.b, mdl.u, mdl.lam, K, mdl.y, mdl.C)
+    prox = check_prox_stationary(*args, mdl.gamma, tol=tol, kind=mdl.loss)
+    l01 = mdl.loss is LossKind.L01  # the KKT and equivalence checks are its own
     report = {
-        "kkt": kkt.to_dict(),
+        "kkt": check_kkt(*args, tol=tol).to_dict() if l01 else None,
         "prox_stationary": prox.to_dict(),
-        "equivalence_roundtrip": equiv,
+        "equivalence_roundtrip":
+            equivalence_roundtrip(*args, tol=tol) if l01 else None,
         "tol": tol,
     }
     _emit(json.dumps(report, indent=2) + "\n", cfg.out)

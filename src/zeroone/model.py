@@ -38,7 +38,8 @@ class TrainedModel:
 
     ``gamma`` is the prox step at which the solution is certified: the
     stored ``construct_gamma`` step of a polished zero-one solve (see
-    :func:`zeroone.admm.finish`), otherwise ``1/sigma``;
+    :func:`zeroone.admm.finish`), otherwise ``1/sigma``; ``loss`` is the
+    loss it was trained with, whose prox the certificate uses;
     ``scaling`` carries the standardization applied to the training inputs
     so new raw inputs can be transformed identically.
     """
@@ -55,6 +56,7 @@ class TrainedModel:
     C: float
     scaling: Optional[StandardizeStats] = None
     meta: dict = field(default_factory=dict)
+    loss: LossKind = LossKind.L01
 
     @property
     def nsv(self) -> int:
@@ -75,9 +77,10 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
     ``c = -y * lam`` exactly, so the support-only form is the primal
     one.
     """
+    kind = LossKind(kind)
     gamma = 1.0 / hp.sigma if state.prox_step is None else state.prox_step
     support = support_vectors(state.u, state.lam, hp.C, gamma) \
-        if LossKind(kind) is LossKind.L01 else np.flatnonzero(state.lam)
+        if kind is LossKind.L01 else np.flatnonzero(state.lam)
     return TrainedModel(
         c=state.c.copy(), b=float(state.b), lam=state.lam.copy(),
         u=state.u.copy(), support=support,
@@ -85,6 +88,7 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
         gamma=gamma, C=hp.C, scaling=scaling,
         meta={"dataset": dataset.name,
               "train_fingerprint": data_fingerprint(dataset.X)},
+        loss=kind,
     )
 
 
@@ -156,6 +160,7 @@ def to_json(model: TrainedModel) -> str:
         "train": {"X": model.X.tolist(), "y": model.y.tolist()},
         "scaling": model.scaling.to_dict() if model.scaling else None,
         "meta": model.meta,
+        "loss": model.loss.value,
     }
     return json.dumps(doc)
 
@@ -196,16 +201,18 @@ def _field(doc, path: str, convert, valid=None, rule: str = ""):
 
 
 def from_json(text: str) -> TrainedModel:
-    """The model :func:`to_json` wrote.  A missing field (only ``scaling``
-    and ``meta`` may be absent) or one of the wrong JSON kind, a
-    ``train.X`` that is not a matrix, a ``c``, ``lam``, ``u`` or
-    ``train.y`` that does not match its rows, a ``scaling`` that does not
-    match its columns, a support index out of range, or an invalid value
-    raises ``InputError``.  Kinds: numbers, never booleans or strings;
-    integers in ``support``; booleans in ``scaling.constant``; objects
-    elsewhere.  Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in
-    {-1, +1}, a strictly increasing ``support``, ``scaling.std`` > 0 off
-    the ``constant`` features, and every float finite."""
+    """The model :func:`to_json` wrote.  A missing field (only ``scaling``,
+    ``meta`` and ``loss`` may be absent; a file without ``loss``, as
+    written before it was stored, reads as ``l01``) or one of the wrong
+    JSON kind, a ``train.X`` that is not a matrix, a ``c``, ``lam``, ``u``
+    or ``train.y`` that does not match its rows, a ``scaling`` that does
+    not match its columns, a support index out of range, or an invalid
+    value raises ``InputError``.  Kinds: numbers, never booleans or
+    strings; integers in ``support``; booleans in ``scaling.constant``; a
+    :class:`~zeroone.prox.LossKind` value in ``loss``; objects elsewhere.
+    Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in {-1, +1}, a
+    strictly increasing ``support``, ``scaling.std`` > 0 off the
+    ``constant`` features, and every float finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InputError(f"model file holds a JSON {type(doc).__name__}, "
@@ -243,6 +250,7 @@ def from_json(text: str) -> TrainedModel:
         C=_field(doc, "C", scalar, *positive),
         scaling=scaling,
         meta=_field(doc, "meta", _object) if "meta" in doc else {},
+        loss=_field(doc, "loss", LossKind) if "loss" in doc else LossKind.L01,
     )
     if mdl.X.ndim != 2:
         raise InputError(f"model field 'train.X' has shape {mdl.X.shape}, "

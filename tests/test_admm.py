@@ -689,8 +689,10 @@ class TestHyperparams:
         with pytest.raises(InputError, match=f"^{name} must be finite and > 0"):
             Hyperparams(**{"C": 1.0, "sigma": 1.0, name: value})
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, math.nan, True, False])
     def test_max_iter_below_one_rejected(self, max_iter):
+        # a float or a boolean is no iteration count: 2.5 and nan would
+        # fail later with a bare TypeError, and True would run 1 iteration
         with pytest.raises(InputError, match="^max_iter must be >= 1"):
             Hyperparams(C=1.0, sigma=1.0, max_iter=max_iter)
 
@@ -959,7 +961,8 @@ class TestFinish:
         for iterate, point in tried:
             assert check_kkt(point.c, point.b, point.u, point.lam, K, train.y,
                              hp.C, tol=1e-8).is_kkt
-            assert not admm._improves(K, train.y, point, iterate, hp.C)
+            assert admm.slack_objective(LossKind.L01, K, train.y, point, hp.C) > \
+                admm.slack_objective(LossKind.L01, K, train.y, iterate, hp.C)
             u_iterate = 1.0 - train.y * (K @ iterate.c + iterate.b)
             assert objective(LossKind.L01, K @ point.c, point.c, point.u, hp.C) > \
                 10.0 * objective(LossKind.L01, K @ iterate.c, iterate.c,
@@ -1029,21 +1032,23 @@ class TestFinish:
         assert len(point.gamma_k) == m
 
     def test_gives_up_after_its_step_budget(self, monkeypatch):
-        # a step that moves to a new set each time and never finishes: the
-        # search stops after exactly 2 m + 10 steps, though it starts from
-        # an empty gamma_k
-        m, steps = 16, []
+        # a move rule that moves to a new set each time and never finishes,
+        # after solvable steps (K = I, M never empty): the search stops
+        # after exactly 2 m + 10 steps, though it starts from a one-index
+        # gamma_k
+        m, moves = 16, []
 
-        def endless(K, y, walk, C, sigma, rank):
-            steps.append(1)
-            walk[0][...] = [len(steps) >> i & 1 for i in range(m)]
-            return np.zeros(m), 0.0, np.ones(m), np.empty(0, dtype=int), False
+        def endless(K, y, side, KcB, yB, c, u, C, sigma):
+            moves.append(1)
+            side[...] = [-(len(moves) >> i & 1) for i in range(m)]
+            return False
 
-        monkeypatch.setitem(admm._SEARCH, LossKind.L01,
-                            (endless, admm._SEARCH[LossKind.L01][1]))
-        assert admm.finish(np.eye(m), np.resize([1.0, -1.0], m), zeros_state(m),
+        monkeypatch.setattr(admm, "_move_l01", endless)
+        state = zeros_state(m)
+        state.gamma_k = np.array([0])
+        assert admm.finish(np.eye(m), np.resize([1.0, -1.0], m), state,
                            1.0, 1.0) is None
-        assert len(steps) == 2 * m + 10
+        assert len(moves) == 2 * m + 10
 
     @pytest.mark.parametrize("K, gamma_k", [
         (np.eye(3), []),
@@ -1309,20 +1314,24 @@ class TestBorderedSolve:
             assert {(True, True), (False, True)} <= outcomes
 
     def test_hinge_step_gathers_no_bound_columns(self):
-        # one hinge step from |B| = 200 and |M| = 10 on m = 400: the carried
-        # K c_B leaves the gather of K[:, M], 32 KB, where K[:, B] would be
-        # 640 KB
+        # one hinge step and move from |B| = 200 and |M| = 10 on m = 400:
+        # the carried K c_B leaves the gather of K[:, M], 32 KB, where
+        # K[:, B] would be 640 KB
         rng = np.random.default_rng(5)
         K = _GramFactor(gram_matrix(gaussian_spec(0.5), rng.normal(size=(400, 2))).entries).K
         y = np.where(rng.random(400) < 0.5, -1.0, 1.0)
-        state = zeros_state(400)
-        state.u = np.repeat([1.0, 0.0, -1.0], [200, 10, 190])
-        walk = admm._start_hinge(K, y, 4.0, state)
-        assert (np.count_nonzero(walk[0] > 0), np.count_nonzero(walk[0] == 0)) == (200, 10)
-        admm._step_hinge(K, y, admm._start_hinge(K, y, 4.0, state), 4.0, 1.0, None)
+        side = np.repeat(np.array([1, 0, -1], dtype=np.int8), [200, 10, 190])
+        KcB, yB = K[:, :200].dot(4.0 * y[:200]), np.array(y[:200].sum())
+
+        def step(side, KcB, yB):
+            M, c, b, u = admm._finish_step(K, y, side, KcB, yB, 4.0, 0.0, None)
+            assert len(M) == 10
+            admm._move_hinge(K, y, side, KcB, yB, c, u, 4.0, 1.0)
+
+        step(side.copy(), KcB.copy(), yB.copy())
         tracemalloc.start()
         try:
-            admm._step_hinge(K, y, walk, 4.0, 1.0, None)
+            step(side, KcB, yB)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -346,19 +346,20 @@ class TestBaselineFinish:
                                                m=500, seed=7, noise_rate=0.05))
         hps = [Hyperparams(C=C, sigma=1.0, kernel=gaussian_spec(1.0 / train.d))
                for C in (0.5, 8.0, 64.0)]
-        step, start = admm._SEARCH[LossKind.HINGE]
+        step = admm._finish_step
         steps = []
 
-        def spy(K, y, walk, C, sigma, rank):
-            out = step(K, y, walk, C, sigma, rank)
+        def spy(K, y, side, KcB, yB, C, ridge, rank):
+            assert yB == y[side > 0].sum()  # a sum of labels, carried exactly
+            out = step(K, y, side, KcB, yB, C, ridge, rank)
             if out is not None:
-                c, b, u = out[:3]
+                _, c, b, u = out
                 terms = np.abs(K).dot(np.abs(c))
                 steps.append(np.abs(u - (1.0 - y * (K.dot(c) + b))).max()
                              / (1.0 + terms.max()))
             return out
 
-        monkeypatch.setitem(admm._SEARCH, LossKind.HINGE, (spy, start))
+        monkeypatch.setattr(admm, "_finish_step", spy)
         cells = solve_grid(train, hps, [LossKind.HINGE])
         assert [cell[1].termination for cell in cells] == ["polished"] * 3
         assert len(steps) > 200 and max(steps) <= 1e-10

@@ -386,6 +386,21 @@ class TestEvalCertify:
         assert report["prox_stationary"]["is_prox_stationary"] is True
         assert report["equivalence_roundtrip"] is True
 
+    @pytest.mark.parametrize("loss", ["hinge_l1", "squared_hinge_l2"])
+    def test_certify_baseline_model_with_its_own_prox(self, tmp_path, capsys, loss):
+        # the finished baseline point is prox-stationary with its own loss's
+        # prox; the zero-one prox read res_prox 2.65 on the hinge model
+        assert run_cli("train", "--dataset", "moons", "--m", "300", "--seed", "7",
+                       "--C", "8", "--sigma", "1", "--loss", loss,
+                       "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "model.json").read_text())["loss"] == loss
+        capsys.readouterr()
+        assert run_cli("certify", "--model", str(tmp_path / "model.json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["prox_stationary"]["is_prox_stationary"] is True
+        assert report["prox_stationary"]["res_prox"] <= 1e-8
+        assert report["kkt"] is None and report["equivalence_roundtrip"] is None
+
     def test_certify_perturbed_bias_fails(self, tmp_path, trained, capsys):
         doc = json.loads(trained.read_text())
         doc["b"] = doc["b"] + 1.0
@@ -482,6 +497,8 @@ class TestModelFile:
         ("scaling.constant", [0, 0], "'scaling.constant': a value is int, not a boolean"),
         ("scaling", [], "'scaling': expected an object, got list"),
         ("meta", [], "'meta': expected an object, got list"),
+        ("loss", "hinge", "'loss': 'hinge' is not a valid LossKind"),
+        ("loss", 1, "'loss': 1 is not a valid LossKind"),
     ])
     def test_field_of_wrong_type_exits_4(self, paths, capsys, name, value, message):
         *outer, key = name.split(".")

@@ -1,5 +1,6 @@
 """Every name a package module imports is referenced in that module, and
-every top-level private name is referenced somewhere in the package.
+every top-level private name and private method is referenced somewhere in
+the package.
 
 Stdlib ``ast`` only: an import or a helper left behind when the code that
 used it goes fails here instead of waiting for a reader to notice it.
@@ -35,10 +36,12 @@ def referenced_names(tree):
 
 
 def private_definitions(tree):
-    """Top-level ``_name`` functions, classes and constants, with their
-    line numbers."""
+    """Top-level ``_name`` functions, classes and constants, and the
+    ``_name`` methods and attributes of top-level classes, with their line
+    numbers."""
     names = {}
-    for node in tree.body:
+    members = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    for node in tree.body + members:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -99,9 +102,12 @@ def test_detects_an_orphaned_helper():
     tree = ast.parse("_LIMIT = 3\n_unused = 0\n"
                      "def _helper():\n    return _LIMIT\n"
                      "def _orphan():\n    return _helper()\n"
-                     "class _Gone:\n    pass\n")
+                     "class _Gone:\n    pass\n"
+                     "class Kept:\n"
+                     "    def _used(self):\n        return 1\n"
+                     "    def _left(self):\n        return self._used()\n")
     assert set(private_definitions(tree)) - used_names(tree) == {
-        "_unused", "_orphan", "_Gone"}
+        "_unused", "_orphan", "_Gone", "_left"}
 
 
 def test_all_lists_every_package_import():

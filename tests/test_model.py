@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from zeroone import (InputError, KernelSpec, TrainedModel, accuracy,
+from zeroone import (InputError, KernelSpec, LossKind, TrainedModel, accuracy,
                      cross_matrix, decision_function, from_json, gaussian_spec,
                      predict, save_model, support_vectors, to_json)
 from zeroone import kernels as kernels_mod
@@ -254,9 +255,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.y, mdl.y)
         assert back.b == mdl.b and back.gamma == mdl.gamma and back.C == mdl.C
         assert back.kernel == mdl.kernel
+        assert back.loss is mdl.loss is LossKind.L01
         np.testing.assert_array_equal(back.scaling.mean, mdl.scaling.mean)
         X = circles_run.test.X
         np.testing.assert_array_equal(predict(back, X), predict(mdl, X))
+
+    def test_loss_is_stored_and_defaults_to_l01(self, circles_run):
+        # a baseline model keeps its loss; a file written without the field
+        # reads as the zero-one loss
+        mdl = dataclasses.replace(circles_run.model, loss=LossKind.HINGE)
+        doc = json.loads(to_json(mdl))
+        assert doc["loss"] == "hinge_l1"
+        assert from_json(json.dumps(doc)).loss is LossKind.HINGE
+        del doc["loss"]
+        assert from_json(json.dumps(doc)).loss is LossKind.L01
 
     def test_version_guard(self, circles_run):
         text = to_json(circles_run.model).replace(
