@@ -61,7 +61,7 @@ _EXACT_TOL = 1e-8
 class Hyperparams:
     """Solver settings: loss weight C, penalty sigma, dual step iota,
     stopping tolerance eps (each finite and > 0), iteration cap (an
-    integer >= 1, not a boolean) and the kernel.
+    integer >= 1) and the kernel; none of them a boolean.
 
     Every kernel uses one coefficient system,
     ``[(1/sigma) I + K] c = diag(y) xi``, with no setting to pick how it
@@ -82,7 +82,8 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("C", "sigma", "iota", "eps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, (bool, np.bool_)) or not (
+                    math.isfinite(value) and value > 0):
                 raise InputError(f"{name} must be finite and > 0, got {value}")
         n = self.max_iter
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:

@@ -182,6 +182,9 @@ class StandardizeStats:
     constant: np.ndarray  # boolean mask
 
     def apply(self, X: np.ndarray) -> np.ndarray:
+        """``X`` standardized; ``InputError`` if its width is not len(mean)."""
+        if X.shape[1] != len(self.mean):
+            raise InputError(f"expected {len(self.mean)} features, got {X.shape[1]}")
         scale = np.where(self.constant, 1.0, self.std)
         shift = np.where(self.constant, 0.0, self.mean)
         return (X - shift) / scale

@@ -180,26 +180,18 @@ def _l1_dists(B: np.ndarray, S: np.ndarray, X: np.ndarray, Z: np.ndarray):
 _SQ_DIST = ("gaussian", "exponential", "inverse_multiquadric")
 
 
-def _query_rows(fam: str, X: np.ndarray) -> np.ndarray:
-    """The query side of the family's product: ``[X, ||x||^2, 1]`` for the
-    squared-distance families, ``X`` itself for the others."""
+def _product_rows(fam: str, X: np.ndarray, query: bool) -> np.ndarray:
+    """One side of the family's product: for the squared-distance families
+    the query rows ``[x, ||x||^2, 1]`` or the expansion rows
+    ``[-2x, 1, ||x||^2]``, whose product is ``||x||^2 + ||z||^2 - 2<x, z>``;
+    ``X`` itself for the others."""
     if fam not in _SQ_DIST:
         return X
     n, d = X.shape
-    Xa = np.ones((n, d + 2))
-    Xa[:, :d], Xa[:, d] = X, np.sum(X * X, axis=1)
-    return Xa
-
-
-def _expansion_rows(fam: str, Z: np.ndarray) -> np.ndarray:
-    """The expansion side of the family's product: ``[-2Z, 1, ||z||^2]``
-    for the squared-distance families, ``Z`` itself for the others."""
-    if fam not in _SQ_DIST:
-        return Z
-    m, d = Z.shape
-    Za = np.ones((m, d + 2))
-    Za[:, :d], Za[:, d + 1] = -2.0 * Z, np.sum(Z * Z, axis=1)
-    return Za
+    A = np.ones((n, d + 2))
+    A[:, :d] = X if query else -2.0 * X
+    A[:, d if query else d + 1] = np.sum(X * X, axis=1)
+    return A
 
 
 def _finish_block(spec: KernelSpec, B: np.ndarray, X: np.ndarray,
@@ -257,9 +249,11 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
     if w is None:
         K = _aligned_empty((n, m), order="C")
         if fam != "laplacian":
-            np.matmul(_query_rows(fam, X), _expansion_rows(fam, Z).T, out=K)
+            np.matmul(_product_rows(fam, X, query=True),
+                      _product_rows(fam, Z, query=False).T, out=K)
     else:
-        h, Zt = np.empty(n), np.ascontiguousarray(_expansion_rows(fam, Z).T)
+        h = np.empty(n)
+        Zt = np.ascontiguousarray(_product_rows(fam, Z, query=False).T)
         block = _aligned_empty((min(n, rows), m), order="C")
     for r0 in range(0, n, rows):
         r1, c0 = min(r0 + rows, n), r0 if upper else 0
@@ -268,7 +262,7 @@ def _evaluate(spec: KernelSpec, X: np.ndarray, Z: np.ndarray,
         else:
             B = block[:r1 - r0]
             if fam != "laplacian":
-                np.matmul(_query_rows(fam, X[r0:r1]), Zt, out=B)
+                np.matmul(_product_rows(fam, X[r0:r1], query=True), Zt, out=B)
         _finish_block(spec, B, X[r0:r1], Z[c0:], scratch)
         if w is not None:
             np.matmul(B, w, out=h[r0:r1])

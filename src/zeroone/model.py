@@ -13,22 +13,17 @@ from .admm import AdmmState, Hyperparams
 from .data import Dataset, StandardizeStats
 from .errors import ConfigError, InputError
 from .kernels import KernelSpec, cross_matrix, data_fingerprint
-from .prox import LossKind, ProxParams
+from .prox import LossKind, ProxParams, prox_l01_zeroed
 
 MODEL_FORMAT_VERSION = 1
 
-# Slack on the inclusive right endpoint of the support interval, absorbing
-# float rounding of the threshold itself.
-_SUPPORT_TOL = 1e-9
-
 
 def support_vectors(u, lam, C, gamma) -> np.ndarray:
-    """Support set of a solution: indices with ``u_i - gamma*lam_i`` in
-    ``(0, tau]``, where ``tau`` is the zeroing threshold of the zero-one
-    prox at step ``gamma`` (:attr:`~zeroone.prox.ProxParams.tau`); the
-    right endpoint is inclusive with ``_SUPPORT_TOL`` slack."""
+    """Support set of a solution: the indices the zero-one prox at step
+    ``gamma`` zeroes in ``u - gamma*lam``, those in ``(0, tau]``
+    (:func:`~zeroone.prox.prox_l01_zeroed`)."""
     v = np.asarray(u, dtype=float) - gamma * np.asarray(lam, dtype=float)
-    return np.flatnonzero((v > 0.0) & (v <= ProxParams(gamma, C).tau + _SUPPORT_TOL))
+    return np.flatnonzero(prox_l01_zeroed(v, ProxParams(gamma, C))[1])
 
 
 @dataclass(frozen=True)
@@ -70,8 +65,8 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
 
     ``gamma`` is the state's ``prox_step`` when it has one (a polished
     zero-one point), and ``1/sigma`` otherwise.  This is the one home of
-    every loss's support rule: the zero-one threshold-interval rule on
-    ``(u, lam)`` at that step (:func:`support_vectors`), and for a
+    every loss's support rule: the samples the zero-one prox zeroes at
+    that step (:func:`support_vectors`), and for a
     baseline the samples with a nonzero multiplier, ``lam_i != 0``: at a
     finished baseline point (see :func:`zeroone.admm.finish`)
     ``c = -y * lam`` exactly, so the support-only form is the primal
@@ -114,6 +109,8 @@ def decision_function(model: TrainedModel, x, form: str = "primal"):
         raise InputError(
             f"expected {model.X.shape[1]} features, got {Z.shape[1]}"
         )
+    if not np.all(np.isfinite(Z)):
+        raise InputError("queries contain NaN or Inf")
     if form == "primal":
         P, w = model.X, model.c
     elif form == "dual":
@@ -162,7 +159,8 @@ def to_json(model: TrainedModel) -> str:
         "meta": model.meta,
         "loss": model.loss.value,
     }
-    return json.dumps(doc)
+    # numpy scalars, such as an np.int64 C, are written as JSON numbers
+    return json.dumps(doc, default=np.generic.item)
 
 
 def _object(value) -> dict:
@@ -232,7 +230,8 @@ def from_json(text: str) -> TrainedModel:
     if doc.get("scaling") is not None:
         _field(doc, "scaling", _object)
         scaling = StandardizeStats(
-            _field(doc, "scaling.mean", vector), _field(doc, "scaling.std", vector),
+            _field(doc, "scaling.mean", vector, *finite),
+            _field(doc, "scaling.std", vector, *finite),
             _field(doc, "scaling.constant",
                    lambda v: vector(v, "a boolean", bool, (bool,))))
     mdl = TrainedModel(
@@ -265,8 +264,6 @@ def from_json(text: str) -> TrainedModel:
         if v.shape != (d,):
             raise InputError(f"model field 'scaling.{name}' has shape {v.shape}, "
                              f"but 'train.X' has {d} columns")
-        if not np.all(np.isfinite(v)):
-            raise InputError(f"model field 'scaling.{name}': a value is not finite")
     if mdl.scaling and np.any((mdl.scaling.std <= 0) & ~mdl.scaling.constant):
         raise InputError("model field 'scaling.std': a value is not > 0 on a "
                          "feature that is not constant")

@@ -18,7 +18,8 @@ stopping rule: ``||c + diag(y) lam|| / (1 + ||c|| + ||lam||)`` for
 stationarity, ``<y, lam> / m``, ``||omega|| / sqrt(m)`` and
 ``||u - prox(u - gamma*lam)|| / (1 + ||u||)``.  :func:`feasibility` is the
 one home of ``omega = u + diag(y) K c + b y - 1``, used by the solver's
-dual step and stopping rule and by the certificates.  The stationarity
+dual step and stopping rule and by the certificates, which read every
+residual off one evaluation with one ``K c``.  The stationarity
 residual uses the kernel-free strong form; it vanishing implies the
 kernel-weighted form does too, so certification is conservative.
 """
@@ -26,7 +27,7 @@ kernel-weighted form does too, so certification is conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -123,6 +124,31 @@ def scaled_residuals(c, u, lam, omega, y, u_prox=None):
     return beta1, beta2, beta3, beta4
 
 
+def _certify(c, b, u, lam, K, y, C, tol: float, gamma=None,
+             kind: LossKind = LossKind.L01) -> StationarityReport:
+    """Both verdicts on ``(c, b, u, lam)`` from one residual evaluation with
+    one product ``K c``: the stationarity, dual-balance (absolute) and
+    feasibility residuals with the KKT verdict and, given a step ``gamma``,
+    the fixed-point gap of the ``kind`` loss's prox with the
+    prox-stationarity verdict (``None`` without one).  A verdict holds when
+    every residual it reads is at most ``tol``, so a NaN fails it."""
+    c, u, lam = (np.asarray(v, dtype=float) for v in (c, u, lam))
+    u_prox = None if gamma is None else PROX[LossKind(kind)](
+        u - gamma * lam, ProxParams(gamma=float(gamma), C=float(C)))
+    r_stat, r_dual, r_feas, r_prox = scaled_residuals(
+        c, u, lam, feasibility(u, y * (K @ c), b, y), y, u_prox)
+    r_dual = abs(r_dual)
+    ok = r_stat <= tol and r_dual <= tol and r_feas <= tol
+    subdiff_ok = subdiff_l01_contains(u, -lam, tol)
+    return StationarityReport(
+        is_kkt=ok and subdiff_ok,
+        is_prox_stationary=None if gamma is None else ok and r_prox <= tol,
+        gamma_used=None if gamma is None else float(gamma),
+        res_stationary=r_stat, res_dual_balance=r_dual, res_feasibility=r_feas,
+        res_prox=r_prox, subdiff_ok=subdiff_ok, tol=tol,
+    )
+
+
 def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     """KKT certificate at tolerance ``tol``.
 
@@ -131,19 +157,7 @@ def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     set is a cone: ``lam_i <= tol`` wherever ``|u_i| <= tol`` and
     ``|lam_i| <= tol`` elsewhere.
     """
-    c = np.asarray(c, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    r_stat, r_dual, r_feas, _ = scaled_residuals(
-        c, u, lam, feasibility(u, y * (K @ c), b, y), y)
-    r_dual = abs(r_dual)
-    subdiff_ok = subdiff_l01_contains(u, -lam, tol)
-    ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and subdiff_ok
-    return StationarityReport(
-        is_kkt=ok, is_prox_stationary=None, gamma_used=None,
-        res_stationary=r_stat, res_dual_balance=r_dual, res_feasibility=r_feas,
-        res_prox=None, subdiff_ok=subdiff_ok, tol=tol,
-    )
+    return _certify(c, b, u, lam, K, y, C, tol)
 
 
 def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
@@ -161,7 +175,8 @@ def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
     ------
     InputError
         If ``(u, lam)`` violates the KKT sign pattern (nonzero multiplier
-        on a nonzero slack, or a positive multiplier beyond ``tol``).
+        on a nonzero slack, or a positive multiplier beyond ``tol``), or if
+        a multiplier is so large (infinite, say) that the step is not > 0.
     """
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -181,7 +196,10 @@ def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
         candidates.append(
             _POS_BRANCH_SHRINK * float(np.min(u[positive] ** 2)) / (2.0 * C)
         )
-    return min(candidates) if candidates else 1.0
+    gamma = min(candidates) if candidates else 1.0
+    if not gamma > 0:
+        raise InputError("(u, lam) admits no step > 0: a multiplier is too large")
+    return gamma
 
 
 def check_prox_stationary(c, b, u, lam, K, y, C, gamma, tol: float = 1e-8,
@@ -195,37 +213,21 @@ def check_prox_stationary(c, b, u, lam, K, y, C, gamma, tol: float = 1e-8,
     """
     if not gamma > 0:
         raise InputError("gamma must be > 0")
-    c = np.asarray(c, dtype=float)
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    p = ProxParams(gamma=float(gamma), C=float(C))
-    r_stat, r_dual, r_feas, r_prox = scaled_residuals(
-        c, u, lam, feasibility(u, y * (K @ c), b, y), y,
-        PROX[LossKind(kind)](u - gamma * lam, p))
-    r_dual = abs(r_dual)
-    ok = r_stat <= tol and r_dual <= tol and r_feas <= tol and r_prox <= tol
-    return StationarityReport(
-        is_kkt=None, is_prox_stationary=ok, gamma_used=float(gamma),
-        res_stationary=r_stat, res_dual_balance=r_dual, res_feasibility=r_feas,
-        res_prox=r_prox, subdiff_ok=None, tol=tol,
-    )
+    return replace(_certify(c, b, u, lam, K, y, C, tol, gamma, kind),
+                   is_kkt=None, subdiff_ok=None)
 
 
 def equivalence_roundtrip(c, b, u, lam, K, y, C, tol: float = 1e-8) -> bool:
     """True when the KKT verdict agrees with prox-stationarity under the
     constructed step size.
 
-    A sign-pattern violation inside :func:`construct_gamma` counts as a
-    failed prox witness rather than an error, so a quadruple failing both
-    checks agrees vacuously.
+    An ``InputError`` of :func:`construct_gamma` (a sign-pattern violation,
+    or no step > 0) counts as a failed prox witness rather than an error,
+    so a quadruple failing both checks agrees vacuously.
     """
-    kkt = check_kkt(c, b, u, lam, K, y, C, tol=tol).is_kkt
     try:
         gamma = construct_gamma(u, lam, C, tol=tol)
     except InputError:
-        prox_ok = False
-    else:
-        prox_ok = check_prox_stationary(
-            c, b, u, lam, K, y, C, gamma, tol=tol
-        ).is_prox_stationary
-    return bool(kkt) == bool(prox_ok)
+        gamma = None
+    rep = _certify(c, b, u, lam, K, y, C, tol, gamma)
+    return rep.is_kkt == bool(rep.is_prox_stationary)

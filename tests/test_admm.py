@@ -683,7 +683,10 @@ class TestBetas:
 
 
 class TestHyperparams:
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # a boolean is no number either: C=True would train, and its model file
+    # would not load
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       True, False, np.True_])
     @pytest.mark.parametrize("name", ["C", "sigma", "iota", "eps"])
     def test_non_finite_setting_rejected(self, name, value):
         with pytest.raises(InputError, match=f"^{name} must be finite and > 0"):

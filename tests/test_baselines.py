@@ -190,8 +190,8 @@ class TestSolveGrid:
         assert cells[1][1].iterations == 1  # l01, C=0.5, sigma=2
 
     def test_support_rule_of_each_loss(self):
-        """The zero-one model keeps the threshold-interval rule at its
-        certified step, a baseline the samples with a nonzero multiplier,
+        """The zero-one model keeps the samples the zero-one prox zeroes at
+        its certified step, a baseline the samples with a nonzero multiplier,
         and ``from_solution`` defaults to the zero-one rule."""
         train, hps, gram = _moons_grid()
         cells = solve_grid(train, hps, list(LossKind), gram=gram)

@@ -431,6 +431,23 @@ class TestEvalCertify:
         assert run_cli("certify", "--model", str(trained),
                        "--data", str(other)) == 4
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("command", ["eval", "certify", "boundary"])
+    def test_data_of_wrong_width_exits_4(self, tmp_path, trained, capsys,
+                                         command, d):
+        # the stored scaling would broadcast one column across both features
+        rng = np.random.default_rng(3)
+        data_path = tmp_path / "wide.csv"
+        lines = [",".join([f"x{j + 1}" for j in range(d)] + ["label"])]
+        lines += [",".join([f"{v:.17g}" for v in rng.normal(size=d)] + ["+1"])
+                  for _ in range(10)]
+        data_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--model", str(trained), "--data", str(data_path),
+                       "--out", str(out)) == 4
+        assert f"expected 2 features, got {d}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModelFile:
     """A malformed model file exits 4 with a message, not a traceback."""

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zeroone import (InputError, KernelSpec, LossKind, TrainedModel, accuracy,
-                     cross_matrix, decision_function, from_json, gaussian_spec,
-                     predict, save_model, support_vectors, to_json)
+from zeroone import (Hyperparams, InputError, KernelSpec, LossKind, TrainedModel,
+                     accuracy, cross_matrix, decision_function, from_json,
+                     from_solution, gaussian_spec, predict, save_model, solve,
+                     support_vectors, to_json)
 from zeroone import kernels as kernels_mod
 from zeroone.cli import main
 
@@ -66,6 +67,12 @@ class TestDecisionFunction:
             decision_function(m, np.array([1.0, 2.0]))
         with pytest.raises(InputError):
             decision_function(m, np.array([1.0]), form="banana")
+        # nan >= 0 is false, so the sign rule would label it -1 silently
+        for form in ("primal", "dual"):
+            with pytest.raises(InputError, match="contain NaN or Inf"):
+                predict(m, [[np.nan], [np.inf]], form=form)
+            with pytest.raises(InputError, match="contain NaN or Inf"):
+                decision_function(m, np.array([-np.inf]), form=form)
 
     def test_primal_dual_agree_at_stationarity(self, circles_run):
         run = circles_run
@@ -269,6 +276,22 @@ class TestSerialization:
         assert from_json(json.dumps(doc)).loss is LossKind.HINGE
         del doc["loss"]
         assert from_json(json.dumps(doc)).loss is LossKind.L01
+
+    @pytest.mark.parametrize("setting", [
+        {"C": np.int64(4)}, {"sigma": np.float32(1.0)},
+        {"kernel": KernelSpec("polynomial", {"degree": np.int64(2), "offset": 1.0})},
+    ], ids=["C-int64", "sigma-float32", "degree-int64"])
+    def test_numpy_scalar_settings_round_trip(self, circles_run, setting):
+        # numpy scalars, as from a loop over np.arange, are written as numbers
+        run = circles_run
+        hp = Hyperparams(**{"C": 16.0, "sigma": 1.0, "kernel": run.hp.kernel,
+                            "max_iter": 50, **setting})
+        state, _ = solve(run.train, hp)
+        mdl = from_solution(state, run.train, hp, scaling=run.stats)
+        back = from_json(to_json(mdl))
+        assert back.kernel == mdl.kernel
+        X = run.test.X
+        np.testing.assert_array_equal(predict(back, X), predict(mdl, X))
 
     def test_version_guard(self, circles_run):
         text = to_json(circles_run.model).replace(

@@ -91,6 +91,13 @@ class TestConstructGamma:
         with pytest.raises(InputError):
             construct_gamma(np.array([0.0]), np.array([1.0]), C=1.0)
 
+    @pytest.mark.parametrize("lam", [-np.inf, -1e200])
+    def test_no_positive_step(self, lam):
+        # 2C / lam^2 is 0 in floats, which is no step
+        with np.errstate(over="ignore"), pytest.raises(InputError,
+                                                       match="no step > 0"):
+            construct_gamma(np.array([0.0]), np.array([lam]), C=1.0)
+
     @pytest.mark.parametrize("C", [0.0, -1.0])
     def test_nonpositive_C_rejected(self, C):
         with pytest.raises(InputError, match="C must be > 0"):
@@ -173,9 +180,17 @@ class TestEquivalence:
         assert passed == sorted(passed)  # once true, stays true
 
     def test_solver_output_certifies(self, circles_run):
+        # each certificate, the round trip included, forms K c once
+        products = []
+
+        class Gram(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other)
+                return np.asarray(self) @ other
+
         run = circles_run
         st = run.state
-        K = run.gram.entries
+        K = run.gram.entries.view(Gram)
         y = run.train.y
         tol = 10 * run.hp.eps
         assert check_kkt(st.c, st.b, st.u, st.lam, K, y, run.hp.C, tol=tol).is_kkt
@@ -184,3 +199,26 @@ class TestEquivalence:
         assert rep.is_prox_stationary
         assert equivalence_roundtrip(st.c, st.b, st.u, st.lam, K, y,
                                      run.hp.C, tol=tol)
+        assert len(products) == 3
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("zero_slack", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c", "u", "lam"])
+    def test_non_finite_point_fails_every_certificate(self, circles_run, name,
+                                                     value, zero_slack):
+        # a NaN fails every comparison, so no residual may pass through it;
+        # an infinite multiplier on a zero slack leaves no step to construct
+        run = circles_run
+        point = {"c": run.state.c.copy(), "u": run.state.u.copy(),
+                 "lam": run.state.lam.copy()}
+        point[name][np.flatnonzero((run.state.u == 0.0) == zero_slack)[0]] = value
+        args = (point["c"], run.state.b, point["u"], point["lam"],
+                run.gram.entries, run.train.y, run.hp.C)
+        tol = 10 * run.hp.eps
+        with np.errstate(invalid="ignore"):
+            assert not check_kkt(*args, tol=tol).is_kkt
+            assert not check_prox_stationary(*args, gamma=1.0 / run.hp.sigma,
+                                             tol=tol).is_prox_stationary
+            assert equivalence_roundtrip(*args, tol=tol)
