@@ -44,8 +44,8 @@ BENCH_COLUMNS = ("dataset", "r", "loss", "C", "sigma", "train_acc",
 
 @dataclass
 class RunConfig:
-    """Normalized settings of one CLI invocation, and the one home of the
-    CLI's defaults: the parser declares none."""
+    """Normalized settings of one CLI invocation and the one home of its
+    defaults (the solver's read from ``Hyperparams``): the parser has none."""
 
     command: str
     data_path: str | None = None
@@ -61,9 +61,9 @@ class RunConfig:
     imq_beta: float = 0.5
     C: float = 1.0
     sigma: float = 1.0
-    iota: float = 1.0
-    eps: float = 1e-3
-    max_iter: int = 2000
+    iota: float = Hyperparams.iota
+    eps: float = Hyperparams.eps
+    max_iter: int = Hyperparams.max_iter
     loss: tuple = (LossKind.L01,)
     grid_c: tuple = DEFAULT_GRID_C
     grid_sigma: tuple = DEFAULT_GRID_SIGMA
@@ -239,7 +239,7 @@ def _load_model(cfg: RunConfig) -> tuple["model_mod.TrainedModel",
     mdl = model_mod.load_model(cfg.model_path)
     if cfg.data_path is None:
         return mdl, None
-    ds = data.load_dataset(cfg.data_path)
+    ds = data.load_dataset(cfg.data_path, d=mdl.X.shape[1])
     if mdl.scaling is not None:
         ds = data.Dataset(X=mdl.scaling.apply(ds.X), y=ds.y, name=ds.name)
     return mdl, ds
@@ -279,7 +279,8 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cv_folds(train: data.Dataset, folds: int, seed: int):
-    """Deterministic fold partition; yields (train, holdout) dataset pairs."""
+    """Deterministic fold partition; yields (train, holdout) dataset pairs.
+    A fold whose training part holds one class raises ``InputError``."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(train.n)
     chunks = np.array_split(order, folds)
@@ -287,6 +288,9 @@ def _cv_folds(train: data.Dataset, folds: int, seed: int):
     for i in range(folds):
         hold = chunks[i]
         rest = np.concatenate([chunks[j] for j in range(folds) if j != i])
+        if len(np.unique(train.y[rest])) < 2:
+            raise InputError(f"--cv-folds {folds}: fold {i + 1} leaves one "
+                             "class in its training part")
         pairs.append((
             data.Dataset(X=train.X[rest], y=train.y[rest], name=train.name),
             data.Dataset(X=train.X[hold], y=train.y[hold], name=train.name),

@@ -66,8 +66,9 @@ def _map_labels(raw: np.ndarray) -> np.ndarray:
     raise InputError(f"single non-binary label value {values[0].item()!r}")
 
 
-def parse_libsvm(text: str, name: str = "") -> Dataset:
-    """Parse LIBSVM text into a dense dataset.
+def parse_libsvm(text: str, name: str = "", d: int = 0) -> Dataset:
+    """Parse LIBSVM text into a dense dataset with ``d`` columns, or as
+    many as the largest index present if that is more.
 
     Absent indices are zero.  Raw labels are mapped to {-1, +1}: with
     exactly two distinct values the larger becomes +1.
@@ -103,7 +104,7 @@ def parse_libsvm(text: str, name: str = "") -> Dataset:
         rows.append(entries)
     if not rows:
         raise InputError("empty dataset")
-    X = np.zeros((len(rows), width))
+    X = np.zeros((len(rows), max(width, d)))
     for i, entries in enumerate(rows):
         for idx, val in entries:
             X[i, idx - 1] = val
@@ -129,11 +130,9 @@ def format_libsvm(dataset: Dataset) -> str:
 def format_csv(dataset: Dataset) -> str:
     """Dense CSV with header ``x1,...,xd,label`` and 17-digit values."""
     out = io.StringIO()
-    out.write(",".join([f"x{j + 1}" for j in range(dataset.d)] + ["label"]) + "\n")
-    for i in range(dataset.n):
-        vals = [f"{v:.17g}" for v in dataset.X[i]]
-        vals.append(f"{int(dataset.y[i]):+d}")
-        out.write(",".join(vals) + "\n")
+    np.savetxt(out, np.column_stack((dataset.X, dataset.y)),
+               fmt=["%.17g"] * dataset.d + ["%+d"], delimiter=",", comments="",
+               header=",".join([f"x{j + 1}" for j in range(dataset.d)] + ["label"]))
     return out.getvalue()
 
 
@@ -160,53 +159,49 @@ def parse_csv(text: str, name: str = "") -> Dataset:
     return Dataset(X=X, y=_map_labels(raw), name=name)
 
 
-def load_dataset(path: str, name: str | None = None) -> Dataset:
-    """Load a dataset file, picking the parser from the extension
-    (``.csv`` for the dense layout, anything else is LIBSVM text)."""
+def load_dataset(path: str, name: str | None = None, d: int = 0) -> Dataset:
+    """Load a dataset file: ``.csv`` as the dense layout, anything else as
+    LIBSVM text of at least ``d`` columns."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if name is None:
         name = path
     if path.endswith(".csv"):
         return parse_csv(text, name=name)
-    return parse_libsvm(text, name=name)
+    return parse_libsvm(text, name=name, d=d)
 
 
 @dataclass(frozen=True)
 class StandardizeStats:
-    """Per-feature training mean/std; ``constant`` flags zero-variance
-    features that were passed through untouched."""
+    """Per-feature training mean/std; the ``constant`` (zero-variance)
+    features pass through untouched."""
 
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray  # boolean mask
+
+    @property
+    def constant(self) -> np.ndarray:
+        """Boolean mask of the zero-variance features, ``std == 0``."""
+        return self.std == 0.0
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """``X`` standardized; ``InputError`` if its width is not len(mean)."""
         if X.shape[1] != len(self.mean):
             raise InputError(f"expected {len(self.mean)} features, got {X.shape[1]}")
-        scale = np.where(self.constant, 1.0, self.std)
         shift = np.where(self.constant, 0.0, self.mean)
-        return (X - shift) / scale
+        return (X - shift) / np.where(self.constant, 1.0, self.std)
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "constant": self.constant.tolist(),
-        }
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
 
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, StandardizeStats]:
     """Scale both splits to zero mean / unit variance using training
-    statistics only.  Zero-variance features pass through unchanged and
-    are flagged in the returned stats."""
+    statistics only.  Zero-variance features pass through unchanged (see
+    :attr:`StandardizeStats.constant`)."""
     if train.n < 1:
         raise InputError("empty training set")
-    mean = train.X.mean(axis=0)
-    std = train.X.std(axis=0)
-    constant = std == 0.0
-    stats = StandardizeStats(mean=mean, std=std, constant=constant)
+    stats = StandardizeStats(mean=train.X.mean(axis=0), std=train.X.std(axis=0))
     tr = Dataset(X=stats.apply(train.X), y=train.y, name=train.name)
     te = Dataset(X=stats.apply(test.X), y=test.y, name=test.name)
     return tr, te, stats

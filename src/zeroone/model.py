@@ -3,6 +3,7 @@ prediction, support-vector extraction, accuracy, JSON persistence."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -12,7 +13,7 @@ import numpy as np
 from .admm import AdmmState, Hyperparams
 from .data import Dataset, StandardizeStats
 from .errors import ConfigError, InputError
-from .kernels import KernelSpec, cross_matrix, data_fingerprint
+from .kernels import KernelSpec, cross_matrix
 from .prox import LossKind, ProxParams, prox_l01_zeroed
 
 MODEL_FORMAT_VERSION = 1
@@ -29,7 +30,7 @@ def support_vectors(u, lam, C, gamma) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainedModel:
     """A trained classifier: coefficients, bias, dual multipliers, slack,
-    support set, the kernel, and the training sample it expands over.
+    the kernel, and the training sample it expands over.
 
     ``gamma`` is the prox step at which the solution is certified: the
     stored ``construct_gamma`` step of a polished zero-one solve (see
@@ -43,7 +44,6 @@ class TrainedModel:
     b: float
     lam: np.ndarray
     u: np.ndarray
-    support: np.ndarray
     kernel: KernelSpec
     X: np.ndarray
     y: np.ndarray
@@ -52,6 +52,17 @@ class TrainedModel:
     scaling: Optional[StandardizeStats] = None
     meta: dict = field(default_factory=dict)
     loss: LossKind = LossKind.L01
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """The support set, by the one rule of each loss: the samples the
+        zero-one prox zeroes at the model's step (:func:`support_vectors`),
+        and for a baseline the samples with ``lam_i != 0``: at a finished
+        baseline point (see :func:`zeroone.admm.finish`) ``c = -y * lam``
+        exactly, so the support-only form is the primal one."""
+        if self.loss is LossKind.L01:
+            return support_vectors(self.u, self.lam, self.C, self.gamma)
+        return np.flatnonzero(self.lam)
 
     @property
     def nsv(self) -> int:
@@ -64,26 +75,14 @@ def from_solution(state: AdmmState, dataset: Dataset, hp: Hyperparams,
     """Package a solver state of the ``kind`` loss as a deployable model.
 
     ``gamma`` is the state's ``prox_step`` when it has one (a polished
-    zero-one point), and ``1/sigma`` otherwise.  This is the one home of
-    every loss's support rule: the samples the zero-one prox zeroes at
-    that step (:func:`support_vectors`), and for a
-    baseline the samples with a nonzero multiplier, ``lam_i != 0``: at a
-    finished baseline point (see :func:`zeroone.admm.finish`)
-    ``c = -y * lam`` exactly, so the support-only form is the primal
-    one.
+    zero-one point), and ``1/sigma`` otherwise.
     """
-    kind = LossKind(kind)
     gamma = 1.0 / hp.sigma if state.prox_step is None else state.prox_step
-    support = support_vectors(state.u, state.lam, hp.C, gamma) \
-        if kind is LossKind.L01 else np.flatnonzero(state.lam)
     return TrainedModel(
         c=state.c.copy(), b=float(state.b), lam=state.lam.copy(),
-        u=state.u.copy(), support=support,
-        kernel=hp.kernel, X=dataset.X.copy(), y=dataset.y.copy(),
-        gamma=gamma, C=hp.C, scaling=scaling,
-        meta={"dataset": dataset.name,
-              "train_fingerprint": data_fingerprint(dataset.X)},
-        loss=kind,
+        u=state.u.copy(), kernel=hp.kernel, X=dataset.X.copy(),
+        y=dataset.y.copy(), gamma=gamma, C=hp.C, scaling=scaling,
+        meta={"dataset": dataset.name}, loss=LossKind(kind),
     )
 
 
@@ -151,7 +150,6 @@ def to_json(model: TrainedModel) -> str:
         "b": model.b,
         "lam": model.lam.tolist(),
         "u": model.u.tolist(),
-        "support": model.support.tolist(),
         "gamma": model.gamma,
         "C": model.C,
         "train": {"X": model.X.tolist(), "y": model.y.tolist()},
@@ -170,12 +168,12 @@ def _object(value) -> dict:
     return value
 
 
-def _kind(value, noun: str, types: tuple):
-    """``value`` if it and each entry of its nested lists has a type in
-    ``types`` (as ``json.loads`` gives them), else ``TypeError``."""
+def _numbers(value):
+    """``value`` if it and each entry of its nested lists is a JSON number,
+    an ``int`` or ``float`` from ``json.loads``, else ``TypeError``."""
     for x in np.array(value, dtype=object).flat:
-        if type(x) not in types:
-            raise TypeError(f"a value is {type(x).__name__}, not {noun}")
+        if type(x) not in (int, float):
+            raise TypeError(f"a value is {type(x).__name__}, not a number")
     return value
 
 
@@ -204,13 +202,13 @@ def from_json(text: str) -> TrainedModel:
     written before it was stored, reads as ``l01``) or one of the wrong
     JSON kind, a ``train.X`` that is not a matrix, a ``c``, ``lam``, ``u``
     or ``train.y`` that does not match its rows, a ``scaling`` that does
-    not match its columns, a support index out of range, or an invalid
-    value raises ``InputError``.  Kinds: numbers, never booleans or
-    strings; integers in ``support``; booleans in ``scaling.constant``; a
+    not match its columns, or an invalid value raises ``InputError``.
+    Kinds: numbers, never booleans or strings; a
     :class:`~zeroone.prox.LossKind` value in ``loss``; objects elsewhere.
-    Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in {-1, +1}, a
-    strictly increasing ``support``, ``scaling.std`` > 0 off the
-    ``constant`` features, and every float finite."""
+    Valid values: ``gamma`` and ``C`` > 0, ``train.y`` in {-1, +1},
+    ``scaling.std`` >= 0, and every float finite.  The ``support`` and
+    ``scaling.constant`` fields of older files are derived data, and are
+    ignored."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InputError(f"model file holds a JSON {type(doc).__name__}, "
@@ -219,28 +217,25 @@ def from_json(text: str) -> TrainedModel:
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported model format version {version!r}")
 
-    def vector(v, noun="a number", dtype=float, types=(int, float)):
-        return np.asarray(_kind(v, noun, types), dtype=dtype)
+    def vector(v):
+        return np.asarray(_numbers(v), dtype=float)
 
     def scalar(v):
-        return float(_kind(v, "a number", (int, float)))
+        return float(_numbers(v))
     finite = (np.isfinite, "finite")
     positive = (lambda v: 0.0 < v < np.inf, "finite and > 0")
+    nonnegative = (lambda v: (0.0 <= v) & (v < np.inf), "finite and >= 0")
     scaling = None
     if doc.get("scaling") is not None:
         _field(doc, "scaling", _object)
         scaling = StandardizeStats(
             _field(doc, "scaling.mean", vector, *finite),
-            _field(doc, "scaling.std", vector, *finite),
-            _field(doc, "scaling.constant",
-                   lambda v: vector(v, "a boolean", bool, (bool,))))
+            _field(doc, "scaling.std", vector, *nonnegative))
     mdl = TrainedModel(
         c=_field(doc, "c", vector, *finite),
         b=_field(doc, "b", scalar, *finite),
         lam=_field(doc, "lam", vector, *finite),
         u=_field(doc, "u", vector, *finite),
-        support=_field(doc, "support", lambda v: vector(v, "an integer", int, (int,)),
-                       lambda v: np.diff(v) > 0, "above the one before it"),
         kernel=_field(doc, "kernel", KernelSpec.from_dict),
         X=_field(doc, "train.X", vector, *finite),
         y=_field(doc, "train.y", vector, lambda v: np.isin(v, (-1.0, 1.0)),
@@ -259,16 +254,11 @@ def from_json(text: str) -> TrainedModel:
         if v.shape != (m,):
             raise InputError(f"model field {name!r} has shape {v.shape}, "
                              f"but 'train.X' has {m} rows")
-    for name in ("mean", "std", "constant") if mdl.scaling else ():
+    for name in ("mean", "std") if mdl.scaling else ():
         v = getattr(mdl.scaling, name)
         if v.shape != (d,):
             raise InputError(f"model field 'scaling.{name}' has shape {v.shape}, "
                              f"but 'train.X' has {d} columns")
-    if mdl.scaling and np.any((mdl.scaling.std <= 0) & ~mdl.scaling.constant):
-        raise InputError("model field 'scaling.std': a value is not > 0 on a "
-                         "feature that is not constant")
-    if np.any((mdl.support < 0) | (mdl.support >= m)):
-        raise InputError(f"model field 'support' has an index outside [0, {m})")
     return mdl
 
 

@@ -160,6 +160,12 @@ def check_kkt(c, b, u, lam, K, y, C, tol: float = 1e-8) -> StationarityReport:
     return _certify(c, b, u, lam, K, y, C, tol)
 
 
+def _check_C(C):
+    """``InputError`` unless the loss weight ``C`` is finite and > 0."""
+    if not (math.isfinite(C) and C > 0):
+        raise InputError("C must be finite and > 0")
+
+
 def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
     """Build a prox step size certifying a multiplier with a valid KKT sign
     pattern.
@@ -174,14 +180,14 @@ def construct_gamma(u, lam, C, tol: float = 1e-9) -> float:
     Raises
     ------
     InputError
-        If ``(u, lam)`` violates the KKT sign pattern (nonzero multiplier
-        on a nonzero slack, or a positive multiplier beyond ``tol``), or if
-        a multiplier is so large (infinite, say) that the step is not > 0.
+        If ``C`` is not finite and > 0, ``(u, lam)`` violates the KKT sign
+        pattern (nonzero multiplier on a nonzero slack, or a positive
+        multiplier beyond ``tol``), or a multiplier is so large (infinite,
+        say) that the step is not > 0.
     """
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if C <= 0:
-        raise InputError("C must be > 0")
+    _check_C(C)
     if not subdiff_l01_contains(u, -lam, tol):
         raise InputError("(u, lam) violates the KKT multiplier sign pattern")
     zero = np.abs(u) <= tol
@@ -221,10 +227,11 @@ def equivalence_roundtrip(c, b, u, lam, K, y, C, tol: float = 1e-8) -> bool:
     """True when the KKT verdict agrees with prox-stationarity under the
     constructed step size.
 
-    An ``InputError`` of :func:`construct_gamma` (a sign-pattern violation,
-    or no step > 0) counts as a failed prox witness rather than an error,
-    so a quadruple failing both checks agrees vacuously.
+    A sign-pattern violation or no step > 0 in :func:`construct_gamma`
+    counts as a failed prox witness rather than an error, so a quadruple
+    failing both checks agrees vacuously; an invalid ``C`` raises.
     """
+    _check_C(C)
     try:
         gamma = construct_gamma(u, lam, C, tol=tol)
     except InputError:

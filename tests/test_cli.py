@@ -448,6 +448,14 @@ class TestEvalCertify:
         assert f"expected 2 features, got {d}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_libsvm_query_with_a_zero_last_feature_evaluates(self, tmp_path,
+                                                              trained, capsys):
+        # the sparse format omits zeros, so no row names feature 2
+        data_path = tmp_path / "q.libsvm"
+        data_path.write_text("+1 1:0.5\n-1 1:0.1\n")
+        assert run_cli("eval", "--model", str(trained), "--data", str(data_path)) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+
 
 class TestModelFile:
     """A malformed model file exits 4 with a message, not a traceback."""
@@ -467,7 +475,7 @@ class TestModelFile:
         model_path.write_text(json.dumps(doc))
         return run_cli("eval", "--model", str(model_path), "--data", str(data_path))
 
-    @pytest.mark.parametrize("name", ["kernel", "c", "b", "lam", "u", "support",
+    @pytest.mark.parametrize("name", ["kernel", "c", "b", "lam", "u",
                                       "gamma", "C", "train", "train.X",
                                       "train.y", "kernel.family",
                                       "scaling.mean"])
@@ -483,12 +491,6 @@ class TestModelFile:
     def test_truncated_array_exits_4(self, paths, capsys, name):
         assert self._eval(paths, lambda doc: doc[name].pop()) == 4
         assert f"{name!r} has shape" in capsys.readouterr().err
-
-    def test_support_out_of_range_exits_4(self, paths, capsys):
-        def past_the_end(doc):
-            doc["support"].append(len(doc["c"]))
-        assert self._eval(paths, past_the_end) == 4
-        assert "'support' has an index outside" in capsys.readouterr().err
 
     def test_json_not_an_object_exits_4(self, paths, capsys):
         model_path, data_path = paths
@@ -509,13 +511,11 @@ class TestModelFile:
                      id="b-huge-int"),
         ("gamma", True, "'gamma': a value is bool, not a number"),
         ("C", True, "'C': a value is bool, not a number"),
-        ("support", [0.7, 1.9], "'support': a value is float, not an integer"),
-        ("scaling.constant", ["no", "no"], "'scaling.constant': a value is str, not a boolean"),
-        ("scaling.constant", [0, 0], "'scaling.constant': a value is int, not a boolean"),
-        ("scaling", [], "'scaling': expected an object, got list"),
-        ("meta", [], "'meta': expected an object, got list"),
         ("loss", "hinge", "'loss': 'hinge' is not a valid LossKind"),
         ("loss", 1, "'loss': 1 is not a valid LossKind"),
+        ("scaling.std", None, "'scaling.std': a value is NoneType, not a number"),
+        ("scaling", [], "'scaling': expected an object, got list"),
+        ("meta", [], "'meta': expected an object, got list"),
     ])
     def test_field_of_wrong_type_exits_4(self, paths, capsys, name, value, message):
         *outer, key = name.split(".")
@@ -534,7 +534,7 @@ class TestModelFile:
         assert self._eval(paths, replace) == 4
         assert f"unsupported model format version {version!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["mean", "std", "constant"])
+    @pytest.mark.parametrize("name", ["mean", "std"])
     def test_scaling_of_wrong_length_exits_4(self, paths, capsys, name):
         assert self._eval(paths, lambda doc: doc["scaling"][name].pop()) == 4
         assert f"'scaling.{name}' has shape (1,)" in capsys.readouterr().err
@@ -553,12 +553,9 @@ class TestModelFile:
         ("eval", "C", 0.0, "'C': a value is not finite and > 0"),
         ("eval", "gamma", -1.0, "'gamma': a value is not finite and > 0"),
         ("certify", "train.y.0", 0.5, "'train.y': a value is not -1 or +1"),
-        ("eval", "support", [0, 0], "'support': a value is not above the one before it"),
         ("eval", "scaling.mean.0", math.nan, "'scaling.mean': a value is not finite"),
         ("eval", "scaling.std.1", math.inf, "'scaling.std': a value is not finite"),
-        ("eval", "scaling.std.0", 0.0, "'scaling.std': a value is not > 0 on a "
-                                       "feature that is not constant"),
-        ("eval", "support.0", True, "'support': a value is bool, not an integer"),
+        ("eval", "scaling.std.0", -1.0, "'scaling.std': a value is not finite and >= 0"),
         ("eval", "c.0", True, "'c': a value is bool, not a number"),
         ("eval", "c.0", "1.5", "'c': a value is str, not a number"),
         ("eval", "lam.0", "0", "'lam': a value is str, not a number"),
@@ -669,7 +666,6 @@ class TestBoundary:
         import zeroone
         mdl = zeroone.TrainedModel(
             c=np.zeros(2), b=0.4, lam=np.zeros(2), u=np.zeros(2),
-            support=np.empty(0, dtype=int),
             kernel=zeroone.KernelSpec("linear", {}),
             X=np.array([[0.0, 0.0], [1.0, 1.0]]),
             y=np.array([1.0, -1.0]), gamma=1.0, C=1.0)
@@ -686,7 +682,6 @@ class TestBoundary:
         import zeroone
         mdl = zeroone.TrainedModel(
             c=np.zeros(2), b=0.0, lam=np.zeros(2), u=np.zeros(2),
-            support=np.empty(0, dtype=int),
             kernel=zeroone.KernelSpec("linear", {}),
             X=np.zeros((2, 3)), y=np.array([1.0, -1.0]), gamma=1.0, C=1.0)
         path = tmp_path / "m3d.json"
@@ -735,6 +730,13 @@ class TestBench:
         assert run_cli("bench", "--dataset", "circles", "--m", "10",
                        "--seed", "1", "--grid-c", "1", "--grid-sigma", "1",
                        "--max-iter", "50", "--cv-folds", folds) == code
+
+    def test_cv_fold_of_one_class_exits_4(self, capsys):
+        # the training half's labels are [-1, -1, -1, +1], so the fold that
+        # holds out the +1 leaves one class to train on
+        assert run_cli("bench", "--dataset", "moons", "--m", "8", "--grid-c", "1",
+                       "--grid-sigma", "1", "--loss", "l01", "--cv-folds", "4") == 4
+        assert "--cv-folds 4: fold" in capsys.readouterr().err
 
     def test_cli_csv_format(self, tmp_path):
         out = tmp_path / "bench.csv"

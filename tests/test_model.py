@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from zeroone import (Hyperparams, InputError, KernelSpec, LossKind, TrainedModel,
-                     accuracy, cross_matrix, decision_function, from_json,
-                     from_solution, gaussian_spec, predict, save_model, solve,
-                     support_vectors, to_json)
+                     accuracy, cross_matrix, data_fingerprint, decision_function,
+                     from_json, from_solution, gaussian_spec, predict, save_model,
+                     solve, support_vectors, to_json)
 from zeroone import kernels as kernels_mod
 from zeroone.cli import main
 
 
-def _linear_model(c, b, X, y, support=None, C=1.0, gamma=1.0):
+def _linear_model(c, b, X, y, C=1.0, gamma=1.0):
     c = np.asarray(c, dtype=float)
     y = np.asarray(y, dtype=float)
     return TrainedModel(
         c=c, b=b, lam=-(y * c), u=np.zeros(len(c)),
-        support=np.asarray(support if support is not None else [], dtype=int),
         kernel=KernelSpec("linear", {}), X=np.asarray(X, dtype=float), y=y,
         gamma=gamma, C=C,
     )
@@ -27,7 +26,8 @@ def _linear_model(c, b, X, y, support=None, C=1.0, gamma=1.0):
 
 def _gaussian_model(m):
     """A model over ``m`` random training rows in 2-D with random
-    coefficients and a support set of every third row."""
+    coefficients and a support set of every third row: there ``lam`` is in
+    (-1, 0), so ``u - gamma*lam`` is in the zeroing window (0, sqrt(2)]."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(m, 2))
     y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
@@ -35,7 +35,7 @@ def _gaussian_model(m):
     lam = np.zeros(m)
     lam[support] = -rng.random(len(support))
     return TrainedModel(
-        c=rng.normal(size=m), b=0.1, lam=lam, u=np.zeros(m), support=support,
+        c=rng.normal(size=m), b=0.1, lam=lam, u=np.zeros(m),
         kernel=gaussian_spec(0.5), X=X, y=y, gamma=1.0, C=1.0,
     )
 
@@ -140,7 +140,8 @@ class TestBlockedDecision:
 
     @pytest.mark.parametrize("n", [0, 1, 1369])
     def test_empty_support_gives_bias(self, mdl, n):
-        bare = dataclasses.replace(mdl, support=np.zeros(0, dtype=int))
+        bare = dataclasses.replace(mdl, lam=np.zeros_like(mdl.lam))
+        assert bare.nsv == 0
         Z = np.random.default_rng(n).uniform(-3, 3, size=(n, 2))
         np.testing.assert_array_equal(decision_function(bare, Z, form="dual"),
                                       np.full(n, mdl.b))
@@ -266,6 +267,26 @@ class TestSerialization:
         np.testing.assert_array_equal(back.scaling.mean, mdl.scaling.mean)
         X = circles_run.test.X
         np.testing.assert_array_equal(predict(back, X), predict(mdl, X))
+
+    def test_stored_copies_of_an_older_file_are_ignored(self, circles_run):
+        # a file as written when the support set, the constant-feature mask
+        # and the training fingerprint were stored; an edited copy of the
+        # first two changes nothing
+        mdl, raw = circles_run.model, circles_run.test.X
+        doc = json.loads(to_json(mdl))
+        doc["support"] = mdl.support.tolist()
+        doc["scaling"]["constant"] = [False] * len(doc["scaling"]["std"])
+        doc["meta"]["train_fingerprint"] = data_fingerprint(mdl.X)
+        intact = from_json(json.dumps(doc))
+        doc["support"] = [0, 1, 2]
+        doc["scaling"]["constant"] = [True] * len(doc["scaling"]["std"])
+        edited = from_json(json.dumps(doc))
+        assert edited.nsv == intact.nsv == mdl.nsv > 3
+        np.testing.assert_array_equal(edited.support, mdl.support)
+        for form in ("primal", "dual"):
+            np.testing.assert_array_equal(
+                decision_function(edited, edited.scaling.apply(raw), form=form),
+                decision_function(intact, intact.scaling.apply(raw), form=form))
 
     def test_loss_is_stored_and_defaults_to_l01(self, circles_run):
         # a baseline model keeps its loss; a file written without the field

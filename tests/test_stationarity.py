@@ -100,7 +100,7 @@ class TestConstructGamma:
 
     @pytest.mark.parametrize("C", [0.0, -1.0])
     def test_nonpositive_C_rejected(self, C):
-        with pytest.raises(InputError, match="C must be > 0"):
+        with pytest.raises(InputError, match="C must be finite and > 0"):
             construct_gamma(np.array([0.0]), np.array([-1.0]), C=C)
 
 
@@ -200,6 +200,16 @@ class TestEquivalence:
         assert equivalence_roundtrip(st.c, st.b, st.u, st.lam, K, y,
                                      run.hp.C, tol=tol)
         assert len(products) == 3
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_C_raises(self, circles_run, C):
+        # an invalid loss weight is an error, not a failed prox witness
+        run, st = circles_run, circles_run.state
+        with pytest.raises(InputError, match="C must be finite and > 0"):
+            construct_gamma(st.u, st.lam, C)
+        with pytest.raises(InputError, match="C must be finite and > 0"):
+            equivalence_roundtrip(st.c, st.b, st.u, st.lam, run.gram.entries,
+                                  run.train.y, C)
 
 
 class TestNonFinitePoint:
